@@ -25,11 +25,11 @@ from .detectors import (
     HypothesisId,
     ObservationMatrix,
     Subset,
-    default_lambda,
-    run_detector,
+    decide,
+    null_threshold,
     score_table,
 )
-from .errors import EnumerationCapError, SolverError, ValidationError
+from .errors import EnumerationCapError, SolverError, ValidationError, require
 from .exponents import (
     SolverOptions,
     exponent_both_known,
@@ -40,7 +40,7 @@ from .exponents import (
     thm_multi_lower_bound,
     thm_single_lower_bound,
 )
-from .oracle import exact_error, exponent_fit
+from .oracle import exact_error
 from .sim import RNG_ALGORITHM, SimConfig, estimate_error, exponent_sweep
 from .simplex import Pmf, bhattacharyya
 
@@ -85,11 +85,6 @@ def _hyp_label(h: HypothesisId) -> str:
     return str(h)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
-
-
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(restarts=args.restarts, seed=args.solver_seed)
 
@@ -101,13 +96,13 @@ def _family_for(
     sizes: Optional[Sequence[int]],
 ) -> HypothesisFamily:
     if kind in (DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI):
-        _require(t is not None, f"{kind.value} needs --t")
+        require(t is not None, f"{kind.value} needs --t")
         return HypothesisFamily.fixed_size(m, t)
     if kind is DetectorKind.IDENTICAL_UNIV:
-        _require(sizes is not None, "identical-univ needs --sizes")
+        require(sizes is not None, "identical-univ needs --sizes")
         return HypothesisFamily.sized(m, sizes, include_null=False)
     if kind is DetectorKind.NULL_IDENTICAL:
-        _require(sizes is not None, "null-identical needs --sizes")
+        require(sizes is not None, "null-identical needs --sizes")
         return HypothesisFamily.sized(m, sizes, include_null=True)
     include_null = kind is DetectorKind.NULL_SINGLE
     return HypothesisFamily.single_outlier(m, include_null=include_null)
@@ -122,24 +117,24 @@ def cmd_exponent(args) -> int:
     kind = args.kind
     record = {"command": "exponent", "kind": kind}
     if kind == "both-known":
-        _require(args.mu is not None and args.pi is not None, "both-known needs --mu and --pi")
+        require(args.mu is not None and args.pi is not None, "both-known needs --mu and --pi")
         res = exponent_both_known(_parse_pmf(args.mu), _parse_pmf(args.pi))
     elif kind == "multi-known":
-        _require(args.mus is not None and args.pi is not None, "multi-known needs --mus and --pi")
+        require(args.mus is not None and args.pi is not None, "multi-known needs --mus and --pi")
         res = exponent_multi_known(_parse_pmfs(args.mus), _parse_pmf(args.pi))
     elif kind == "multi-typ-known":
-        _require(args.mus is not None and args.pi is not None,
-                 "multi-typ-known needs --mus and --pi")
+        require(args.mus is not None and args.pi is not None,
+                "multi-typ-known needs --mus and --pi")
         res = exponent_multi_typ_known(_parse_pmfs(args.mus), _parse_pmf(args.pi))
     elif kind == "univ-single":
-        _require(args.mu is not None and args.pi is not None and args.m is not None,
-                 "univ-single needs --mu, --pi and --m")
+        require(args.mu is not None and args.pi is not None and args.m is not None,
+                "univ-single needs --mu, --pi and --m")
         res = exponent_univ_single(
             _parse_pmf(args.mu), _parse_pmf(args.pi), args.m, _solver_options(args)
         )
     elif kind == "univ-multi":
-        _require(args.mus is not None and args.pi is not None and args.t is not None,
-                 "univ-multi needs --mus, --pi and --t")
+        require(args.mus is not None and args.pi is not None and args.t is not None,
+                "univ-multi needs --mus, --pi and --t")
         res = exponent_univ_multi(
             _parse_pmfs(args.mus), _parse_pmf(args.pi), args.t, _solver_options(args)
         )
@@ -156,14 +151,14 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    _require(args.pi is not None, "bound needs --pi")
+    require(args.pi is not None, "bound needs --pi")
     pi = _parse_pmf(args.pi)
     if args.mus is not None:
-        _require(args.t is not None and args.m is not None, "multi bound needs --t and --m")
+        require(args.t is not None and args.m is not None, "multi bound needs --t and --m")
         res = thm_multi_lower_bound(_parse_pmfs(args.mus), pi, args.t, args.m)
         record = {"command": "bound", "kind": "multi", "t": args.t, "m": args.m}
     else:
-        _require(args.mu is not None and args.m is not None, "single bound needs --mu and --m")
+        require(args.mu is not None and args.m is not None, "single bound needs --mu and --m")
         res = thm_single_lower_bound(_parse_pmf(args.mu), pi, args.m)
         record = {"command": "bound", "kind": "single", "m": args.m}
     record.update(value=float(res.value), solver=res.solver, iterations=res.iterations)
@@ -183,11 +178,11 @@ def cmd_figure(args) -> int:
         pairs = []
         for spec in args.pairs.split(";"):
             parts = spec.split(":")
-            _require(len(parts) == 2, f"pair {spec!r} must be mu:pi")
+            require(len(parts) == 2, f"pair {spec!r} must be mu:pi")
             pairs.append((parts[0], parts[1]))
     else:
         pairs = list(DEFAULT_FIGURE_PAIRS)
-    _require(3 <= args.m_min <= args.m_max, "need 3 <= m-min <= m-max")
+    require(3 <= args.m_min <= args.m_max, "need 3 <= m-min <= m-max")
     print("pair,mu,pi,m,lower_bound,two_b")
     for idx, (mu_text, pi_text) in enumerate(pairs, start=1):
         mu, pi = _parse_pmf(mu_text), _parse_pmf(pi_text)
@@ -213,14 +208,9 @@ def cmd_detect(args) -> int:
     if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
         sizes = _parse_int_list(args.sizes) if args.sizes else None
         family = _family_for(kind, obs.m, args.t, sizes)
-        if kind is DetectorKind.NULL_IDENTICAL:
-            family = HypothesisFamily(
-                tuple(h for h in family.hypotheses if h is not NULL), obs.m
-            )
     table = score_table(kind, obs, mu=mu, pi=pi, t=args.t, family=family)
-    decision = run_detector(
-        kind, obs, mu=mu, pi=pi, t=args.t, family=family, lam=args.lam
-    )
+    lam = null_threshold(kind, args.lam, obs.m, obs.n, obs.k)
+    decision = decide(table, lam)
     record = {
         "command": "detect",
         "kind": kind.value,
@@ -231,27 +221,25 @@ def cmd_detect(args) -> int:
         "scores": [[_hyp_label(h), float(v)] for h, v in table.entries],
         "spread": float(table.spread()),
     }
-    if kind in (DetectorKind.NULL_SINGLE, DetectorKind.NULL_IDENTICAL):
-        record["lambda"] = args.lam if args.lam is not None else default_lambda(
-            obs.m, obs.n, obs.k
-        )
+    if lam is not None:
+        record["lambda"] = lam
     print(json.dumps(record, sort_keys=True))
     return 0
 
 
 def cmd_oracle(args) -> int:
     kind = DetectorKind(args.kind)
-    _require(args.m is not None and args.k is not None, "oracle needs --m and --k")
+    require(args.m is not None and args.k is not None, "oracle needs --m and --k")
     sizes = _parse_int_list(args.sizes) if args.sizes else None
     family = _family_for(kind, args.m, args.t, sizes)
     pi = _parse_pmf(args.pi) if args.pi else None
-    _require(pi is not None, "oracle needs --pi (the typical law)")
+    require(pi is not None, "oracle needs --pi (the typical law)")
     mus = _parse_pmfs(args.mus) if args.mus else None
     if mus is not None and len(mus) == 1:
         mus = mus[0]
     mu = _parse_pmf(args.mu) if args.mu else None
     ns = _parse_int_list(args.n_grid)
-    _require(bool(ns), "oracle needs a nonempty --n-grid")
+    require(bool(ns), "oracle needs a nonempty --n-grid")
 
     labels = [_hyp_label(h) for h in family.hypotheses]
     print("n," + ",".join(f"err[{lbl}]" for lbl in labels) + ",max")
@@ -269,11 +257,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     kind = DetectorKind(args.kind)
-    _require(args.m is not None and args.k is not None, "simulate needs --m and --k")
+    require(args.m is not None and args.k is not None, "simulate needs --m and --k")
     sizes = _parse_int_list(args.sizes) if args.sizes else None
     family = _family_for(kind, args.m, args.t, sizes)
     pi = _parse_pmf(args.pi) if args.pi else None
-    _require(pi is not None, "simulate needs --pi")
+    require(pi is not None, "simulate needs --pi")
     mus = _parse_pmfs(args.mus) if args.mus else None
     if mus is not None and len(mus) == 1:
         mus = mus[0]

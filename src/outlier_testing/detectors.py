@@ -5,9 +5,12 @@ empirical distributions (gamma_1, ..., gamma_M).  Hypotheses name either
 a single outlier coordinate, a subset of outlier coordinates, or the
 null (no outlier).  Coordinates are numbered 1..M in hypothesis labels.
 
-Tie-breaking is deterministic: the earliest hypothesis in family order
-wins, where families are ordered by outlier-set size and then
-lexicographically.
+Every detector scores through one kernel (`Scorer`) that maps symbol
+counts of shape (batch, M, K) to scores of shape (batch, H), so a detector
+run on one matrix, the Monte Carlo simulator and the exact oracle compute
+the same floating-point numbers for the same types.  Ties go to the
+earliest hypothesis on equal kernel scores, where families are ordered by
+outlier-set size and then lexicographically.
 """
 from __future__ import annotations
 
@@ -16,12 +19,13 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
+from scipy.special import rel_entr, xlogy
 
-from .errors import ValidationError
-from .simplex import Pmf, TypeVector, kl, mixture
+from .errors import ValidationError, require
+from .simplex import Pmf
 
 # ---------------------------------------------------------------------------
 # Hypothesis identifiers
@@ -168,9 +172,16 @@ def _family_key(h: HypothesisId):
 # Observations
 # ---------------------------------------------------------------------------
 
+#: the largest alphabet the one-byte-per-symbol binary format can hold
+BINARY_MAX_K = 256
+
 
 class ObservationMatrix:
-    """M coordinates by n samples of integer symbols in {0..K-1}."""
+    """M coordinates by n samples of integer symbols in {0..K-1}.
+
+    ``counts`` holds the (M, K) symbol counts of the rows, which is all a
+    detector reads.
+    """
 
     def __init__(self, data, k: int):
         a = np.asarray(data, dtype=np.int64)
@@ -183,16 +194,16 @@ class ObservationMatrix:
             raise ValidationError("need at least one sample per coordinate")
         if k < 2:
             raise ValidationError("alphabet size K must be >= 2")
-        if np.any(a < 0) or np.any(a >= k):
+        if a.min() < 0 or a.max() >= k:
             raise ValidationError(f"symbols must lie in 0..{k - 1}")
         a = a.copy()
         a.setflags(write=False)
         self.data = a
         self.k = k
-        self._types = tuple(
-            TypeVector(np.bincount(a[i], minlength=k)) for i in range(m)
-        )
-        self._pmfs = tuple(t.to_pmf() for t in self._types)
+        counts = np.bincount((a + k * np.arange(m)[:, None]).ravel(), minlength=m * k)
+        counts = counts.reshape(m, k)
+        counts.setflags(write=False)
+        self.counts = counts
 
     @property
     def m(self) -> int:
@@ -203,12 +214,9 @@ class ObservationMatrix:
         return self.data.shape[1]
 
     @property
-    def row_types(self) -> tuple[TypeVector, ...]:
-        return self._types
-
-    @property
     def row_pmfs(self) -> tuple[Pmf, ...]:
-        return self._pmfs
+        """The empirical distribution of each row."""
+        return tuple(Pmf(c / self.n) for c in self.counts)
 
     # -- serialization ------------------------------------------------------
 
@@ -229,6 +237,12 @@ class ObservationMatrix:
     _BIN_MAGIC = b"OBSM"
 
     def to_binary(self, path) -> None:
+        """Write the one-byte-per-symbol format; it holds alphabets up to BINARY_MAX_K."""
+        if self.k > BINARY_MAX_K:
+            raise ValidationError(
+                f"the binary format stores one byte per symbol, so K <= {BINARY_MAX_K}; "
+                f"got K={self.k}"
+            )
         with open(path, "wb") as fh:
             fh.write(self._BIN_MAGIC)
             fh.write(struct.pack("<III", self.m, self.n, self.k))
@@ -241,6 +255,8 @@ class ObservationMatrix:
         if len(blob) < 16 or blob[:4] != cls._BIN_MAGIC:
             raise ValidationError("not an observation binary file")
         m, n, k = struct.unpack("<III", blob[4:16])
+        if k > BINARY_MAX_K:
+            raise ValidationError(f"binary header declares K={k} > {BINARY_MAX_K}")
         body = np.frombuffer(blob[16:], dtype=np.uint8)
         if body.size != m * n:
             raise ValidationError("observation binary payload has wrong length")
@@ -278,10 +294,29 @@ class ScoreTable:
         return float(s.max() - s.min())
 
 
-def decide(table: ScoreTable) -> HypothesisId:
-    """The hypothesis with the smallest score; ties go to the earliest entry."""
-    scores = table.scores
-    return table.entries[int(np.argmin(scores))][0]
+def decide_batch(scores: np.ndarray, lam: Optional[float] = None) -> np.ndarray:
+    """The decided column of each row of scores (..., H); -1 stands for NULL.
+
+    The smallest score wins, and ties go to the earliest column.  With a
+    threshold ``lam`` (the null-aware rule), a row whose spread (largest
+    minus smallest score) does not exceed lam decides NULL.
+    """
+    best = np.argmin(scores, axis=-1)
+    if lam is None:
+        return best
+    if lam < 0:
+        raise ValidationError("lambda must be >= 0")
+    spread = scores.max(axis=-1) - scores.min(axis=-1)
+    return np.where(spread > lam, best, -1)
+
+
+def decide(table: ScoreTable, lam: Optional[float] = None) -> HypothesisId:
+    """The hypothesis with the smallest score; ties go to the earliest entry.
+
+    With ``lam``, NULL unless the score spread exceeds lam.
+    """
+    col = int(decide_batch(table.scores, lam))
+    return NULL if col < 0 else table.entries[col][0]
 
 
 def default_lambda(m: int, n: int, k: int) -> float:
@@ -293,126 +328,11 @@ def default_lambda(m: int, n: int, k: int) -> float:
 
 def decide_null_aware(table: ScoreTable, lam: float) -> HypothesisId:
     """Pick the argmin hypothesis when the score spread exceeds lam, else NULL."""
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
-    if table.spread() > lam:
-        return decide(table)
-    return NULL
+    return decide(table, lam)
 
 
 # ---------------------------------------------------------------------------
-# Score statistics
-# ---------------------------------------------------------------------------
-
-
-def _check_law(obs: ObservationMatrix, law: Pmf, name: str) -> None:
-    if law.size != obs.k:
-        raise ValidationError(f"{name} has alphabet size {law.size}, observations have K={obs.k}")
-    if not law.full_support():
-        raise ValidationError(f"{name} must have full support")
-
-
-def score_single_ml(obs: ObservationMatrix, mu: Pmf, pi: Pmf) -> ScoreTable:
-    """Scores D(gamma_i||mu) + sum_{j!=i} D(gamma_j||pi) when both laws are known."""
-    _check_law(obs, mu, "mu")
-    _check_law(obs, pi, "pi")
-    gammas = obs.row_pmfs
-    d_mu = [kl(g, mu) for g in gammas]
-    d_pi = [kl(g, pi) for g in gammas]
-    total = sum(d_pi)
-    return ScoreTable(tuple(
-        (Coordinate(i + 1), d_mu[i] + total - d_pi[i]) for i in range(obs.m)
-    ))
-
-
-def score_single_typ(obs: ObservationMatrix, pi: Pmf) -> ScoreTable:
-    """Scores sum_{j!=i} D(gamma_j||pi) when only the typical law is known."""
-    _check_law(obs, pi, "pi")
-    d_pi = [kl(g, pi) for g in obs.row_pmfs]
-    total = sum(d_pi)
-    return ScoreTable(tuple(
-        (Coordinate(i + 1), total - d_pi[i]) for i in range(obs.m)
-    ))
-
-
-def score_single_univ(obs: ObservationMatrix) -> ScoreTable:
-    """Fully universal scores: each leave-one-out row against the leave-one-out mean.
-
-    The mixture dominates every summand, so the statistics are always finite.
-    """
-    gammas = obs.row_pmfs
-    m = obs.m
-    entries = []
-    for i in range(m):
-        others = [gammas[j] for j in range(m) if j != i]
-        mix = mixture(others, np.full(m - 1, 1.0 / (m - 1)))
-        entries.append((Coordinate(i + 1), sum(kl(g, mix) for g in others)))
-    return ScoreTable(tuple(entries))
-
-
-def score_single_mu_only(obs: ObservationMatrix, mu: Pmf) -> ScoreTable:
-    """Scores D(gamma_i||mu) when only the outlier law is known."""
-    _check_law(obs, mu, "mu")
-    return ScoreTable(tuple(
-        (Coordinate(i + 1), kl(g, mu)) for i, g in enumerate(obs.row_pmfs)
-    ))
-
-
-def score_multi_typ(obs: ObservationMatrix, pi: Pmf, t: int) -> ScoreTable:
-    """Known-pi scores sum_{j not in S} D(gamma_j||pi) over all size-t subsets."""
-    _check_law(obs, pi, "pi")
-    if not 1 < t < obs.m / 2:
-        raise ValidationError(f"need 1 < T < M/2, got T={t}, M={obs.m}")
-    d_pi = [kl(g, pi) for g in obs.row_pmfs]
-    total = sum(d_pi)
-    entries = []
-    for s in combinations(range(1, obs.m + 1), t):
-        entries.append((Subset(s), total - sum(d_pi[i - 1] for i in s)))
-    return ScoreTable(tuple(entries))
-
-
-def score_multi_univ(obs: ObservationMatrix, t: int) -> ScoreTable:
-    """Fully universal multi-outlier scores over all size-t subsets."""
-    if not 1 < t < obs.m / 2:
-        raise ValidationError(f"need 1 < T < M/2, got T={t}, M={obs.m}")
-    gammas = obs.row_pmfs
-    entries = []
-    for s in combinations(range(1, obs.m + 1), t):
-        out = set(s)
-        rest = [gammas[j - 1] for j in range(1, obs.m + 1) if j not in out]
-        mix = mixture(rest, np.full(len(rest), 1.0 / len(rest)))
-        entries.append((Subset(s), sum(kl(g, mix) for g in rest)))
-    return ScoreTable(tuple(entries))
-
-
-def score_identical_univ(obs: ObservationMatrix, family: HypothesisFamily) -> ScoreTable:
-    """Identical-outlier scores: within-subset plus outside-subset dispersion.
-
-    The family may mix outlier-set sizes but must exclude the null
-    hypothesis (the statistic for an empty set is undefined).
-    """
-    if family.m != obs.m:
-        raise ValidationError("family and observations disagree on M")
-    if family.include_null:
-        raise ValidationError("identical-outlier scores are defined for non-null hypotheses only")
-    gammas = obs.row_pmfs
-    entries = []
-    for h in family.hypotheses:
-        s = sorted(outlier_set(h))
-        inside = [gammas[i - 1] for i in s]
-        outside = [gammas[j - 1] for j in range(1, obs.m + 1) if j not in set(s)]
-        val = 0.0
-        if len(inside) > 1:
-            mix_in = mixture(inside, np.full(len(inside), 1.0 / len(inside)))
-            val += sum(kl(g, mix_in) for g in inside)
-        mix_out = mixture(outside, np.full(len(outside), 1.0 / len(outside)))
-        val += sum(kl(g, mix_out) for g in outside)
-        entries.append((h, val))
-    return ScoreTable(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
+# Score kernel
 # ---------------------------------------------------------------------------
 
 
@@ -428,6 +348,184 @@ class DetectorKind(str, Enum):
     NULL_IDENTICAL = "null-identical"
 
 
+#: kinds that decide NULL when the score spread does not exceed lambda
+NULL_AWARE_KINDS = frozenset({DetectorKind.NULL_SINGLE, DetectorKind.NULL_IDENTICAL})
+_MU_KINDS = frozenset({DetectorKind.ML_SINGLE, DetectorKind.MU_ONLY})
+_PI_KINDS = frozenset({DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE, DetectorKind.TYP_MULTI})
+_MULTI_KINDS = frozenset({DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI})
+_IDENTICAL_KINDS = frozenset({DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL})
+_UNIVERSAL_KINDS = frozenset({
+    DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE, DetectorKind.UNIV_MULTI,
+    *_IDENTICAL_KINDS,
+})
+
+
+def null_threshold(
+    kind: DetectorKind, lam: Optional[float], m: int, n: int, k: int
+) -> Optional[float]:
+    """The lambda a kind decides with: None for argmin kinds, else lam or the default."""
+    if DetectorKind(kind) not in NULL_AWARE_KINDS:
+        return None
+    return default_lambda(m, n, k) if lam is None else lam
+
+
+class RowStats(NamedTuple):
+    """Per-row statistics of count rows; every array has the rows' leading shape.
+
+    A field the detector kind does not read is None.
+    """
+
+    pmf: Optional[np.ndarray]  # (..., K) empirical distributions gamma
+    ent: Optional[np.ndarray]  # H(gamma)
+    d_mu: Optional[np.ndarray]  # D(gamma || mu)
+    d_pi: Optional[np.ndarray]  # D(gamma || pi)
+
+    def take(self, idx: np.ndarray) -> "RowStats":
+        """The statistics of rows ``idx``, e.g. type indices of shape (batch, M)."""
+        return RowStats._make(None if a is None else a[idx] for a in self)
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    return -xlogy(p, p).sum(axis=-1)
+
+
+def _entropies_inplace(p: np.ndarray) -> np.ndarray:
+    """_entropies(p), overwriting p: the same numbers without a second array of p's size."""
+    return -xlogy(p, p, out=p).sum(axis=-1)
+
+
+def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
+    if law.size != k:
+        raise ValidationError(f"{name} has alphabet size {law.size}, observations have K={k}")
+    if not law.full_support():
+        raise ValidationError(f"{name} must have full support")
+    return law.probs
+
+
+class Scorer:
+    """The score kernel of one detector on M coordinates.
+
+    Maps symbol counts (batch, M, K) of n samples per row to scores
+    (batch, H), one column per non-null hypothesis in family order; smaller
+    is better.  It runs in two stages: per-row statistics (`row_stats`),
+    then a combine step over hypotheses (`combine`), so that a caller
+    holding the statistics of every type can gather them by index.
+
+    * ml-single: D(gamma_i||mu) + sum_{j!=i} D(gamma_j||pi)
+    * typ-single: sum_{j!=i} D(gamma_j||pi);  mu-only: D(gamma_i||mu)
+    * typ-multi: sum_{j not in S} D(gamma_j||pi)
+    * univ-single, null-single, univ-multi: the dispersion of the rows
+      outside S, sum_{j not in S} D(gamma_j||mix), mix their mean
+    * identical-univ, null-identical: the dispersion inside S plus the
+      dispersion outside S
+
+    Dispersions use the entropy identity sum_{j in J} D(gamma_j||mix_J) =
+    |J| H(mix_J) - sum_{j in J} H(gamma_j).  Every batch entry goes through
+    the same floating-point operations whatever the batch size.
+    """
+
+    def __init__(
+        self,
+        kind: DetectorKind,
+        m: int,
+        k: int,
+        *,
+        mu: Optional[Pmf] = None,
+        pi: Optional[Pmf] = None,
+        t: Optional[int] = None,
+        family: Optional[HypothesisFamily] = None,
+    ):
+        kind = DetectorKind(kind)
+        require(kind not in _MU_KINDS or mu is not None, f"{kind.value} needs mu")
+        require(kind not in _PI_KINDS or pi is not None, f"{kind.value} needs pi")
+        self.mu = _check_law(mu, k, "mu") if kind in _MU_KINDS else None
+        self.pi = _check_law(pi, k, "pi") if kind in _PI_KINDS else None
+        if family is not None:
+            require(family.m == m, "family and observations disagree on M")
+            require(kind in NULL_AWARE_KINDS or not family.include_null,
+                    f"{kind.value} never decides the null hypothesis; drop it from the family")
+        if kind in _MULTI_KINDS:
+            require(t is not None, f"{kind.value} needs T")
+            require(1 < t < m / 2, f"need 1 < T < M/2, got T={t}, M={m}")
+            members = list(combinations(range(1, m + 1), t))
+            hyps = tuple(Subset(s) for s in members)
+        elif kind in _IDENTICAL_KINDS:
+            require(family is not None, "identical-outlier detectors need a hypothesis family")
+            hyps = tuple(h for h in family.hypotheses if h is not NULL)
+            members = [sorted(outlier_set(h)) for h in hyps]
+        else:
+            members = [(i,) for i in range(1, m + 1)]
+            hyps = tuple(Coordinate(i) for i in range(1, m + 1))
+        self.kind = kind
+        self.m = m
+        self.hypotheses: tuple[HypothesisId, ...] = hyps
+        # zero-based outlier coordinates of each column
+        self._inside = [[i - 1 for i in s] for s in members]
+
+    def column(self, h: HypothesisId) -> int:
+        """The score column of hypothesis h, or -1 for NULL."""
+        if h is NULL:
+            return -1
+        key = outlier_set(h)
+        for col, cand in enumerate(self.hypotheses):
+            if outlier_set(cand) == key:
+                return col
+        raise ValidationError(f"{h} is not a hypothesis of {self.kind.value}")
+
+    def row_stats(self, counts: np.ndarray, n: int) -> RowStats:
+        """Statistics of count rows (..., K) of n samples each."""
+        p = counts / n
+        if self.kind in _UNIVERSAL_KINDS:
+            return RowStats(p, _entropies(p), None, None)
+        d_mu = None if self.mu is None else rel_entr(p, self.mu).sum(axis=-1)
+        d_pi = None if self.pi is None else rel_entr(p, self.pi).sum(axis=-1)
+        return RowStats(None, None, d_mu, d_pi)
+
+    def combine(self, stats: RowStats) -> np.ndarray:
+        """Scores (batch, H) from row statistics of leading shape (batch, M)."""
+        kind = self.kind
+        if kind is DetectorKind.MU_ONLY:
+            return stats.d_mu
+        if kind is DetectorKind.ML_SINGLE:
+            return stats.d_mu - stats.d_pi + stats.d_pi.sum(axis=1)[:, None]
+        if kind is DetectorKind.TYP_SINGLE:
+            return stats.d_pi.sum(axis=1)[:, None] - stats.d_pi
+        if kind is DetectorKind.TYP_MULTI:
+            per = stats.d_pi
+            total = per.sum(axis=1)
+            out = np.empty((per.shape[0], len(self._inside)))
+            for col, inside in enumerate(self._inside):
+                out[:, col] = total - per[:, inside].sum(axis=1)
+            return out
+        rows, ent = stats.pmf, stats.ent
+        total_pmf = rows.sum(axis=1)
+        total_ent = ent.sum(axis=1)
+        if kind in (DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE):
+            n_out = self.m - 1
+            return n_out * _entropies_inplace((total_pmf[:, None, :] - rows) / n_out) - (
+                total_ent[:, None] - ent
+            )
+        identical = kind in _IDENTICAL_KINDS
+        out = np.empty((rows.shape[0], len(self._inside)))
+        for col, inside in enumerate(self._inside):
+            n_in, n_out = len(inside), self.m - len(inside)
+            in_pmf, in_ent = rows[:, inside, :].sum(axis=1), ent[:, inside].sum(axis=1)
+            score = n_out * _entropies((total_pmf - in_pmf) / n_out) - (total_ent - in_ent)
+            if identical:
+                score = n_in * _entropies(in_pmf / n_in) - in_ent + score
+            out[:, col] = score
+        return out
+
+    def scores(self, counts: np.ndarray, n: int) -> np.ndarray:
+        """Scores (batch, H) of count tensors (batch, M, K) of n samples per row."""
+        return self.combine(self.row_stats(counts, n))
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
 def score_table(
     kind: DetectorKind,
     obs: ObservationMatrix,
@@ -437,29 +535,13 @@ def score_table(
     t: Optional[int] = None,
     family: Optional[HypothesisFamily] = None,
 ) -> ScoreTable:
-    """Compute the score table for any detector kind."""
-    kind = DetectorKind(kind)
-    if kind is DetectorKind.ML_SINGLE:
-        _require(mu is not None and pi is not None, "ml-single needs mu and pi")
-        return score_single_ml(obs, mu, pi)
-    if kind is DetectorKind.TYP_SINGLE:
-        _require(pi is not None, "typ-single needs pi")
-        return score_single_typ(obs, pi)
-    if kind in (DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE):
-        return score_single_univ(obs)
-    if kind is DetectorKind.MU_ONLY:
-        _require(mu is not None, "mu-only needs mu")
-        return score_single_mu_only(obs, mu)
-    if kind is DetectorKind.TYP_MULTI:
-        _require(pi is not None and t is not None, "typ-multi needs pi and T")
-        return score_multi_typ(obs, pi, t)
-    if kind is DetectorKind.UNIV_MULTI:
-        _require(t is not None, "univ-multi needs T")
-        return score_multi_univ(obs, t)
-    if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
-        _require(family is not None, "identical-outlier detectors need a hypothesis family")
-        return score_identical_univ(obs, family)
-    raise ValidationError(f"unknown detector kind {kind!r}")
+    """The score table of any detector kind on one observation matrix.
+
+    Null-aware kinds score the non-null hypotheses; ``family`` may include NULL for them.
+    """
+    scorer = Scorer(kind, obs.m, obs.k, mu=mu, pi=pi, t=t, family=family)
+    row = scorer.scores(obs.counts[None], obs.n)[0]
+    return ScoreTable(tuple(zip(scorer.hypotheses, row.tolist())))
 
 
 def run_detector(
@@ -473,15 +555,5 @@ def run_detector(
     lam: Optional[float] = None,
 ) -> HypothesisId:
     """Score and decide in one step; null-aware kinds use the lambda threshold."""
-    kind = DetectorKind(kind)
     table = score_table(kind, obs, mu=mu, pi=pi, t=t, family=family)
-    if kind in (DetectorKind.NULL_SINGLE, DetectorKind.NULL_IDENTICAL):
-        if lam is None:
-            lam = default_lambda(obs.m, obs.n, obs.k)
-        return decide_null_aware(table, lam)
-    return decide(table)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
+    return decide(table, null_threshold(kind, lam, obs.m, obs.n, obs.k))

@@ -19,3 +19,9 @@ class SolverError(RuntimeError):
 
 class EnumerationCapError(RuntimeError):
     """An exact enumeration would exceed the configured work cap."""
+
+
+def require(cond: bool, message: str) -> None:
+    """Raise ValidationError(message) unless cond holds."""
+    if not cond:
+        raise ValidationError(message)

@@ -603,7 +603,12 @@ def thm_single_lower_bound(mu: Pmf, pi: Pmf, m: int) -> ExponentResult:
 
 
 def thm_multi_lower_bound(mus: Sequence[Pmf], pi: Pmf, t: int, m: int) -> ExponentResult:
-    """Lower bound on the universal fixed-size multi-outlier exponent for given M."""
+    """Lower bound on the universal fixed-size multi-outlier exponent for given M.
+
+    The minimum over the KL ball D(q||pi) <= r, r = (pair minimum + T ln
+    1/pi_min)/(M-T), taken as the Frank-Wolfe value minus its duality gap so
+    that it certifies the ball minimum from below.
+    """
     mus = list(mus)
     if len(mus) < 2:
         raise ValidationError("need at least two outlier laws")
@@ -613,4 +618,5 @@ def thm_multi_lower_bound(mus: Sequence[Pmf], pi: Pmf, t: int, m: int) -> Expone
         _check_model(mu, pi)
     pair_min = exponent_multi_known(mus, pi).value
     radius = (pair_min + t * typical_floor_log(pi)) / (m - t)
-    return min_over_kl_ball(mus, KlBallSpec(pi, radius))
+    ball = min_over_kl_ball(mus, KlBallSpec(pi, radius))
+    return replace(ball, value=max(ball.value - ball.feasibility_gap, 0.0))

@@ -5,29 +5,33 @@ distributions alone, the exact finite-sample error probability is a sum
 over M-tuples of types, weighted by exact type-class probabilities.
 This replaces asymptotic claims with ground-truth finite-n numbers.
 
-Enumeration is chunked and fully vectorized; probabilities accumulate in
-log space.  A separate full-sequence brute force (all K^(Mn) raw
-sequences, run through the actual detector implementations) serves as an
-independent cross-check at tiny sizes.
+Enumeration is chunked and fully vectorized: the detectors' score kernel
+computes each type's row statistics once and gathers them per tuple, so
+the oracle decides every tuple exactly as the detector run on a matrix
+with those types does.  Probabilities accumulate in log space.  A
+full-sequence brute force (all K^(Mn) raw sequences, each run through
+`run_detector`) cross-checks the enumeration and the type-class weights
+at tiny sizes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, rel_entr, xlogy
+from scipy.special import gammaln, logsumexp
 
 from .detectors import (
     NULL,
-    Coordinate,
     DetectorKind,
     HypothesisFamily,
     HypothesisId,
     ObservationMatrix,
-    default_lambda,
+    Scorer,
+    decide_batch,
+    null_threshold,
     outlier_set,
     run_detector,
 )
@@ -35,6 +39,7 @@ from .errors import EnumerationCapError, ValidationError
 from .simplex import Pmf, TypeVector, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
+DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
 
 LawSpec = Union[Pmf, Sequence[Pmf], None]
 
@@ -56,9 +61,6 @@ class TypeClassTable:
     @property
     def size(self) -> int:
         return self.counts.shape[0]
-
-    def pmfs(self) -> np.ndarray:
-        return self.counts / self.n
 
 
 def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTable:
@@ -132,109 +134,31 @@ def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[
 
 
 # ---------------------------------------------------------------------------
-# Vectorized score tables over tuples of types
+# Decisions over tuples of types
 # ---------------------------------------------------------------------------
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    return -xlogy(p, p).sum(axis=-1)
-
-
-def _kl_rows(p: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    vals = rel_entr(p, ref[None, :]).sum(axis=1)
-    if np.any(np.isinf(vals)):
-        raise ValidationError("type outside the support of a reference law")
-    return vals
-
-
-def _batch_scores(
-    kind: DetectorKind,
-    tidx: np.ndarray,
+def tuple_decisions(
+    scorer: Scorer,
     table: TypeClassTable,
-    m: int,
-    family: HypothesisFamily,
-    mu: Optional[Pmf],
-    pi: Optional[Pmf],
-    t: Optional[int],
-) -> np.ndarray:
-    """Scores (batch, H) for each non-null family hypothesis, in family order.
+    lam: Optional[float] = None,
+    chunk: int = DEFAULT_CHUNK,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Decide every ordered M-tuple of types, in radix order, a chunk at a time.
 
-    Uses the entropy identity sum_j D(gamma_j||mix) =
-    |J| H(mix) - sum_j H(gamma_j), a deliberately different route from
-    the per-observation detector implementations.
+    Yields (type indices (b, M), decided score columns (b,), -1 for NULL).
+    Row statistics are computed once per type and gathered by index, so
+    known-law kinds never build a (b, M, K) tensor.  ``lam`` is the
+    null-aware threshold, None for argmin kinds.
     """
-    tp = table.pmfs()
-    ent = _entropies(tp)
-    batch = tidx.shape[0]
-    hyps = [h for h in family.hypotheses if h is not NULL]
-
-    if kind is DetectorKind.ML_SINGLE:
-        d_mu = _kl_rows(tp, mu.probs)
-        d_pi = _kl_rows(tp, pi.probs)
-        per = d_pi[tidx]
-        total = per.sum(axis=1)
-        return d_mu[tidx] - per + total[:, None]
-
-    if kind is DetectorKind.TYP_SINGLE:
-        d_pi = _kl_rows(tp, pi.probs)
-        per = d_pi[tidx]
-        return per.sum(axis=1)[:, None] - per
-
-    if kind is DetectorKind.MU_ONLY:
-        return _kl_rows(tp, mu.probs)[tidx]
-
-    if kind in (DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE):
-        rows = tp[tidx]  # (batch, M, K)
-        ent_rows = ent[tidx]
-        total_pmf = rows.sum(axis=1)
-        total_ent = ent_rows.sum(axis=1)
-        out = np.empty((batch, m))
-        for i in range(m):
-            mix = (total_pmf - rows[:, i, :]) / (m - 1)
-            out[:, i] = (m - 1) * _entropies(mix) - (total_ent - ent_rows[:, i])
-        return out
-
-    if kind is DetectorKind.TYP_MULTI:
-        d_pi = _kl_rows(tp, pi.probs)
-        per = d_pi[tidx]
-        total = per.sum(axis=1)
-        out = np.empty((batch, len(hyps)))
-        for col, h in enumerate(hyps):
-            inside = [i - 1 for i in sorted(outlier_set(h))]
-            out[:, col] = total - per[:, inside].sum(axis=1)
-        return out
-
-    if kind is DetectorKind.UNIV_MULTI:
-        rows = tp[tidx]
-        ent_rows = ent[tidx]
-        total_pmf = rows.sum(axis=1)
-        total_ent = ent_rows.sum(axis=1)
-        out = np.empty((batch, len(hyps)))
-        for col, h in enumerate(hyps):
-            inside = [i - 1 for i in sorted(outlier_set(h))]
-            n_out = m - len(inside)
-            mix = (total_pmf - rows[:, inside, :].sum(axis=1)) / n_out
-            out[:, col] = n_out * _entropies(mix) - (total_ent - ent_rows[:, inside].sum(axis=1))
-        return out
-
-    if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
-        rows = tp[tidx]
-        ent_rows = ent[tidx]
-        total_pmf = rows.sum(axis=1)
-        total_ent = ent_rows.sum(axis=1)
-        out = np.empty((batch, len(hyps)))
-        for col, h in enumerate(hyps):
-            inside = [i - 1 for i in sorted(outlier_set(h))]
-            n_in = len(inside)
-            n_out = m - n_in
-            in_pmf = rows[:, inside, :].sum(axis=1)
-            in_ent = ent_rows[:, inside].sum(axis=1)
-            score = n_in * _entropies(in_pmf / n_in) - in_ent
-            score += n_out * _entropies((total_pmf - in_pmf) / n_out) - (total_ent - in_ent)
-            out[:, col] = score
-        return out
-
-    raise ValidationError(f"unsupported detector kind {kind!r}")
+    m, n_types = scorer.m, table.size
+    total = n_types**m
+    stats = scorer.row_stats(table.counts, table.n)
+    radix = n_types ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        tidx = (flat[:, None] // radix[None, :]) % n_types
+        yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +185,7 @@ def exact_error(
     t: Optional[int] = None,
     lam: Optional[float] = None,
     cap: int = DEFAULT_TUPLE_CAP,
-    chunk: int = 1 << 18,
+    chunk: int = DEFAULT_CHUNK,
 ) -> ErrorProbability:
     """Exact probability that the detector misses the truth hypothesis.
 
@@ -269,15 +193,15 @@ def exact_error(
     outlier law for detectors that use one (defaults to ``mus`` when it
     is a single pmf).
     """
-    kind = DetectorKind(kind)
     m = family.m
-    truth_index = family.index_of(truth)  # also validates membership
+    family.index_of(truth)  # validates membership
     laws = coordinate_laws(truth, m, mus, pi)
     if mu is None and isinstance(mus, Pmf):
         mu = mus
+    scorer = Scorer(kind, m, k, mu=mu, pi=pi, t=t, family=family)
+    truth_col = scorer.column(truth)
     table = enumerate_types(n, k, cap=cap)
-    n_types = table.size
-    total_tuples = n_types**m
+    total_tuples = table.size**m
     if total_tuples > cap:
         raise EnumerationCapError(f"{total_tuples} type tuples exceeds cap {cap}")
 
@@ -295,28 +219,10 @@ def exact_error(
     if not np.all(np.isfinite(log_laws)):
         raise ValidationError("a generating law lacks support for some type")
 
-    null_aware = kind in (DetectorKind.NULL_SINGLE, DetectorKind.NULL_IDENTICAL)
-    if null_aware:
-        if lam is None:
-            lam = default_lambda(m, n, k)
-        null_index = family.index_of(NULL)
-        nonnull = np.array([i for i, h in enumerate(family.hypotheses) if h is not NULL])
-    else:
-        nonnull = np.arange(len(family.hypotheses))
-
-    radix = n_types ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    lam = null_threshold(kind, lam, m, n, k)
     pieces = []
-    for start in range(0, total_tuples, chunk):
-        flat = np.arange(start, min(start + chunk, total_tuples), dtype=np.int64)
-        tidx = (flat[:, None] // radix[None, :]) % n_types
-        scores = _batch_scores(kind, tidx, table, m, family, mu, pi, t)
-        best = np.argmin(scores, axis=1)
-        if null_aware:
-            spread = scores.max(axis=1) - scores.min(axis=1)
-            decision = np.where(spread > lam, nonnull[best], null_index)
-        else:
-            decision = nonnull[best]
-        wrong = decision != truth_index
+    for tidx, decision in tuple_decisions(scorer, table, lam, chunk):
+        wrong = decision != truth_col
         if not np.any(wrong):
             continue
         logp = log_laws[np.arange(m)[None, :], tidx].sum(axis=1)
@@ -394,32 +300,19 @@ def brute_force_error(
     max_sequences: int = 2_000_000,
 ) -> float:
     """Sum over every raw observation matrix, run through the real detectors."""
-    kind = DetectorKind(kind)
     m = family.m
     family.index_of(truth)
     laws = coordinate_laws(truth, m, mus, pi)
     if mu is None and isinstance(mus, Pmf):
         mu = mus
-    if null := kind in (DetectorKind.NULL_SINGLE, DetectorKind.NULL_IDENTICAL):
-        if lam is None:
-            lam = default_lambda(m, n, k)
     total_seqs = k ** (m * n)
     if total_seqs > max_sequences:
         raise EnumerationCapError(f"{total_seqs} sequences exceeds brute-force cap")
-    fam_for_detector = family
     prob = 0.0
     for seq in product(range(k), repeat=m * n):
         data = np.array(seq, dtype=np.int64).reshape(m, n)
         obs = ObservationMatrix(data, k)
-        decision = run_detector(
-            kind,
-            obs,
-            mu=mu,
-            pi=pi,
-            t=t,
-            family=_family_without_null(fam_for_detector) if null else fam_for_detector,
-            lam=lam,
-        )
+        decision = run_detector(kind, obs, mu=mu, pi=pi, t=t, family=family, lam=lam)
         if outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (truth is NULL):
             p = 1.0
             for i, law in enumerate(laws):
@@ -427,10 +320,3 @@ def brute_force_error(
                     p *= law.probs[y]
             prob += p
     return prob
-
-
-def _family_without_null(family: HypothesisFamily) -> HypothesisFamily:
-    hyps = tuple(h for h in family.hypotheses if h is not NULL)
-    if len(hyps) == len(family.hypotheses):
-        return family
-    return HypothesisFamily(hyps, family.m)

@@ -3,7 +3,9 @@
 Covers sample sizes beyond exact enumeration.  Per-trial seeds are
 derived from the master seed and the (truth, n, trial) indices, so
 trials are order-independent and results are bit-stable regardless of
-scheduling.  Confidence intervals are exact Clopper-Pearson, which
+scheduling.  Every detector reads only the rows' symbol counts, so trials
+are kept as a (trials, M, K) count tensor and scored in batches by the
+detectors' kernel.  Confidence intervals are exact Clopper-Pearson, which
 behaves sensibly at the near-zero error rates this package lives in.
 """
 from __future__ import annotations
@@ -15,19 +17,23 @@ import numpy as np
 from scipy.stats import beta
 
 from .detectors import (
-    NULL,
     DetectorKind,
     HypothesisFamily,
     HypothesisId,
     ObservationMatrix,
-    outlier_set,
-    run_detector,
+    Scorer,
+    decide_batch,
+    null_threshold,
 )
 from .errors import ValidationError
 from .oracle import ExponentFit, LawSpec, coordinate_laws, exponent_fit
 from .simplex import Pmf
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
+
+#: trials drawn and scored per kernel call, and the most uniforms one call draws
+MC_CHUNK = 256
+MC_MAX_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,27 +112,59 @@ def generate(
     return ObservationMatrix(data, k)
 
 
+def sample_counts(
+    truth: HypothesisId,
+    mus: LawSpec,
+    pi: Pmf,
+    m: int,
+    n: int,
+    k: int,
+    seeds,
+) -> np.ndarray:
+    """Symbol counts (len(seeds), M, K) of the matrices `generate` draws from these seeds.
+
+    Each seed's uniforms map to symbols as in `generate`: the symbol of u
+    is the number of entries of the law's cumulative sum at most u, capped
+    at K-1, so it is at least j+1 exactly when u >= cumsum[j], j < K-1.
+    Only the counts are kept.
+    """
+    laws = coordinate_laws(truth, m, mus, pi)
+    cuts = np.stack([np.cumsum(law.probs) for law in laws])[:, : k - 1]
+    u = np.stack([np.random.default_rng(np.random.SeedSequence(s)).random((m, n)) for s in seeds])
+    # at_least[..., j]: samples of each row with symbol >= j
+    at_least = np.zeros((len(seeds), m, k + 1), dtype=np.int64)
+    at_least[..., 0] = n
+    for j in range(k - 1):
+        at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
+    return at_least[..., :-1] - at_least[..., 1:]
+
+
 def _trial_seed(master: int, truth_index: int, n: int, trial: int):
     return (master, truth_index, n, trial)
 
 
 def estimate_error(cfg: SimConfig, truth: HypothesisId, n: int) -> ErrorEstimate:
-    """Fraction of seeded trials on which the detector misses the truth."""
+    """Fraction of seeded trials on which the detector misses the truth.
+
+    Trial i draws its matrix from its own stream, seeded by (seed, truth
+    index, n, i) as `generate` is.  Trials are counted and scored in
+    batches of up to MC_CHUNK, one kernel call per batch; a batch's size
+    changes no trial's decision.
+    """
+    m = cfg.family.m
     truth_index = cfg.family.index_of(truth)
-    detector_family = _detector_family(cfg)
+    mu = cfg.mu if cfg.mu is not None else (cfg.mus if isinstance(cfg.mus, Pmf) else None)
+    scorer = Scorer(cfg.kind, m, cfg.k, mu=mu, pi=cfg.pi, t=cfg.t, family=cfg.family)
+    truth_col = scorer.column(truth)
+    lam = null_threshold(cfg.kind, cfg.lam, m, n, cfg.k)
+    batch = max(1, min(MC_CHUNK, MC_MAX_DRAWS // (m * n)))
     errors = 0
-    for trial in range(cfg.trials):
-        obs = generate(
-            truth, cfg.mus, cfg.pi, cfg.family.m, n, cfg.k,
-            _trial_seed(cfg.seed, truth_index, n, trial),
-        )
-        decision = run_detector(
-            cfg.kind, obs,
-            mu=cfg.mu if cfg.mu is not None else (cfg.mus if isinstance(cfg.mus, Pmf) else None),
-            pi=cfg.pi, t=cfg.t, family=detector_family, lam=cfg.lam,
-        )
-        if outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (truth is NULL):
-            errors += 1
+    for start in range(0, cfg.trials, batch):
+        seeds = [_trial_seed(cfg.seed, truth_index, n, trial)
+                 for trial in range(start, min(start + batch, cfg.trials))]
+        counts = sample_counts(truth, cfg.mus, cfg.pi, m, n, cfg.k, seeds)
+        decisions = decide_batch(scorer.scores(counts, n), lam)
+        errors += int(np.count_nonzero(decisions != truth_col))
     lo, hi = clopper_pearson(errors, cfg.trials)
     return ErrorEstimate(errors / cfg.trials, lo, hi, cfg.trials, errors)
 
@@ -179,14 +217,6 @@ def _plain_slope(ns: np.ndarray, errs: np.ndarray) -> float:
     design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0])
-
-
-def _detector_family(cfg: SimConfig) -> HypothesisFamily:
-    if cfg.kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
-        hyps = tuple(h for h in cfg.family.hypotheses if h is not NULL)
-        if len(hyps) < len(cfg.family.hypotheses):
-            return HypothesisFamily(hyps, cfg.family.m)
-    return cfg.family
 
 
 def with_seed(cfg: SimConfig, seed: int) -> SimConfig:

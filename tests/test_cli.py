@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from outlier_testing import cli
 from outlier_testing.cli import main
 
 
@@ -102,6 +103,33 @@ class TestDetectCommand:
             "--lam", "100",
         )
         assert json.loads(out)["decision"] == "null" and code == 0
+
+    def test_scores_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "obs.csv"
+        path.write_text("0,1,1\n0,0,1\n1,1,1\n")
+        calls = []
+        original = cli.score_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "score_table", counting)
+        code, out, _ = run(capsys, "detect", "--file", str(path), "--kind", "univ-single")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["decision"] == "coordinate 3"
+
+    def test_null_identical_scores_non_null_family(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("0,0,0,0\n1,1,1,1\n0,0,0,1\n0,0,1,0\n0,1,0,0\n")
+        code, out, _ = run(
+            capsys, "detect", "--file", str(path), "--kind", "null-identical",
+            "--sizes", "1,2", "--lam", "0.1",
+        )
+        rec = json.loads(out)
+        assert code == 0 and rec["lambda"] == 0.1
+        assert len(rec["scores"]) == 5 + 10  # every size-1 and size-2 subset, no null
+        assert rec["decision"] == "subset {2}"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "obs.csv"

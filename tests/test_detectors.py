@@ -1,8 +1,11 @@
 """Decision rules: hand-checked examples, tie policy, families, I/O."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import rel_entr
 
 from outlier_testing.detectors import (
     NULL,
@@ -10,6 +13,7 @@ from outlier_testing.detectors import (
     DetectorKind,
     HypothesisFamily,
     ObservationMatrix,
+    Scorer,
     ScoreTable,
     Subset,
     decide,
@@ -17,12 +21,6 @@ from outlier_testing.detectors import (
     default_lambda,
     outlier_set,
     run_detector,
-    score_multi_typ,
-    score_multi_univ,
-    score_single_ml,
-    score_single_mu_only,
-    score_single_typ,
-    score_single_univ,
     score_table,
 )
 from outlier_testing.errors import ValidationError
@@ -117,13 +115,29 @@ class TestObservationMatrix:
         with pytest.raises(ValidationError):
             ObservationMatrix.from_binary(path)
 
+    def test_binary_rejects_alphabet_beyond_one_byte(self, tmp_path):
+        # one byte per symbol: symbol 300 would come back as 44
+        o = obs([[0, 300], [1, 2], [299, 0]], k=301)
+        with pytest.raises(ValidationError):
+            o.to_binary(tmp_path / "wide.bin")
+        edge = obs([[0, 255], [1, 2], [254, 0]], k=256)
+        edge.to_binary(tmp_path / "edge.bin")
+        assert np.array_equal(ObservationMatrix.from_binary(tmp_path / "edge.bin").data, edge.data)
+
+    def test_counts_are_row_bincounts(self):
+        data = np.random.default_rng(4).integers(0, 4, size=(6, 9))
+        o = ObservationMatrix(data, 5)
+        assert o.counts.shape == (6, 5)
+        for row, c in zip(data, o.counts):
+            assert np.array_equal(c, np.bincount(row, minlength=5))
+
 
 class TestSingleOutlierScores:
     def test_ml_hand_example(self):
         # row 1 is the only row whose type differs from (1, 0); with mu
         # uniform and pi peaked at symbol 0, coordinate 1 must win
         o = obs([[0, 1], [0, 0], [0, 0]])
-        table = score_single_ml(o, MU, PI)
+        table = score_table(DetectorKind.ML_SINGLE, o, mu=MU, pi=PI)
         assert decide(table) == Coordinate(1)
         # direct recomputation of the winning score
         g1, g_typ = o.row_pmfs[0], o.row_pmfs[1]
@@ -132,59 +146,59 @@ class TestSingleOutlierScores:
 
     def test_typ_matches_ml_minus_mu_term(self):
         o = obs([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-        ml = score_single_ml(o, MU, PI).scores
-        typ = score_single_typ(o, PI).scores
+        ml = score_table(DetectorKind.ML_SINGLE, o, mu=MU, pi=PI).scores
+        typ = score_table(DetectorKind.TYP_SINGLE, o, pi=PI).scores
         d_mu = np.array([kl(g, MU) for g in o.row_pmfs])
         assert np.allclose(ml - typ, d_mu)
 
     def test_univ_all_identical_rows_ties_to_first(self):
         o = obs([[0, 1], [0, 1], [0, 1]])
-        table = score_single_univ(o)
+        table = score_table(DetectorKind.UNIV_SINGLE, o)
         assert np.allclose(table.scores, table.scores[0])
         assert decide(table) == Coordinate(1)
 
     def test_univ_prefers_odd_row_out(self):
         o = obs([[1, 1, 1, 1], [0, 0, 0, 1], [0, 0, 0, 1]])
-        assert decide(score_single_univ(o)) == Coordinate(1)
+        assert decide(score_table(DetectorKind.UNIV_SINGLE, o)) == Coordinate(1)
 
     def test_mu_only(self):
         o = obs([[0, 1], [0, 0], [0, 0]])
-        table = score_single_mu_only(o, MU)
+        table = score_table(DetectorKind.MU_ONLY, o, mu=MU)
         assert decide(table) == Coordinate(1)
         assert table.entries[1][1] == pytest.approx(kl(o.row_pmfs[1], MU), abs=1e-12)
 
     def test_law_alphabet_mismatch(self):
         o = obs([[0, 1], [0, 0], [0, 0]])
         with pytest.raises(ValidationError):
-            score_single_typ(o, Pmf(np.array([0.2, 0.3, 0.5])))
+            score_table(DetectorKind.TYP_SINGLE, o, pi=Pmf(np.array([0.2, 0.3, 0.5])))
 
 
 class TestMultiOutlierScores:
     def test_typ_multi_counts_subsets(self):
         o = ObservationMatrix(np.zeros((5, 4), dtype=int), 2)
-        table = score_multi_typ(o, PI, t=2)
+        table = score_table(DetectorKind.TYP_MULTI, o, pi=PI, t=2)
         assert len(table.entries) == 10
 
     def test_typ_multi_finds_planted_pair(self):
         rows = np.zeros((5, 6), dtype=int)
         rows[1] = 1
         rows[3] = 1
-        table = score_multi_typ(ObservationMatrix(rows, 2), PI, t=2)
+        table = score_table(DetectorKind.TYP_MULTI, ObservationMatrix(rows, 2), pi=PI, t=2)
         assert decide(table) == Subset((2, 4))
 
     def test_univ_multi_finds_planted_pair(self):
         rows = np.zeros((5, 6), dtype=int)
         rows[0] = 1
         rows[4] = 1
-        table = score_multi_univ(ObservationMatrix(rows, 2), t=2)
+        table = score_table(DetectorKind.UNIV_MULTI, ObservationMatrix(rows, 2), t=2)
         assert decide(table) == Subset((1, 5))
 
     def test_t_range_enforced(self):
         o = ObservationMatrix(np.zeros((5, 2), dtype=int), 2)
         with pytest.raises(ValidationError):
-            score_multi_typ(o, PI, t=1)
+            score_table(DetectorKind.TYP_MULTI, o, pi=PI, t=1)
         with pytest.raises(ValidationError):
-            score_multi_univ(o, t=3)
+            score_table(DetectorKind.UNIV_MULTI, o, t=3)
 
 
 class TestIdenticalOutlierScores:
@@ -259,12 +273,82 @@ class TestDispatch:
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 2, size=(m, n))
         o = ObservationMatrix(data, 2)
-        table = score_single_univ(o)
+        table = score_table(DetectorKind.UNIV_SINGLE, o)
         scores = np.sort(table.scores)
         if np.min(np.diff(scores)) < 1e-9:
             return  # tied instance, tie policy is index-based by design
         perm = [p for p in perm5 if p < m]
         o_perm = ObservationMatrix(data[perm], 2)
         before = decide(table)
-        after = decide(score_single_univ(o_perm))
+        after = decide(score_table(DetectorKind.UNIV_SINGLE, o_perm))
         assert perm[after.index - 1] + 1 == before.index
+
+
+def reference_scores(kind, data, k, hypotheses, mu=None, pi=None):
+    """The naive definition: KL of each row to its law, or to the mixture of its pool."""
+    gam = np.stack([np.bincount(row, minlength=k) for row in data]) / data.shape[1]
+
+    def kl(j, q):
+        return float(rel_entr(gam[j], q).sum())
+
+    def dispersion(rows):
+        mix = gam[rows].mean(axis=0)
+        return sum(kl(j, mix) for j in rows)
+
+    scores = []
+    for h in hypotheses:
+        inside = sorted(i - 1 for i in outlier_set(h))
+        outside = [j for j in range(len(gam)) if j not in inside]
+        if kind in ("ml-single", "typ-single", "mu-only", "typ-multi"):
+            to_mu = sum(kl(i, mu.probs) for i in inside) if kind in ("ml-single", "mu-only") else 0.0
+            to_pi = sum(kl(j, pi.probs) for j in outside) if kind != "mu-only" else 0.0
+            scores.append(to_mu + to_pi)
+        else:
+            inner = dispersion(inside) if "identical" in kind else 0.0
+            scores.append(inner + dispersion(outside))
+    return np.array(scores)
+
+
+def _kernel_cases():
+    """(kind, M, keyword arguments) for every kind at M in {3, 5, 50} where it is defined."""
+    for m in (3, 5, 50):
+        for kind in ("ml-single", "typ-single", "univ-single", "mu-only", "null-single"):
+            yield kind, m, {}
+        if m > 4:  # 1 < T < M/2
+            yield "typ-multi", m, {"t": 2}
+            yield "univ-multi", m, {"t": 2}
+        sizes = [1] if m == 3 else [1, 2]
+        yield "identical-univ", m, {"family": HypothesisFamily.sized(m, sizes)}
+        yield "null-identical", m, {"family": HypothesisFamily.sized(m, sizes, include_null=True)}
+
+
+class TestScoreKernel:
+    MU3 = Pmf(np.array([0.2, 0.3, 0.5]))
+    PI3 = Pmf(np.array([0.5, 0.3, 0.2]))
+
+    @pytest.mark.parametrize("kind,m,extra", list(_kernel_cases()))
+    def test_matches_reference_definition(self, kind, m, extra):
+        rng = np.random.default_rng(m)
+        laws = rng.dirichlet(np.ones(3), size=m)
+        data = np.stack([rng.choice(3, size=30, p=p) for p in laws])
+        o = ObservationMatrix(data, 3)
+        table = score_table(kind, o, mu=self.MU3, pi=self.PI3, **extra)
+        want = reference_scores(kind, data, 3, table.hypotheses, mu=self.MU3, pi=self.PI3)
+        np.testing.assert_allclose(table.scores, want, rtol=1e-12, atol=0)
+        if kind in ("typ-multi", "univ-multi"):
+            assert len(table.entries) == math.comb(m, extra["t"])
+        elif "family" in extra:
+            assert table.hypotheses == tuple(h for h in extra["family"].hypotheses if h is not NULL)
+        else:
+            assert table.hypotheses == tuple(Coordinate(i) for i in range(1, m + 1))
+
+    @pytest.mark.parametrize("kind,m,extra", [c for c in _kernel_cases() if c[1] == 5])
+    def test_batch_entries_match_single_matrices(self, kind, m, extra):
+        # the batch size changes no entry's floating-point result
+        rng = np.random.default_rng(7)
+        counts = np.stack([rng.multinomial(12, rng.dirichlet(np.ones(3)), size=m)
+                           for _ in range(40)])
+        scorer = Scorer(kind, m, 3, mu=self.MU3, pi=self.PI3, **extra)
+        batched = scorer.scores(counts, 12)
+        for b in range(len(counts)):
+            assert np.array_equal(batched[b], scorer.scores(counts[b:b + 1], 12)[0])

@@ -224,3 +224,15 @@ class TestLowerBounds:
         mu, pi = PAIRS[0]
         vals = [thm_multi_lower_bound([mu] * m, pi, t=2, m=m).value for m in (5, 8, 12, 20)]
         assert np.all(np.diff(vals) >= -1e-9)
+
+    def test_multi_bound_is_certified_ball_minimum(self):
+        # the Frank-Wolfe value sits up to its duality gap above the ball
+        # minimum, so the bound is that value less the gap
+        pi = Pmf(np.array([0.7, 0.3]))
+        mus = [Pmf(np.array([0.3, 0.7])), Pmf(np.array([0.2, 0.8]))]
+        for m in (5, 8, 20):
+            res = thm_multi_lower_bound(mus, pi, t=2, m=m)
+            radius = (exponent_multi_known(mus, pi).value + 2 * typical_floor_log(pi)) / (m - 2)
+            ball = min_over_kl_ball(mus, KlBallSpec(pi, radius))
+            assert res.value == max(ball.value - ball.feasibility_gap, 0.0)
+            assert res.feasibility_gap == ball.feasibility_gap

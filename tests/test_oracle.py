@@ -9,6 +9,9 @@ from outlier_testing.detectors import (
     Coordinate,
     DetectorKind,
     HypothesisFamily,
+    ObservationMatrix,
+    Scorer,
+    run_detector,
 )
 from outlier_testing.errors import EnumerationCapError, ValidationError
 from outlier_testing.oracle import (
@@ -18,6 +21,7 @@ from outlier_testing.oracle import (
     exact_error,
     exponent_fit,
     max_error,
+    tuple_decisions,
     type_log_prob,
     type_log_prob_via_divergence,
 )
@@ -103,6 +107,33 @@ class TestExactError:
             brute = brute_force_error(DetectorKind.NULL_SINGLE, fam, truth, 3, 2, MU, PI)
             assert exact.prob == pytest.approx(brute, abs=1e-12)
 
+    def test_matches_brute_force_k3(self):
+        # K >= 3 breaks the symmetries a binary alphabet hides
+        mu, pi = Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2]))
+        fam3, fam3n = FAM3, HypothesisFamily.single_outlier(3, include_null=True)
+        cases = [(kind, fam3, {}, (1, 2)) for kind in (
+            DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE,
+            DetectorKind.UNIV_SINGLE, DetectorKind.MU_ONLY)]
+        cases += [
+            (DetectorKind.NULL_SINGLE, fam3n, {}, (1, 2)),
+            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(3, [1]), {}, (1, 2)),
+            (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(3, [1], True), {}, (1, 2)),
+            (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}, (1,)),
+            (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}, (1,)),
+            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), {}, (1,)),
+        ]
+        for kind, fam, extra, ns in cases:
+            for truth in fam.hypotheses:
+                for n in ns:
+                    exact = exact_error(kind, fam, truth, n, 3, mu, pi, **extra).prob
+                    brute = brute_force_error(kind, fam, truth, n, 3, mu, pi, **extra)
+                    assert exact == pytest.approx(brute, abs=1e-12), (kind, truth, n)
+
+    def test_null_in_family_needs_null_aware_kind(self):
+        fam = HypothesisFamily.single_outlier(3, include_null=True)
+        with pytest.raises(ValidationError):
+            exact_error(DetectorKind.UNIV_SINGLE, fam, Coordinate(1), 2, 2, MU, PI)
+
     def test_degenerate_mu_equals_pi(self):
         # with identical laws the conditional correctness probabilities sum
         # to one across truths, so the worst case cannot beat guessing
@@ -123,6 +154,32 @@ class TestExactError:
             for n in (5, 10, 20, 40)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+class TestRouteAgreement:
+    """run_detector on a matrix with given types decides as exact_error's enumeration does."""
+
+    MU3 = Pmf(np.array([0.2, 0.3, 0.5]))
+    PI3 = Pmf(np.array([0.5, 0.3, 0.2]))
+
+    def check_every_tuple(self, kind, m, n, k=3):
+        table = enumerate_types(n, k)
+        scorer = Scorer(kind, m, k, mu=self.MU3, pi=self.PI3)
+        column = {h: col for col, h in enumerate(scorer.hypotheses)}
+        rows = np.stack([np.repeat(np.arange(k), c) for c in table.counts])  # (T, n) symbols
+        seen = 0
+        for tidx, cols in tuple_decisions(scorer, table, chunk=1 << 14):
+            got = [column[run_detector(kind, ObservationMatrix(data, k), mu=self.MU3, pi=self.PI3)]
+                   for data in rows[tidx]]
+            assert np.array_equal(got, cols), f"{kind.value}: decisions differ in tuples {seen}.."
+            seen += len(cols)
+        assert seen == table.size**m
+
+    def test_ml_single_every_tuple(self):
+        self.check_every_tuple(DetectorKind.ML_SINGLE, 3, 8)  # 91,125 tuples
+
+    def test_univ_single_every_tuple(self):
+        self.check_every_tuple(DetectorKind.UNIV_SINGLE, 4, 6)  # 614,656 tuples
 
 
 class TestMaxError:

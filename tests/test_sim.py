@@ -3,21 +3,27 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+from outlier_testing import sim
 from outlier_testing.detectors import (
     NULL,
     Coordinate,
     DetectorKind,
     HypothesisFamily,
+    Subset,
+    outlier_set,
+    run_detector,
 )
 from outlier_testing.errors import ValidationError
 from outlier_testing.oracle import exact_error
 from outlier_testing.sim import (
+    MC_CHUNK,
     SimConfig,
     clopper_pearson,
     estimate_error,
     estimate_max_error,
     exponent_sweep,
     generate,
+    sample_counts,
     with_seed,
 )
 from outlier_testing.simplex import Pmf
@@ -137,6 +143,63 @@ class TestEstimates:
             exact = exact_error(kind, FAM3, truth, n, 2, mu, pi).prob
             covered += est.lo <= exact <= est.hi
         assert covered >= 93
+
+
+MU3 = Pmf(np.array([0.2, 0.3, 0.5]))
+PI3 = Pmf(np.array([0.5, 0.3, 0.2]))
+BATCH_CASES = [
+    # (kind, family, truth, extra config)
+    *((kind, FAM3, Coordinate(2), {}) for kind in (
+        DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE, DetectorKind.UNIV_SINGLE,
+        DetectorKind.MU_ONLY)),
+    (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), NULL,
+     {"lam": 0.5}),
+    (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((2, 4)), {"t": 2}),
+    (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((1, 5)), {"t": 2}),
+    (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), Subset((3, 4)), {}),
+    (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], include_null=True),
+     Coordinate(1), {"lam": 0.5}),
+]
+
+
+class TestBatchedMonteCarlo:
+    """The count-batch simulator against a per-trial loop of generate + run_detector."""
+
+    TRIALS = MC_CHUNK + 44  # not a multiple of the batch size
+
+    @pytest.mark.parametrize("kind,family,truth,extra", BATCH_CASES,
+                             ids=[case[0].value for case in BATCH_CASES])
+    def test_equals_per_trial_loop(self, kind, family, truth, extra):
+        n = 6
+        cfg = SimConfig(kind=kind, family=family, k=3, n_grid=(n,), trials=self.TRIALS,
+                        seed=11, mus=MU3, pi=PI3, **extra)
+        truth_index = family.index_of(truth)
+        errors = 0
+        for trial in range(cfg.trials):
+            obs = generate(truth, MU3, PI3, family.m, n, 3, (cfg.seed, truth_index, n, trial))
+            decision = run_detector(kind, obs, mu=MU3, pi=PI3, t=cfg.t, family=family,
+                                    lam=cfg.lam)
+            errors += outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (
+                truth is NULL)
+        est = estimate_error(cfg, truth, n)
+        assert est.errors == errors and est.trials == self.TRIALS
+        assert 0 < errors < self.TRIALS  # both outcomes occur, so the check has teeth
+
+    def test_counts_are_bincounts_of_generate(self):
+        # a law whose cumulative sum rounds below 1 exercises the cap at K-1
+        skewed = Pmf(np.array([0.1, 0.2, 0.7 - 1e-10, 1e-10]))
+        seeds = [(3, 1, 9, trial) for trial in range(50)]
+        counts = sample_counts(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seeds)
+        assert counts.shape == (50, 4, 4)
+        for seed, c in zip(seeds, counts):
+            data = generate(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed).data
+            assert np.array_equal(c, [np.bincount(row, minlength=4) for row in data])
+
+    def test_batch_size_changes_nothing(self, monkeypatch):
+        cfg = cfg3(kind=DetectorKind.UNIV_SINGLE, trials=300)
+        whole = estimate_error(cfg, Coordinate(3), 7)
+        monkeypatch.setattr(sim, "MC_CHUNK", 7)
+        assert estimate_error(cfg, Coordinate(3), 7) == whole
 
 
 class TestExponentSweep:
