@@ -40,7 +40,7 @@ from .exponents import (
     thm_multi_lower_bound,
     thm_single_lower_bound,
 )
-from .oracle import exact_error
+from .oracle import LawSpec, max_error
 from .sim import RNG_ALGORITHM, SimConfig, estimate_error, exponent_sweep
 from .simplex import Pmf, bhattacharyya
 
@@ -81,10 +81,6 @@ def _parse_truth(text: str) -> HypothesisId:
     return Subset(tuple(members))
 
 
-def _hyp_label(h: HypothesisId) -> str:
-    return str(h)
-
-
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(restarts=args.restarts, seed=args.solver_seed)
 
@@ -106,6 +102,19 @@ def _family_for(
         return HypothesisFamily.sized(m, sizes, include_null=True)
     include_null = kind is DetectorKind.NULL_SINGLE
     return HypothesisFamily.single_outlier(m, include_null=include_null)
+
+
+def _sweep_setup(args) -> tuple[DetectorKind, HypothesisFamily, LawSpec, Pmf, Optional[Pmf]]:
+    """Kind, family, generating laws (mus, pi) and detector-side mu of a sweep."""
+    kind = DetectorKind(args.kind)
+    sizes = _parse_int_list(args.sizes) if args.sizes else None
+    family = _family_for(kind, args.m, args.t, sizes)
+    require(bool(args.pi), f"{args.command} needs --pi (the typical law)")
+    mus = _parse_pmfs(args.mus) if args.mus else None
+    if mus is not None and len(mus) == 1:
+        mus = mus[0]
+    mu = _parse_pmf(args.mu) if args.mu else None
+    return kind, family, mus, _parse_pmf(args.pi), mu
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +226,8 @@ def cmd_detect(args) -> int:
         "m": obs.m,
         "n": obs.n,
         "k": obs.k,
-        "decision": _hyp_label(decision),
-        "scores": [[_hyp_label(h), float(v)] for h, v in table.entries],
+        "decision": str(decision),
+        "scores": [[str(h), float(v)] for h, v in table.entries],
         "spread": float(table.spread()),
     }
     if lam is not None:
@@ -228,48 +237,26 @@ def cmd_detect(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    kind = DetectorKind(args.kind)
-    require(args.m is not None and args.k is not None, "oracle needs --m and --k")
-    sizes = _parse_int_list(args.sizes) if args.sizes else None
-    family = _family_for(kind, args.m, args.t, sizes)
-    pi = _parse_pmf(args.pi) if args.pi else None
-    require(pi is not None, "oracle needs --pi (the typical law)")
-    mus = _parse_pmfs(args.mus) if args.mus else None
-    if mus is not None and len(mus) == 1:
-        mus = mus[0]
-    mu = _parse_pmf(args.mu) if args.mu else None
+    kind, family, mus, pi, mu = _sweep_setup(args)
     ns = _parse_int_list(args.n_grid)
     require(bool(ns), "oracle needs a nonempty --n-grid")
 
-    labels = [_hyp_label(h) for h in family.hypotheses]
-    print("n," + ",".join(f"err[{lbl}]" for lbl in labels) + ",max")
+    print("n," + ",".join(f"err[{h}]" for h in family.hypotheses) + ",max")
     for n in ns:
-        errs = []
-        for truth in family.hypotheses:
-            res = exact_error(
-                kind, family, truth, n, args.k, mus, pi,
-                mu=mu, t=args.t, lam=args.lam, cap=args.cap,
-            )
-            errs.append(res.prob)
-        print(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(max(errs))]))
+        worst, per = max_error(
+            kind, family, n, args.k, mus, pi, mu=mu, t=args.t, lam=args.lam, cap=args.cap,
+        )
+        errs = [per[h].prob for h in family.hypotheses]
+        print(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(worst.prob)]))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    kind = DetectorKind(args.kind)
-    require(args.m is not None and args.k is not None, "simulate needs --m and --k")
-    sizes = _parse_int_list(args.sizes) if args.sizes else None
-    family = _family_for(kind, args.m, args.t, sizes)
-    pi = _parse_pmf(args.pi) if args.pi else None
-    require(pi is not None, "simulate needs --pi")
-    mus = _parse_pmfs(args.mus) if args.mus else None
-    if mus is not None and len(mus) == 1:
-        mus = mus[0]
+    kind, family, mus, pi, mu = _sweep_setup(args)
     ns = tuple(_parse_int_list(args.n_grid))
     cfg = SimConfig(
         kind=kind, family=family, k=args.k, n_grid=ns, trials=args.trials,
-        seed=args.seed, mus=mus, pi=pi,
-        mu=_parse_pmf(args.mu) if args.mu else None, t=args.t, lam=args.lam,
+        seed=args.seed, mus=mus, pi=pi, mu=mu, t=args.t, lam=args.lam,
     )
     meta = {
         "command": "simulate", "kind": kind.value, "seed": args.seed,
@@ -279,24 +266,18 @@ def cmd_simulate(args) -> int:
 
     truth = _parse_truth(args.truth)
     print("n,estimate,ci_lo,ci_hi,errors,trials")
-    if len(ns) >= 4:
-        sweep = exponent_sweep(cfg, truth)
-        for n, est in zip(sweep.ns, sweep.estimates):
-            print(",".join([
-                str(n), _fmt(est.estimate), _fmt(est.lo), _fmt(est.hi),
-                str(est.errors), str(est.trials),
-            ]))
+    sweep = exponent_sweep(cfg, truth) if len(ns) >= 4 else None
+    ests = [estimate_error(cfg, truth, n) for n in ns] if sweep is None else sweep.estimates
+    for n, est in zip(ns, ests):
+        print(",".join([
+            str(n), _fmt(est.estimate), _fmt(est.lo), _fmt(est.hi),
+            str(est.errors), str(est.trials),
+        ]))
+    if sweep is not None:
         fit_note = {"slope_lo": sweep.slope_lo, "slope_hi": sweep.slope_hi}
         if sweep.fit is not None:
             fit_note["slope"] = sweep.fit.slope
         print(json.dumps(fit_note, sort_keys=True), file=sys.stderr)
-    else:
-        for n in ns:
-            est = estimate_error(cfg, truth, n)
-            print(",".join([
-                str(n), _fmt(est.estimate), _fmt(est.lo), _fmt(est.hi),
-                str(est.errors), str(est.trials),
-            ]))
     return 0
 
 

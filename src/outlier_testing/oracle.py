@@ -35,7 +35,7 @@ from .detectors import (
     outlier_set,
     run_detector,
 )
-from .errors import EnumerationCapError, ValidationError
+from .errors import EnumerationCapError, ValidationError, require
 from .simplex import Pmf, TypeVector, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
@@ -119,6 +119,8 @@ def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[
     sequence of M per-coordinate outlier laws, or None when the truth is
     the null hypothesis.
     """
+    if mus is not None and not isinstance(mus, Pmf):
+        require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
     outliers = outlier_set(truth)
     if outliers and max(outliers) > m:
         raise ValidationError("truth names a coordinate beyond M")
@@ -172,6 +174,55 @@ class ErrorProbability:
     log_prob: float
 
 
+def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
+    """Log probability (T,) of each type class under an i.i.d. law."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(table.counts > 0, table.counts * np.log(law.probs)[None, :], 0.0)
+    return table.log_multiplicity + terms.sum(axis=1)
+
+
+def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
+            cap=DEFAULT_TUPLE_CAP, chunk=DEFAULT_CHUNK) -> dict[HypothesisId, ErrorProbability]:
+    """Exact error of each truth from one pass over the type tuples.
+
+    A tuple's decision does not depend on the truth, only its weight does,
+    so every chunk is scored and decided once and then weighted per truth.
+    """
+    m = family.m
+    for truth in truths:
+        family.index_of(truth)  # validates membership
+    laws = [coordinate_laws(truth, m, mus, pi) for truth in truths]
+    require(all(law.size == k for row in laws for law in row),
+            "generating laws must be pmfs on the K-letter alphabet")
+    if mu is None and isinstance(mus, Pmf):
+        mu = mus
+    scorer = Scorer(kind, m, k, mu=mu, pi=pi, t=t, family=family)
+    truth_cols = [scorer.column(truth) for truth in truths]
+    table = enumerate_types(n, k, cap=cap)
+    total_tuples = table.size**m
+    if total_tuples > cap:
+        raise EnumerationCapError(f"{total_tuples} type tuples exceeds cap {cap}")
+
+    # per truth, the log probability of each type under each coordinate's law
+    log_laws = [np.stack([_log_type_probs(table, law) for law in row]) for row in laws]
+    if not all(np.all(np.isfinite(w)) for w in log_laws):
+        raise ValidationError("a generating law lacks support for some type")
+
+    lam = null_threshold(kind, lam, m, n, k)
+    coords = np.arange(m)[None, :]
+    pieces: list[list[float]] = [[] for _ in truths]
+    for tidx, decision in tuple_decisions(scorer, table, lam, chunk):
+        for col, weights, acc in zip(truth_cols, log_laws, pieces):
+            wrong = decision != col
+            if np.any(wrong):
+                acc.append(logsumexp(weights[coords, tidx].sum(axis=1)[wrong]))
+    out = {}
+    for truth, acc in zip(truths, pieces):
+        log_err = float(logsumexp(acc)) if acc else -math.inf
+        out[truth] = ErrorProbability(min(math.exp(log_err), 1.0), log_err)
+    return out
+
+
 def exact_error(
     kind: DetectorKind,
     family: HypothesisFamily,
@@ -193,44 +244,8 @@ def exact_error(
     outlier law for detectors that use one (defaults to ``mus`` when it
     is a single pmf).
     """
-    m = family.m
-    family.index_of(truth)  # validates membership
-    laws = coordinate_laws(truth, m, mus, pi)
-    if mu is None and isinstance(mus, Pmf):
-        mu = mus
-    scorer = Scorer(kind, m, k, mu=mu, pi=pi, t=t, family=family)
-    truth_col = scorer.column(truth)
-    table = enumerate_types(n, k, cap=cap)
-    total_tuples = table.size**m
-    if total_tuples > cap:
-        raise EnumerationCapError(f"{total_tuples} type tuples exceeds cap {cap}")
-
-    # per-coordinate log probability of each type under its generating law
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_laws = np.stack(
-            [
-                table.log_multiplicity
-                + np.where(table.counts > 0, table.counts * np.log(law.probs)[None, :], 0.0).sum(
-                    axis=1
-                )
-                for law in laws
-            ]
-        )
-    if not np.all(np.isfinite(log_laws)):
-        raise ValidationError("a generating law lacks support for some type")
-
-    lam = null_threshold(kind, lam, m, n, k)
-    pieces = []
-    for tidx, decision in tuple_decisions(scorer, table, lam, chunk):
-        wrong = decision != truth_col
-        if not np.any(wrong):
-            continue
-        logp = log_laws[np.arange(m)[None, :], tidx].sum(axis=1)
-        pieces.append(logsumexp(logp[wrong]))
-    if not pieces:
-        return ErrorProbability(0.0, -math.inf)
-    log_err = float(logsumexp(pieces))
-    return ErrorProbability(min(math.exp(log_err), 1.0), log_err)
+    return _errors(kind, family, [truth], n, k, mus, pi,
+                   mu=mu, t=t, lam=lam, cap=cap, chunk=chunk)[truth]
 
 
 def max_error(
@@ -242,10 +257,12 @@ def max_error(
     pi: Pmf,
     **kwargs,
 ) -> tuple[ErrorProbability, dict[HypothesisId, ErrorProbability]]:
-    """Worst-case error over all truth hypotheses in the family."""
-    per: dict[HypothesisId, ErrorProbability] = {}
-    for truth in family.hypotheses:
-        per[truth] = exact_error(kind, family, truth, n, k, mus, pi, **kwargs)
+    """Worst-case error over all truth hypotheses in the family.
+
+    One pass over the type tuples serves every truth; keyword arguments
+    are those of `exact_error`.
+    """
+    per = _errors(kind, family, family.hypotheses, n, k, mus, pi, **kwargs)
     worst = max(per.values(), key=lambda e: e.log_prob)
     return worst, per
 

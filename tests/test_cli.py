@@ -4,14 +4,26 @@ import json
 import numpy as np
 import pytest
 
-from outlier_testing import cli
+from outlier_testing import cli, oracle
 from outlier_testing.cli import main
+from outlier_testing.detectors import DetectorKind, HypothesisFamily
+from outlier_testing.oracle import exact_error
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# generating laws of the wrong size for M=3, K=2: fewer and more pmfs than
+# coordinates, and a pi or a mu on a three-letter alphabet
+WRONG_SIZED_LAWS = [
+    ("0.3,0.7;0.4,0.6", "0.7,0.3"),
+    ("0.3,0.7;0.4,0.6;0.2,0.8;0.5,0.5", "0.7,0.3"),
+    ("0.3,0.7", "0.5,0.3,0.2"),
+    ("0.2,0.3,0.5", "0.7,0.3"),
+]
 
 
 class TestExponentCommand:
@@ -162,6 +174,43 @@ class TestOracleCommand:
         assert code == 4
         assert "cap" in err
 
+    def test_decides_once_per_n(self, capsys, monkeypatch):
+        calls = []
+        original = oracle.tuple_decisions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        code, _, _ = run(capsys, *self.ARGS)
+        assert code == 0 and len(calls) == 6
+
+    @pytest.mark.parametrize("kind,fam,k,extra,t", [
+        ("null-single", HypothesisFamily.single_outlier(3, include_null=True), 3, [], None),
+        ("typ-multi", HypothesisFamily.fixed_size(5, 2), 2, ["--t", "2"], 2),
+        ("identical-univ", HypothesisFamily.sized(5, [1, 2]), 2, ["--sizes", "1,2"], None),
+    ])
+    def test_rows_equal_exact_error(self, capsys, kind, fam, k, extra, t):
+        mu, pi = ("0.2,0.3,0.5", "0.5,0.3,0.2") if k == 3 else ("0.3,0.7", "0.7,0.3")
+        code, out, _ = run(
+            capsys, "oracle", "--kind", kind, "--m", str(fam.m), "--k", str(k),
+            "--n-grid", "2,3", "--mus", mu, "--pi", pi, *extra,
+        )
+        lines = out.strip().splitlines()
+        assert code == 0 and len(lines) == 3
+        mu, pi = cli._parse_pmf(mu), cli._parse_pmf(pi)
+        for n, line in zip((2, 3), lines[1:]):
+            errs = [exact_error(DetectorKind(kind), fam, h, n, k, mu, pi, t=t).prob
+                    for h in fam.hypotheses]
+            assert line == ",".join([str(n)] + [cli._fmt(e) for e in errs] + [cli._fmt(max(errs))])
+
+    @pytest.mark.parametrize("mus,pi", WRONG_SIZED_LAWS)
+    def test_wrong_sized_laws_exit_2(self, capsys, mus, pi):
+        code, _, err = run(capsys, "oracle", "--kind", "univ-single", "--m", "3", "--k", "2",
+                           "--n-grid", "3", "--mus", mus, "--pi", pi)
+        assert code == 2 and "error" in err
+
 
 class TestSimulateCommand:
     ARGS = [
@@ -195,3 +244,10 @@ class TestSimulateCommand:
         assert code == 0
         ests = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert all(0.0 <= e <= 1.0 for e in ests)
+
+    @pytest.mark.parametrize("mus,pi", WRONG_SIZED_LAWS)
+    def test_wrong_sized_laws_exit_2(self, capsys, mus, pi):
+        args = list(self.ARGS)
+        args[args.index("--mus") + 1], args[args.index("--pi") + 1] = mus, pi
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "error" in err

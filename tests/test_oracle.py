@@ -13,10 +13,12 @@ from outlier_testing.detectors import (
     Scorer,
     run_detector,
 )
+from outlier_testing import oracle
 from outlier_testing.errors import EnumerationCapError, ValidationError
 from outlier_testing.oracle import (
     TypeClassTable,
     brute_force_error,
+    coordinate_laws,
     enumerate_types,
     exact_error,
     exponent_fit,
@@ -148,6 +150,24 @@ class TestExactError:
         with pytest.raises(EnumerationCapError):
             exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 40, 2, MU, PI, cap=10**4)
 
+    @pytest.mark.parametrize("mus,pi", [
+        ([MU, MU], PI),  # fewer outlier laws than coordinates
+        ([MU, MU, MU, MU], PI),  # more
+        (MU, Pmf(np.array([0.5, 0.3, 0.2]))),  # pi on another alphabet
+        (Pmf(np.array([0.2, 0.3, 0.5])), PI),  # mu on another alphabet
+    ])
+    def test_wrong_sized_laws_rejected(self, mus, pi):
+        with pytest.raises(ValidationError):
+            exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 2, 2, mus, pi)
+        with pytest.raises(ValidationError):
+            max_error(DetectorKind.UNIV_SINGLE, FAM3, 2, 2, mus, pi)
+
+    def test_coordinate_laws_needs_one_law_per_coordinate(self):
+        assert coordinate_laws(Coordinate(2), 3, [MU, PI, MU], PI)[1] is PI
+        for mus in ([MU, MU], [MU] * 4):
+            with pytest.raises(ValidationError):
+                coordinate_laws(NULL, 3, mus, PI)
+
     def test_error_decreases_with_n(self):
         errs = [
             exact_error(DetectorKind.ML_SINGLE, FAM3, Coordinate(1), n, 2, MU, PI).prob
@@ -194,6 +214,51 @@ class TestMaxError:
         _, per = max_error(DetectorKind.ML_SINGLE, FAM3, 6, 2, MU, PI)
         probs = [per[Coordinate(i)].prob for i in (1, 2, 3)]
         assert probs[0] <= probs[1] <= probs[2]
+
+
+class TestOnePass:
+    """max_error's one pass over the tuples equals exact_error per truth, bit for bit."""
+
+    LAWS = {2: (MU, PI), 3: (Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2])))}
+    CASES = [
+        (DetectorKind.ML_SINGLE, FAM3, {}),
+        (DetectorKind.TYP_SINGLE, FAM3, {}),
+        (DetectorKind.UNIV_SINGLE, FAM3, {}),
+        (DetectorKind.MU_ONLY, FAM3, {}),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), {}),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), {}),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), {}),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}),
+    ]
+    CHUNK = 100
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind,fam,extra", CASES, ids=[c[0].value for c in CASES])
+    def test_equals_exact_error_per_truth(self, kind, fam, extra, k):
+        mu, pi = self.LAWS[k]
+        n = 6 if fam.m == 3 else 2
+        assert enumerate_types(n, k).size ** fam.m > 2 * self.CHUNK  # several chunks
+        worst, per = max_error(kind, fam, n, k, mu, pi, chunk=self.CHUNK, **extra)
+        assert list(per) == list(fam.hypotheses)
+        for truth in fam.hypotheses:
+            single = exact_error(kind, fam, truth, n, k, mu, pi, chunk=self.CHUNK, **extra)
+            assert per[truth].log_prob == single.log_prob, truth
+            assert per[truth].prob == single.prob, truth
+        assert worst.log_prob == max(e.log_prob for e in per.values())
+
+    def test_decides_once_per_call(self, monkeypatch):
+        calls = []
+        original = oracle.tuple_decisions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        fam = HypothesisFamily.sized(5, [1, 2])
+        _, per = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI, chunk=self.CHUNK)
+        assert len(calls) == 1 and len(per) == 15
 
 
 class TestExponentFit:
