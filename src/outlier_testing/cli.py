@@ -241,13 +241,16 @@ def cmd_oracle(args) -> int:
     ns = _parse_int_list(args.n_grid)
     require(bool(ns), "oracle needs a nonempty --n-grid")
 
-    print("n," + ",".join(f"err[{h}]" for h in family.hypotheses) + ",max")
+    # rows are printed only once every n has succeeded, so a failing run
+    # leaves no partial CSV on stdout
+    rows = ["n," + ",".join(f"err[{h}]" for h in family.hypotheses) + ",max"]
     for n in ns:
         worst, per = max_error(
             kind, family, n, args.k, mus, pi, mu=mu, t=args.t, lam=args.lam, cap=args.cap,
         )
         errs = [per[h].prob for h in family.hypotheses]
-        print(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(worst.prob)]))
+        rows.append(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(worst.prob)]))
+    print("\n".join(rows))
     return 0
 
 
@@ -265,9 +268,9 @@ def cmd_simulate(args) -> int:
     print(json.dumps(meta, sort_keys=True), file=sys.stderr)
 
     truth = _parse_truth(args.truth)
-    print("n,estimate,ci_lo,ci_hi,errors,trials")
     sweep = exponent_sweep(cfg, truth) if len(ns) >= 4 else None
     ests = [estimate_error(cfg, truth, n) for n in ns] if sweep is None else sweep.estimates
+    print("n,estimate,ci_lo,ci_hi,errors,trials")
     for n, est in zip(ns, ests):
         print(",".join([
             str(n), _fmt(est.estimate), _fmt(est.lo), _fmt(est.hi),

@@ -4,9 +4,11 @@ Closed forms cover the known-law settings.  The fully universal settings
 require two kinds of optimization:
 
 * a nonconvex program over an M-fold product of simplices with a
-  difference-of-divergences constraint, attacked by a multistart
-  quadratic-penalty method with projected gradient descent (certified
-  for K=2 by an exhaustive grid oracle);
+  difference-of-divergences constraint, solved from several starts by
+  SLSQP in per-row softmax coordinates with analytic gradients; each
+  start's end point is re-checked against the constraint in probability
+  space, and the best feasible one is kept (certified for K=2, M=3 by an
+  exhaustive grid oracle);
 * a convex minimization of a Bhattacharyya objective over a relative
   entropy ball, solved by Frank-Wolfe: the linear subproblem over the
   ball is a one-dimensional exponential tilt found by bisection, and the
@@ -19,19 +21,21 @@ shrinks like 1/M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import rel_entr, xlogy
 
 from .errors import SolverError, ValidationError
-from .simplex import Pmf, bhattacharyya, chernoff_pair_product, geometric_midpoint, kl
+from .simplex import Pmf, bhattacharyya, chernoff_pair_product, kl
 
 FEASIBILITY_TOL = 1e-8
 FW_GAP_TOL = 1e-8
 PENALTY_GRID = 1024  # cells of the TV-radius grid in the penalized closed form
+SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,9 @@ class KlBallSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multistart penalty solver."""
+    """Knobs for the multistart pair-program solver: random starts and their seed."""
 
     restarts: int = 20
-    penalty_rounds: int = 6
-    penalty_start: float = 1.0
-    penalty_growth: float = 10.0
-    max_pg_iters: int = 400
     seed: int = 0
 
 
@@ -130,17 +130,6 @@ def exponent_multi_typ_known(mus: Sequence[Pmf], pi: Pmf) -> ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-def _project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, v.shape[1] + 1)
-    cond = u - css / idx > 0
-    rho = cond.sum(axis=1)
-    theta = css[np.arange(v.shape[0]), rho - 1] / rho
-    return np.maximum(v - theta[:, None], 0.0)
-
-
 def _mix_term(q: np.ndarray, outside: np.ndarray) -> float:
     """sum over i outside S of D(q_i || mean of outside rows)."""
     mix = q[outside].mean(axis=0)
@@ -155,74 +144,12 @@ def _constraint(q: np.ndarray, out_s: np.ndarray, out_sp: np.ndarray) -> float:
     return _mix_term(q, out_s) - _mix_term(q, out_sp)
 
 
-def _grad_mix_term(q: np.ndarray, outside: np.ndarray, eps: float = 1e-15) -> np.ndarray:
-    g = np.zeros_like(q)
-    mix = np.maximum(q[outside].mean(axis=0), eps)
-    g[outside] = np.log(np.maximum(q[outside], eps) / mix[None, :])
+def _grad_mix_term(log_q: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Gradient of _mix_term in q, from log q: log(q_i / mix) on the outside rows."""
+    g = np.zeros_like(log_q)
+    log_mix = np.logaddexp.reduce(log_q[outside], axis=0) - math.log(outside.size)
+    g[outside] = log_q[outside] - log_mix[None, :]
     return g
-
-
-def _penalty_grad(q, refs, out_s, out_sp, c, eps: float = 1e-15):
-    gval = _constraint(q, out_s, out_sp)
-    grad = np.log(np.maximum(q, eps) / refs) + 1.0
-    if gval < 0:
-        grad += 2.0 * c * gval * (_grad_mix_term(q, out_s) - _grad_mix_term(q, out_sp))
-    return grad, gval
-
-
-def _projected_gradient(q, refs, out_s, out_sp, c, max_iters):
-    """Armijo-backtracking projected gradient descent on the penalized objective."""
-
-    def value(x):
-        g = _constraint(x, out_s, out_sp)
-        return _program_value(x, refs) + c * min(g, 0.0) ** 2
-
-    fq = value(q)
-    step = 1.0
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        grad, _ = _penalty_grad(q, refs, out_s, out_sp, c)
-        step = min(step * 2.0, 1.0)
-        moved = False
-        while step > 1e-14:
-            cand = _project_rows_to_simplex(q - step * grad)
-            fc = value(cand)
-            if fc <= fq - 1e-4 * (np.sum(grad * (q - cand))):
-                if np.abs(cand - q).max() < 1e-12:
-                    return cand, fc, iters
-                q, fq = cand, fc
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return q, fq, iters
-
-
-def _repair_feasibility(q, out_s, out_sp, max_iters: int = 300):
-    """Locally descend the squared constraint violation until g >= 0.
-
-    The penalty phase leaves a violation of order 1/penalty; this walks
-    an O(violation) distance, so the objective barely moves.
-    """
-    g = _constraint(q, out_s, out_sp)
-    step = 1.0
-    for _ in range(max_iters):
-        if g >= 0.0:
-            return q
-        grad = 2.0 * g * (_grad_mix_term(q, out_s) - _grad_mix_term(q, out_sp))
-        step = min(step * 2.0, 1.0)
-        while step > 1e-16:
-            cand = _project_rows_to_simplex(q - step * grad)
-            gc = _constraint(cand, out_s, out_sp)
-            if min(gc, 0.0) ** 2 < min(g, 0.0) ** 2:
-                q, g = cand, gc
-                break
-            step *= 0.5
-        else:
-            break
-    return q
 
 
 def _solve_pair_program(
@@ -236,8 +163,11 @@ def _solve_pair_program(
     """Inner exponent program for one ordered pair of outlier sets.
 
     Minimizes sum_i D(q_i || refs_i) subject to the outside-S dispersion
-    being at least the outside-S' dispersion.  Returns (value, gap,
-    iterations, minimizer).
+    being at least the outside-S' dispersion.  Each start runs one SLSQP
+    solve over the logits z of q = softmax(z) row by row; a start counts
+    only if its end point violates the constraint by at most
+    FEASIBILITY_TOL.  Returns (value, gap, iterations, minimizer) of the
+    best such start.
     """
     m, k = refs.shape
     out_s = np.array([i for i in range(m) if i not in s])
@@ -267,16 +197,38 @@ def _solve_pair_program(
     for _ in range(opts.restarts):
         starts.append(rng.dirichlet(np.ones(k), size=m))
 
+    log_refs = np.log(refs)
+
+    def unpack(z):
+        # log q as a log-softmax: log(softmax(z)) underflows to -inf on far starts
+        z = z.reshape(m, k)
+        log_q = z - np.logaddexp.reduce(z, axis=1, keepdims=True)
+        return np.exp(log_q), log_q
+
+    def through_softmax(q, g):
+        """The q-gradient g chained through the row softmax to the logits."""
+        return (q * (g - (q * g).sum(axis=1, keepdims=True))).ravel()
+
+    def objective(z):
+        q, log_q = unpack(z)
+        return float((q * (log_q - log_refs)).sum()), through_softmax(q, log_q - log_refs + 1.0)
+
+    def dispersion_gap(z):
+        return _constraint(unpack(z)[0], out_s, out_sp)
+
+    def dispersion_gap_grad(z):
+        q, log_q = unpack(z)
+        return through_softmax(q, _grad_mix_term(log_q, out_s) - _grad_mix_term(log_q, out_sp))
+
+    constraint = {"type": "ineq", "fun": dispersion_gap, "jac": dispersion_gap_grad}
     best_val, best_gap, best_q = math.inf, math.inf, None
     total_iters = 0
     for q0 in starts:
-        q = q0
-        c = opts.penalty_start
-        for _ in range(opts.penalty_rounds):
-            q, _, it = _projected_gradient(q, refs, out_s, out_sp, c, opts.max_pg_iters)
-            total_iters += it
-            c *= opts.penalty_growth
-        q = _repair_feasibility(q, out_s, out_sp)
+        res = minimize(objective, np.log(q0).ravel(), jac=True, method="SLSQP",
+                       constraints=constraint, options=SLSQP_OPTIONS)
+        total_iters += res.nit
+        # the certificate is checked on the pmfs themselves, not on SLSQP's report
+        q = unpack(res.x)[0]
         gap = max(0.0, -_constraint(q, out_s, out_sp))
         if gap > FEASIBILITY_TOL:
             continue
@@ -284,7 +236,7 @@ def _solve_pair_program(
         if val < best_val:
             best_val, best_gap, best_q = val, gap, q
     if best_q is None:
-        raise SolverError("no restart reached the feasibility tolerance")
+        raise SolverError("no start reached the feasibility tolerance")
     return best_val, best_gap, total_iters, best_q
 
 
@@ -301,7 +253,6 @@ def exponent_univ_single(
     if m < 3:
         raise ValidationError("need M >= 3")
     opts = opts or SolverOptions()
-    k = mu.size
     refs = np.tile(pi.probs, (m, 1))
     refs[0] = mu.probs
     mus_by_coord = np.tile(mu.probs, (m, 1))
@@ -312,10 +263,10 @@ def exponent_univ_single(
     val = min(val, cap)
     return ExponentResult(
         max(val, 0.0),
-        "multistart_penalty",
+        "multistart_slsqp",
         iterations=iters,
         feasibility_gap=gap,
-        minimizer=tuple(Pmf.normalize(np.maximum(row, 0)) for row in q),
+        minimizer=tuple(Pmf.normalize(row) for row in q),
     )
 
 
@@ -325,7 +276,7 @@ def exponent_univ_multi(
     """Exponent achieved by the fully universal fixed-size multi-outlier test.
 
     Outer minimum over ordered pairs of distinct size-T outlier sets of
-    the inner penalized program.
+    the inner pair program.
     """
     mus = list(mus)
     m = len(mus)
@@ -353,10 +304,10 @@ def exponent_univ_multi(
     assert best_q is not None
     return ExponentResult(
         max(best_val, 0.0),
-        "multistart_penalty",
+        "multistart_slsqp",
         iterations=total_iters,
         feasibility_gap=best_gap,
-        minimizer=tuple(Pmf.normalize(np.maximum(row, 0)) for row in best_q),
+        minimizer=tuple(Pmf.normalize(row) for row in best_q),
     )
 
 

@@ -60,6 +60,10 @@ class SimConfig:
         for law in self._all_laws():
             if law.size != self.k or not law.full_support():
                 raise ValidationError("laws must be full-support pmfs on the declared alphabet")
+        if self.mus is not None and not isinstance(self.mus, Pmf) \
+                and len(self.mus) != self.family.m:
+            raise ValidationError(f"need one outlier law per coordinate: got {len(self.mus)}, "
+                                  f"M={self.family.m}")
 
     def _all_laws(self):
         laws = []

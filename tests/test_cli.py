@@ -45,6 +45,20 @@ class TestExponentCommand:
         rec = json.loads(out)
         assert 0.0 < rec["value"] <= 0.17435338714477777 + 1e-9
 
+    @pytest.mark.parametrize("mu,pi,m", [
+        *[("0.356,0.644", "0.317,0.683", m) for m in (3, 4, 6, 10)],
+        ("0.48,0.52", "0.5,0.5", 3),
+    ])
+    def test_univ_single_close_laws(self, capsys, mu, pi, m):
+        code, out, _ = run(
+            capsys, "exponent", "--kind", "univ-single", "--mu", mu, "--pi", pi,
+            "--m", str(m), "--restarts", "20",
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["solver"] == "multistart_slsqp"
+        assert rec["value"] > 0.0 and rec["feasibility_gap"] <= 1e-8
+
     def test_missing_law_exits_2(self, capsys):
         code, _, err = run(capsys, "exponent", "--kind", "both-known", "--mu", "0.3,0.7")
         assert code == 2
@@ -211,6 +225,16 @@ class TestOracleCommand:
                            "--n-grid", "3", "--mus", mus, "--pi", pi)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("extra,code", [
+        (["--n-grid", "2,40", "--cap", "100"], 4),
+        (["--n-grid", "2,3", "--pi", "0.5,0.3,0.2"], 2),
+    ])
+    def test_failure_leaves_stdout_empty(self, capsys, extra, code):
+        args = ["oracle", "--kind", "univ-single", "--m", "3", "--k", "2",
+                "--mus", "0.3,0.7", "--pi", "0.7,0.3", *extra]
+        got, out, _ = run(capsys, *args)
+        assert got == code and out == ""
+
 
 class TestSimulateCommand:
     ARGS = [
@@ -251,3 +275,9 @@ class TestSimulateCommand:
         args[args.index("--mus") + 1], args[args.index("--pi") + 1] = mus, pi
         code, _, err = run(capsys, *args)
         assert code == 2 and "error" in err
+
+    def test_failure_leaves_stdout_empty(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("--mus") + 1] = "0.3,0.7;0.4,0.6"
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == "" and "one outlier law per coordinate" in err

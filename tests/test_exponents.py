@@ -34,8 +34,13 @@ PAIRS = [
     (Pmf(np.array([0.4, 0.6])), Pmf(np.array([0.6, 0.4]))),
 ]
 TWO_B = [0.17435338714477777, 0.0943106794712413, 0.040821994520255214]
+# laws so close that the constrained minimum lies between 1e-4 and 1e-3
+CLOSE_PAIRS = [
+    (Pmf(np.array([0.356, 0.644])), Pmf(np.array([0.317, 0.683]))),
+    (Pmf(np.array([0.48, 0.52])), Pmf(np.array([0.5, 0.5]))),
+]
 
-FAST_OPTS = SolverOptions(restarts=4, penalty_rounds=5, max_pg_iters=200)
+FAST_OPTS = SolverOptions(restarts=4)
 
 
 def _binary_kl(x, ref):
@@ -126,6 +131,33 @@ class TestUnivSingle:
             res = exponent_univ_single(mu, pi, m=3, opts=FAST_OPTS)
             assert 0.0 < res.value <= target + 1e-10
 
+    @pytest.mark.parametrize("m", [3, 4, 6, 10])
+    def test_close_laws_feasible(self, m):
+        for mu, pi in CLOSE_PAIRS:
+            res = exponent_univ_single(mu, pi, m, opts=SolverOptions(restarts=20))
+            assert res.solver == "multistart_slsqp"
+            assert res.feasibility_gap <= 1e-8
+            q = np.stack([row.probs for row in res.minimizer])
+            out_s, out_sp = np.arange(1, m), np.array([0, *range(2, m)])
+            assert _constraint(q, out_s, out_sp) >= -1e-8
+            assert 0.0 < res.value <= 2 * bhattacharyya(mu, pi) + 1e-10
+            if m == 3:
+                grid = grid_exponent_univ_single(mu, pi, steps=400)
+                assert res.value == pytest.approx(grid.value, abs=2e-3)
+
+    @pytest.mark.parametrize("m", [4, 5, 8, 20])
+    def test_beats_replicated_point_above_m3(self, m):
+        # beyond the grid oracle's reach: the solver must do at least as well
+        # as the replicated feasible point, and its coordinates 3..M share a pmf
+        for mu, pi in PAIRS:
+            res = exponent_univ_single(mu, pi, m, opts=FAST_OPTS)
+            refs = np.tile(pi.probs, (m, 1))
+            refs[0] = mu.probs
+            cost = _program_value(_replicated_error_point(mu.probs, pi.probs, m), refs)
+            assert res.value <= cost + 1e-9
+            rows = np.stack([row.probs for row in res.minimizer])
+            assert np.ptp(rows[2:], axis=0).max() <= 1e-6
+
     def test_fine_grid_cross_check(self):
         # an independent 1e-4-step sweep over the free binary coordinate
         # of the grid oracle's own minimizer landscape
@@ -139,7 +171,7 @@ class TestUnivSingle:
 class TestUnivMulti:
     def test_positive_below_known_exponent(self):
         mu, pi = PAIRS[0]
-        small = SolverOptions(restarts=1, penalty_rounds=4, max_pg_iters=120)
+        small = SolverOptions(restarts=1)
         res = exponent_univ_multi([mu] * 5, pi, t=2, opts=small)
         assert 0.0 < res.value <= exponent_multi_typ_known([mu] * 5, pi).value + 1e-9
 
