@@ -326,11 +326,6 @@ def default_lambda(m: int, n: int, k: int) -> float:
     return 2.0 * (m - 1) * k * math.log(n + 1) / n
 
 
-def decide_null_aware(table: ScoreTable, lam: float) -> HypothesisId:
-    """Pick the argmin hypothesis when the score spread exceeds lam, else NULL."""
-    return decide(table, lam)
-
-
 # ---------------------------------------------------------------------------
 # Score kernel
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ require two kinds of optimization:
   exhaustive grid oracle);
 * a convex minimization of a Bhattacharyya objective over a relative
   entropy ball, solved by Frank-Wolfe: the linear subproblem over the
-  ball is a one-dimensional exponential tilt found by bisection, and the
-  strong convexity of the ball yields fast convergence of the duality gap.
+  ball is a one-dimensional exponential tilt whose parameter is a root
+  found by Brent's method, the step length comes from a bounded scalar
+  search, and the strong convexity of the ball yields fast convergence of
+  the duality gap.
 
 The single-outlier lower bound pairs that ball with a penalized closed
 form, evaluated on a fixed grid, whose gap to the both-known optimum
@@ -26,7 +28,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import rel_entr, xlogy
 
 from .errors import SolverError, ValidationError
@@ -34,6 +36,7 @@ from .simplex import Pmf, bhattacharyya, chernoff_pair_product, kl
 
 FEASIBILITY_TOL = 1e-8
 FW_GAP_TOL = 1e-8
+FW_MAX_ITERS = 50000
 PENALTY_GRID = 1024  # cells of the TV-radius grid in the penalized closed form
 SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 
@@ -338,20 +341,20 @@ def grid_exponent_univ_single(mu: Pmf, pi: Pmf, steps: int = 400) -> ExponentRes
     h = _binary_entropy(xs)
     d_mu = _binary_kl(xs, np.asarray(mu.probs))
     d_pi = _binary_kl(xs, np.asarray(pi.probs))
-    b, c = np.meshgrid(xs, xs, indexing="ij")
-    hb, hc = h[:, None] * np.ones_like(c), h[None, :] * np.ones_like(b)
-    side_a = 2.0 * _binary_entropy(0.5 * (b + c)) - hb - hc
+    # b runs along axis 0 and c along axis 1
+    side_a = 2.0 * _binary_entropy(0.5 * (xs[:, None] + xs[None, :])) - h[:, None] - h[None, :]
     obj_bc = d_pi[:, None] + d_pi[None, :]
     best = math.inf
     arg = None
     for i, a in enumerate(xs):
-        side_b = 2.0 * _binary_entropy(0.5 * (a + c)) - h[i] - hc
+        side_b = 2.0 * _binary_entropy(0.5 * (a + xs)) - h[i] - h  # depends on c only
         feasible = side_a - side_b >= 0.0
         obj = np.where(feasible, d_mu[i] + obj_bc, math.inf)
         j = int(np.argmin(obj))
         if obj.flat[j] < best:
             best = float(obj.flat[j])
-            arg = (a, float(b.flat[j]), float(c.flat[j]))
+            jb, jc = divmod(j, steps + 1)
+            arg = (a, float(xs[jb]), float(xs[jc]))
     assert arg is not None
     minimizer = tuple(Pmf(np.array([x, 1.0 - x])) for x in arg)
     return ExponentResult(best, "grid_oracle", iterations=(steps + 1) ** 3, minimizer=minimizer)
@@ -385,22 +388,11 @@ def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius: float
         hi *= 2.0
     if div(hi) < radius:
         return point(hi)
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if div(mid) < radius:
-            lo = mid
-        else:
-            hi = mid
-    return point(0.5 * (lo + hi))
+    return point(brentq(lambda th: div(th) - radius, 0.0, hi, xtol=1e-15))
 
 
 def _fw_min_bhattacharyya(
-    mu: np.ndarray,
-    center: np.ndarray,
-    radius: float,
-    gap_tol: float = FW_GAP_TOL,
-    max_iters: int = 50000,
+    mu: np.ndarray, center: np.ndarray, radius: float
 ) -> tuple[float, int, float, np.ndarray]:
     """Minimize 2B(mu, q) over the KL ball around center via Frank-Wolfe."""
     log_center = np.log(center)
@@ -410,31 +402,19 @@ def _fw_min_bhattacharyya(
 
     q = center.copy()
     gap = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, FW_MAX_ITERS + 1):
         s = np.sqrt(mu * q).sum()
         grad = -np.sqrt(mu / np.maximum(q, 1e-300)) / s
         x = _tilt_to_radius(log_center, grad, radius)
         gap = float(grad @ (q - x))
-        if gap <= gap_tol:
+        if gap <= FW_GAP_TOL:
             return value(q), it, gap, q
         d = x - q
-        # golden-section line search; the objective is convex along the segment
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = 0.0, 1.0
-        c1 = b - invphi * (b - a)
-        c2 = a + invphi * (b - a)
-        f1, f2 = value(q + c1 * d), value(q + c2 * d)
-        while b - a > 1e-12:
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - invphi * (b - a)
-                f1 = value(q + c1 * d)
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + invphi * (b - a)
-                f2 = value(q + c2 * d)
-        q = q + 0.5 * (a + b) * d
-    raise SolverError(f"Frank-Wolfe did not reach duality gap {gap_tol} (gap={gap:.3e})")
+        # the objective is convex along the segment
+        step = minimize_scalar(lambda g: value(q + g * d), bounds=(0.0, 1.0),
+                               method="bounded", options={"xatol": 1e-12})
+        q = q + step.x * d
+    raise SolverError(f"Frank-Wolfe did not reach duality gap {FW_GAP_TOL} (gap={gap:.3e})")
 
 
 def min_over_kl_ball(mus: Sequence[Pmf] | Pmf, ball: KlBallSpec) -> ExponentResult:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -70,20 +70,12 @@ def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTa
     total = math.comb(n + k - 1, k - 1)
     if total > cap:
         raise EnumerationCapError(f"{total} types exceeds cap {cap}")
-    rows = np.empty((total, k), dtype=np.int64)
-    idx = 0
-
-    def fill(prefix: list[int], remaining: int, slots: int):
-        nonlocal idx
-        if slots == 1:
-            rows[idx, : len(prefix)] = prefix
-            rows[idx, -1] = remaining
-            idx += 1
-            return
-        for c in range(remaining, -1, -1):
-            fill(prefix + [c], remaining - c, slots - 1)
-
-    fill([], n, k)
+    # stars and bars: K-1 bar positions among n+K-1 slots, reversed so that
+    # the first count runs from n down to 0
+    slots = n + k - 1
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
+                       dtype=np.int64, count=total * (k - 1)).reshape(total, k - 1)[::-1]
+    rows = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
     log_mult = gammaln(n + 1) - gammaln(rows + 1).sum(axis=1)
     return TypeClassTable(n, k, rows, log_mult)
 

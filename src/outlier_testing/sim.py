@@ -10,7 +10,7 @@ behaves sensibly at the near-zero error rates this package lives in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,28 +200,15 @@ def exponent_sweep(cfg: SimConfig, truth: HypothesisId) -> SweepResult:
     if len(cfg.n_grid) < 4:
         raise ValidationError("need at least 4 grid points for an exponent sweep")
     ests = [estimate_error(cfg, truth, n) for n in cfg.n_grid]
-    ns = np.asarray(cfg.n_grid, dtype=float)
 
     nonzero = [i for i, e in enumerate(ests) if 0 < e.errors < e.trials]
     fit = None
     if len(nonzero) >= 4:
         fit = exponent_fit([cfg.n_grid[i] for i in nonzero], [ests[i].estimate for i in nonzero])
 
-    uppers = np.array([min(e.hi, 1.0 - 1e-12) for e in ests])
-    slope_lo = _plain_slope(ns, uppers)
+    slope_lo = exponent_fit(cfg.n_grid, [min(e.hi, 1.0 - 1e-12) for e in ests]).slope
     if all(e.lo > 0 for e in ests):
-        slope_hi = _plain_slope(ns, np.array([e.lo for e in ests]))
+        slope_hi = exponent_fit(cfg.n_grid, [e.lo for e in ests]).slope
     else:
         slope_hi = float("inf")
     return SweepResult(tuple(cfg.n_grid), tuple(ests), fit, slope_lo, slope_hi)
-
-
-def _plain_slope(ns: np.ndarray, errs: np.ndarray) -> float:
-    y = -np.log(errs)
-    design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0])
-
-
-def with_seed(cfg: SimConfig, seed: int) -> SimConfig:
-    return replace(cfg, seed=seed)

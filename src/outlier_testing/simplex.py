@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp, rel_entr, xlogy
 
 from .errors import SupportError, ValidationError
 
@@ -143,55 +144,39 @@ def bhattacharyya(p: Pmf, q: Pmf) -> float:
 
 def _chernoff_objective(log_p: np.ndarray, log_q: np.ndarray, s: float) -> float:
     # -ln sum p^s q^(1-s), computed stably in log space
-    from scipy.special import logsumexp
-
     return -float(logsumexp(s * log_p + (1.0 - s) * log_q))
 
 
-def chernoff(p: Pmf, q: Pmf, s_tol: float = 1e-10) -> float:
+def chernoff(p: Pmf, q: Pmf) -> float:
     """Chernoff information max_{s in [0,1]} -ln sum p^s q^(1-s).
 
-    The inner objective is concave in s; a golden-section search locates
-    the maximizer to within s_tol.
+    The inner objective is concave in s; scipy's bounded scalar search
+    locates the maximizer to within 1e-10.
     """
-    value, _ = chernoff_with_optimizer(p, q, s_tol=s_tol)
+    value, _ = chernoff_with_optimizer(p, q)
     return value
 
 
-def chernoff_with_optimizer(p: Pmf, q: Pmf, s_tol: float = 1e-10) -> tuple[float, float]:
+def chernoff_with_optimizer(p: Pmf, q: Pmf) -> tuple[float, float]:
     """Chernoff information together with the maximizing exponent s*."""
     _check_same_length(p, q)
     if not (p.full_support() and q.full_support()):
         raise SupportError("chernoff requires full-support pmfs")
     log_p = np.log(p.probs)
     log_q = np.log(q.probs)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _chernoff_objective(log_p, log_q, c)
-    fd = _chernoff_objective(log_p, log_q, d)
-    while b - a > s_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _chernoff_objective(log_p, log_q, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _chernoff_objective(log_p, log_q, d)
-    s_star = 0.5 * (a + b)
+    res = minimize_scalar(lambda s: -_chernoff_objective(log_p, log_q, s), bounds=(0.0, 1.0),
+                          method="bounded", options={"xatol": 1e-10})
+    s_star = float(res.x)
     return max(_chernoff_objective(log_p, log_q, s_star), 0.0), s_star
 
 
-def chernoff_pair_product(mu_i: Pmf, mu_j: Pmf, pi: Pmf, s_tol: float = 1e-10) -> float:
+def chernoff_pair_product(mu_i: Pmf, mu_j: Pmf, pi: Pmf) -> float:
     """Chernoff information between mu_i x pi and pi x mu_j on the product alphabet."""
     _check_same_length(mu_i, pi)
     _check_same_length(mu_j, pi)
     left = Pmf(np.outer(mu_i.probs, pi.probs).ravel())
     right = Pmf(np.outer(pi.probs, mu_j.probs).ravel())
-    return chernoff(left, right, s_tol=s_tol)
+    return chernoff(left, right)
 
 
 def geometric_midpoint(p: Pmf, q: Pmf) -> Pmf:

@@ -17,7 +17,6 @@ from outlier_testing.detectors import (
     ScoreTable,
     Subset,
     decide,
-    decide_null_aware,
     default_lambda,
     outlier_set,
     run_detector,
@@ -232,11 +231,11 @@ class TestNullAware:
 
     def test_below_threshold_returns_null(self):
         table = ScoreTable(((Coordinate(1), 0.10), (Coordinate(2), 0.11)))
-        assert decide_null_aware(table, lam=0.5) is NULL
+        assert decide(table, lam=0.5) is NULL
 
     def test_above_threshold_picks_argmin(self):
         table = ScoreTable(((Coordinate(1), 0.9), (Coordinate(2), 0.1)))
-        assert decide_null_aware(table, lam=0.5) == Coordinate(2)
+        assert decide(table, lam=0.5) == Coordinate(2)
 
     def test_run_detector_null_single(self):
         o = obs([[0, 1], [1, 0], [0, 1]])
@@ -245,7 +244,7 @@ class TestNullAware:
     def test_negative_lambda_rejected(self):
         table = ScoreTable(((Coordinate(1), 0.0),))
         with pytest.raises(ValidationError):
-            decide_null_aware(table, lam=-1.0)
+            decide(table, lam=-1.0)
 
 
 class TestDispatch:

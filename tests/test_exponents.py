@@ -9,6 +9,7 @@ from outlier_testing.exponents import (
     SolverOptions,
     _constraint,
     _program_value,
+    _tilt_to_radius,
     exponent_both_known,
     exponent_multi_known,
     exponent_multi_typ_known,
@@ -203,6 +204,32 @@ class TestKlBall:
         target = obj[d <= radius].min()
         assert res.value == pytest.approx(target, abs=1e-6)
         assert 0.0 < res.value < 2 * bhattacharyya(mu, pi)
+
+    def test_mid_radius_against_grid_k3(self):
+        mu, pi = Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2]))
+        radius = 0.25 * kl(mu, pi)
+        res = min_over_kl_ball(mu, KlBallSpec(pi, radius))
+        steps = 1000
+        i, j = np.triu_indices(steps + 1)  # i <= j
+        grid = np.stack([i, j - i, steps - j], axis=1) / steps
+        d = rel_entr(grid, pi.probs).sum(axis=1)
+        obj = -2 * np.log(np.sqrt(grid * mu.probs).sum(axis=1))
+        target = obj[d <= radius].min()
+        assert res.value == pytest.approx(target, abs=1e-4)
+        assert res.value - res.feasibility_gap <= target
+        assert 0.0 < res.value < 2 * bhattacharyya(mu, pi)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_tilt_hits_radius(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            center = rng.dirichlet(np.ones(k))
+            direction = rng.normal(size=k)
+            # the tilt tends to the vertex where direction is smallest
+            vertex_div = -np.log(center[np.argmin(direction)])
+            radius = rng.uniform(0.01, 0.99) * vertex_div
+            x = _tilt_to_radius(np.log(center), direction, radius)
+            assert abs(rel_entr(x, center).sum() - radius) <= 1e-12 * radius
 
     def test_negative_radius_rejected(self):
         _, pi = PAIRS[0]

@@ -1,4 +1,6 @@
 """Monte Carlo estimator: determinism, interval validity, oracle agreement."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import beta
@@ -24,7 +26,6 @@ from outlier_testing.sim import (
     exponent_sweep,
     generate,
     sample_counts,
-    with_seed,
 )
 from outlier_testing.simplex import Pmf
 
@@ -111,7 +112,7 @@ class TestEstimates:
         assert a == b
 
     def test_seed_changes_stream(self):
-        cfg_a, cfg_b = cfg3(), with_seed(cfg3(), 1)
+        cfg_a, cfg_b = cfg3(), replace(cfg3(), seed=1)
         a = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_a.seed, 0, 20, 0))
         b = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_b.seed, 0, 20, 0))
         assert not np.array_equal(a.data, b.data)
