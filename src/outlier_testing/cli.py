@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, help="null threshold (default vanishing schedule)")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("oracle", help="exact error sweep by type enumeration (CSV)")
+    p = sub.add_parser("oracle", help="exact error sweep (CSV): per-coordinate key ranking "
+                       "for certified known-law kinds, type-tuple enumeration otherwise")
     p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")
     p.add_argument("--lam", type=float)
-    p.add_argument("--cap", type=int, default=10**8)
+    p.add_argument("--cap", type=int, default=10**8,
+                   help="most type classes and enumerated type tuples per n")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo error sweep (CSV)")

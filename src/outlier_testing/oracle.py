@@ -1,17 +1,23 @@
-"""Exact error probabilities by enumerating per-coordinate type classes.
+"""Exact error probabilities from per-coordinate type classes.
 
 Because every detector is a function of the per-coordinate empirical
 distributions alone, the exact finite-sample error probability is a sum
 over M-tuples of types, weighted by exact type-class probabilities.
 This replaces asymptotic claims with ground-truth finite-n numbers.
 
-Enumeration is chunked and fully vectorized: the detectors' score kernel
-computes each type's row statistics once and gathers them per tuple, so
-the oracle decides every tuple exactly as the detector run on a matrix
-with those types does.  Probabilities accumulate in log space.  A
-full-sequence brute force (all K^(Mn) raw sequences, each run through
-`run_detector`) cross-checks the enumeration and the type-class weights
-at tiny sizes.
+Two routes compute it, and each result names the one it took.  Known-law
+kinds that rank one per-type key (ml-single, typ-single, mu-only, and
+typ-multi at T=2) factor over coordinates: when a floating-point
+certificate shows that the kernel orders tuples as the keys do, the error
+is a sum over key values of products of per-coordinate masses
+(`_ranked_errors`), in O(M x distinct keys) per decision.  Every other
+case enumerates the type tuples in chunks, fully vectorized: the
+detectors' score kernel computes each type's row statistics once and
+gathers them per tuple, so the oracle decides every tuple exactly as the
+detector run on a matrix with those types does.  Probabilities accumulate
+in log space.  A full-sequence brute force (all K^(Mn) raw sequences, each
+run through `run_detector`) cross-checks both routes and the type-class
+weights at tiny sizes.
 """
 from __future__ import annotations
 
@@ -164,6 +170,7 @@ def tuple_decisions(
 class ErrorProbability:
     prob: float
     log_prob: float
+    route: str  # "per-coordinate" or "enumeration"
 
 
 def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
@@ -174,11 +181,14 @@ def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
 
 
 def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
-            cap=DEFAULT_TUPLE_CAP, chunk=DEFAULT_CHUNK) -> dict[HypothesisId, ErrorProbability]:
-    """Exact error of each truth from one pass over the type tuples.
+            cap=DEFAULT_TUPLE_CAP, chunk=DEFAULT_CHUNK,
+            per_coordinate=True) -> dict[HypothesisId, ErrorProbability]:
+    """Exact error of each truth, by the per-coordinate route when it is certified.
 
-    A tuple's decision does not depend on the truth, only its weight does,
-    so every chunk is scored and decided once and then weighted per truth.
+    Otherwise one pass over the type tuples serves every truth: a tuple's
+    decision does not depend on the truth, only its weight does, so every
+    chunk is scored and decided once and then weighted per truth.
+    ``per_coordinate=False`` forces the enumeration.
     """
     m = family.m
     for truth in truths:
@@ -191,28 +201,194 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
     scorer = Scorer(kind, m, k, mu=mu, pi=pi, t=t, family=family)
     truth_cols = [scorer.column(truth) for truth in truths]
     table = enumerate_types(n, k, cap=cap)
-    total_tuples = table.size**m
-    if total_tuples > cap:
-        raise EnumerationCapError(f"{total_tuples} type tuples exceeds cap {cap}")
+    lam = null_threshold(kind, lam, m, n, k)
+    ranking = _ranking(scorer, scorer.row_stats(table.counts, n)) if per_coordinate else None
+    if ranking is None and table.size**m > cap:
+        raise EnumerationCapError(f"{table.size**m} type tuples exceeds cap {cap}")
 
-    # per truth, the log probability of each type under each coordinate's law
-    log_laws = [np.stack([_log_type_probs(table, law) for law in row]) for row in laws]
-    if not all(np.all(np.isfinite(w)) for w in log_laws):
+    # the log probability of each type under each distinct generating law,
+    # and for each truth the law row of every coordinate
+    distinct = {id(law): law for row in laws for law in row}
+    row_of = {key: i for i, key in enumerate(distinct)}
+    law_idx = np.array([[row_of[id(law)] for law in row] for row in laws])
+    log_rows = np.stack([_log_type_probs(table, law) for law in distinct.values()])
+    if not np.all(np.isfinite(log_rows)):
         raise ValidationError("a generating law lacks support for some type")
 
-    lam = null_threshold(kind, lam, m, n, k)
-    coords = np.arange(m)[None, :]
-    pieces: list[list[float]] = [[] for _ in truths]
-    for tidx, decision in tuple_decisions(scorer, table, lam, chunk):
-        for col, weights, acc in zip(truth_cols, log_laws, pieces):
+    if ranking is not None:
+        route = "per-coordinate"
+        log_errs = _ranked_errors(*ranking, log_rows, law_idx, truth_cols)
+    else:
+        route = "enumeration"
+        log_errs = _enumerated_errors(scorer, table, lam, chunk, log_rows, law_idx, truth_cols)
+    return {truth: ErrorProbability(min(math.exp(e), 1.0), e, route)
+            for truth, e in zip(truths, log_errs)}
+
+
+# ---------------------------------------------------------------------------
+# Enumeration route
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_errors(scorer, table, lam, chunk, log_rows, law_idx, truth_cols) -> list[float]:
+    """Log error of each truth: logsumexp of wrong-decision tuple weights, chunk by chunk.
+
+    Tuples come in radix order, so a block of n_types**tail consecutive
+    tuples shares its leading coordinates.  A tuple's log weight is built
+    as the left-to-right sum over coordinates of its types' log
+    probabilities: the head of each block is gathered once, and the tail
+    coordinates are added by broadcasting.  numpy sums fewer than 8 terms
+    left to right too, so for M <= 7 these are the bits of
+    ``w[arange(M), tidx].sum(axis=1)``.
+    """
+    m, n_types = scorer.m, table.size
+    tail = 0
+    while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
+        tail += 1
+    block = n_types**tail
+    head_radix = n_types ** np.arange(m - tail - 1, -1, -1, dtype=np.int64)
+    pieces: list[list[float]] = [[] for _ in truth_cols]
+    for c, (_, decision) in enumerate(tuple_decisions(scorer, table, lam, chunk)):
+        start = c * chunk
+        heads = np.arange(start // block, (start + decision.size - 1) // block + 1, dtype=np.int64)
+        head_idx = (heads[:, None] // head_radix) % n_types
+        lo = start - heads[0] * block
+        for rows, col, acc in zip(law_idx, truth_cols, pieces):
             wrong = decision != col
             if np.any(wrong):
-                acc.append(logsumexp(weights[coords, tidx].sum(axis=1)[wrong]))
-    out = {}
-    for truth, acc in zip(truths, pieces):
-        log_err = float(logsumexp(acc)) if acc else -math.inf
-        out[truth] = ErrorProbability(min(math.exp(log_err), 1.0), log_err)
+                weights = _tuple_log_weights(log_rows[rows], head_idx)[lo:lo + decision.size]
+                acc.append(logsumexp(weights[wrong]))
+    return [float(logsumexp(acc)) if acc else -math.inf for acc in pieces]
+
+
+def _tuple_log_weights(w: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
+    """Sums w[0, t_0] + ... + w[M-1, t_(M-1)], left to right, in radix order.
+
+    Tuples run over the heads ``head_idx`` (rows, p), each followed by every
+    type of the last M-p coordinates.
+    """
+    p = head_idx.shape[1]
+    acc = w[0, head_idx[:, 0]]
+    for j in range(1, p):
+        acc = acc + w[j, head_idx[:, j]]
+    for j in range(p, len(w)):
+        acc = (acc[:, None] + w[j]).ravel()
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Per-coordinate route
+# ---------------------------------------------------------------------------
+
+#: the per-coordinate route holds about a dozen (M, distinct keys) float
+#: arrays (some 200 MB at this limit); above it the oracle enumerates instead
+ROUTE_MAX_TERMS = 1 << 21
+
+
+def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """How a known-law kind ranks types, when its exact error factors over coordinates.
+
+    ml-single, typ-single, mu-only and typ-multi at T=2 decide the T
+    coordinates of best per-type key, the earliest index first among equal
+    keys.  The key is d_mu - d_pi (as `Scorer.combine` computes it), -d_pi,
+    d_mu and -d_pi; smaller is better.  Returns (types sorted by key,
+    stably; start of each run of equal keys; T), or None for the enumeration.
+
+    Certificate that the kernel decides as the keys do, tie for tie.  The
+    kernel turns keys into scores with one or two more roundings, each off
+    by at most u = eps/2 of its result: fl(key_i + S) for ml-single,
+    fl(S - d_i) for typ-single and fl(S - fl(d_a + d_b)) for typ-multi,
+    where S is the row's float sum of d_pi, so |S| <= M max d_pi (1 + M u).
+    mu-only scores the key itself.  Rounding is monotone, so equal keys (at
+    T=2, equal key pairs) score bit-equal and a better key never scores
+    worse.  Only comparisons with the winner matter.  If g is the smallest
+    gap between distinct keys, every other coordinate (at T=2, every pair
+    but the top two) has a key (key sum) at least g worse, because such a
+    pair holds a key at least g worse than its rank counterpart.  The
+    roundings move two such scores by at most eps (4 max|key| + |S|)
+    together, so they stay strictly in order when g exceeds that; the route
+    asks g > 4 eps (max|key| + M max d_pi), which implies it.  Keys that tie
+    in exact arithmetic but come out an ulp apart fail it.  T >= 3 never
+    takes the route: the kernel adds members in index order, so subsets
+    holding the same keys can score an ulp apart.
+    """
+    kind, t_size = scorer.kind, len(outlier_set(scorer.hypotheses[0]))
+    if kind is DetectorKind.MU_ONLY:
+        key = stats.d_mu
+    elif kind is DetectorKind.ML_SINGLE:
+        key = stats.d_mu - stats.d_pi
+    elif kind is DetectorKind.TYP_SINGLE or (kind is DetectorKind.TYP_MULTI and t_size == 2):
+        key = -stats.d_pi
+    else:
+        return None
+    slack = 0.0 if stats.d_pi is None else (
+        4 * np.finfo(float).eps * (np.abs(key).max() + scorer.m * stats.d_pi.max()))
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    if starts.size > 1 and np.diff(ranked[starts]).min() <= slack:
+        return None
+    if scorer.m * starts.size > ROUTE_MAX_TERMS:
+        return None
+    return order, starts, t_size
+
+
+def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_cols) -> list[float]:
+    """Log error of each truth from per-coordinate key laws, summed over wrong decisions.
+
+    For decision D and its worst member w (by key, then index), D wins iff
+    every other member ranks before w and every other coordinate after it.
+    Given w's key value v, those are independent per-coordinate events:
+    key better than v (or equal, for a lower index) inside D, key worse than
+    v (or equal, for a higher index) outside D.  So log P(D) is a
+    logsumexp over v of sums of per-coordinate log masses.
+    """
+    ninf = np.full((len(log_rows), 1), -np.inf)
+    at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
+    at_or_better = np.logaddexp.accumulate(at, axis=1)
+    at_or_worse = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
+    better = np.hstack([ninf, at_or_better[:, :-1]])
+    worse = np.hstack([at_or_worse[:, 1:], ninf])
+
+    out = []
+    for rows, col in zip(law_idx, truth_cols):
+        a, b, be, w, we = (x[rows] for x in (at, better, at_or_better, worse, at_or_worse))
+        # before[i]: coordinates j < i all worse; after[i]: j > i all worse or equal
+        before = np.zeros_like(w)
+        np.cumsum(w[:-1], axis=0, out=before[1:])
+        after = np.zeros_like(we)
+        after[:-1] = np.cumsum(we[:0:-1], axis=0)[::-1]
+        if t_size == 1:
+            log_dec = _log_sum_exp(a + before + after)
+        else:
+            log_dec = np.concatenate([_pair_log_probs(i, a, b, be, w, we, before, after)
+                                      for i in range(len(a) - 1)])
+        out.append(float(_log_sum_exp(np.delete(log_dec, col))))
     return out
+
+
+def _pair_log_probs(i, a, b, be, w, we, before, after) -> np.ndarray:
+    """log P(decision = {i, j}) for every j > i, from the `_ranked_errors` arrays."""
+    # row j-i-1 of between_*: the coordinates strictly between i and j
+    zero = np.zeros((1, a.shape[1]))
+    between_w = np.cumsum(np.vstack([zero, w[i + 1:-1]]), axis=0)
+    between_we = np.cumsum(np.vstack([zero, we[i + 1:-1]]), axis=0)
+    rest = before[i] + after[i + 1:]
+    worst_j = a[i + 1:] + be[i] + between_w + rest  # j is D's worst: i as good or better
+    worst_i = a[i] + b[i + 1:] + between_we + rest  # i is D's worst: j strictly better
+    return _log_sum_exp(np.logaddexp(worst_j, worst_i))
+
+
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis.
+
+    scipy's logsumexp costs about 0.3 ms a call in argument handling, more
+    than the route's small rows themselves.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
 
 
 def exact_error(

@@ -1,5 +1,9 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,8 +187,11 @@ class TestOracleCommand:
         _, second, _ = run(capsys, *self.ARGS)
         assert first == second
 
+    # univ-single enumerates type tuples; ml-single takes the per-coordinate route
+    UNIV_ARGS = [a if a != "ml-single" else "univ-single" for a in ARGS]
+
     def test_cap_exits_4(self, capsys):
-        code, _, err = run(capsys, *self.ARGS, "--cap", "100")
+        code, _, err = run(capsys, *self.UNIV_ARGS, "--cap", "100")
         assert code == 4
         assert "cap" in err
 
@@ -197,8 +204,27 @@ class TestOracleCommand:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "tuple_decisions", counting)
-        code, _, _ = run(capsys, *self.ARGS)
+        code, _, _ = run(capsys, *self.UNIV_ARGS)
         assert code == 0 and len(calls) == 6
+
+    def test_per_coordinate_route_ignores_tuple_cap(self, capsys, monkeypatch):
+        calls, routes = [], set()
+        original, max_error = oracle.tuple_decisions, cli.max_error
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            worst, per = max_error(*args, **kwargs)
+            routes.update(e.route for e in per.values())
+            return worst, per
+
+        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        monkeypatch.setattr(cli, "max_error", recording)
+        code, out, _ = run(capsys, *self.ARGS, "--cap", "100")
+        assert code == 0 and len(out.strip().splitlines()) == 7
+        assert calls == [] and routes == {"per-coordinate"}
 
     @pytest.mark.parametrize("kind,fam,k,extra,t", [
         ("null-single", HypothesisFamily.single_outlier(3, include_null=True), 3, [], None),
@@ -281,3 +307,48 @@ class TestSimulateCommand:
         args[args.index("--mus") + 1] = "0.3,0.7;0.4,0.6"
         code, out, err = run(capsys, *args)
         assert code == 2 and out == "" and "one outlier law per coordinate" in err
+
+
+class TestEntryPoint:
+    """`python -m outlier_testing` pins BLAS to one thread; the library does not."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def python(self, code, **env):
+        base = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        base["PYTHONPATH"] = os.pathsep.join([self.SRC, base.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, *code], env={**base, **env},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def entry_point_env(self, **env):
+        probe = (
+            "import json, os, runpy, sys\n"
+            "import outlier_testing\n"
+            "early = 'numpy' in sys.modules\n"
+            "sys.argv = ['outliertest', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('outlier_testing', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            f"print(json.dumps([early] + [os.environ.get(v) for v in {self.VARS!r}]))\n"
+        )
+        return json.loads(self.python(["-c", probe], **env).splitlines()[-1])
+
+    def test_entry_point_defaults_to_one_thread(self):
+        assert self.entry_point_env() == [False, "1", "1", "1"]
+
+    def test_user_setting_wins(self):
+        assert self.entry_point_env(OPENBLAS_NUM_THREADS="3") == [False, "3", "1", "1"]
+
+    def test_library_import_leaves_environment(self):
+        probe = ("import json, os, outlier_testing.cli\n"
+                 f"print(json.dumps([os.environ.get(v) for v in {self.VARS!r}]))")
+        assert json.loads(self.python(["-c", probe])) == [None, None, None]
+
+    def test_module_run_prints_as_main(self, capsys):
+        argv = ["exponent", "--kind", "both-known", "--mu", "0.3,0.7", "--pi", "0.7,0.3"]
+        _, want, _ = run(capsys, *argv)
+        assert self.python(["-m", "outlier_testing", *argv]) == want

@@ -11,6 +11,8 @@ from outlier_testing.detectors import (
     HypothesisFamily,
     ObservationMatrix,
     Scorer,
+    Subset,
+    outlier_set,
     run_detector,
 )
 from outlier_testing import oracle
@@ -150,12 +152,14 @@ class TestExactError:
         with pytest.raises(EnumerationCapError):
             exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 40, 2, MU, PI, cap=10**4)
 
-    @pytest.mark.parametrize("mus,pi", [
+    WRONG_SIZED = [
         ([MU, MU], PI),  # fewer outlier laws than coordinates
         ([MU, MU, MU, MU], PI),  # more
         (MU, Pmf(np.array([0.5, 0.3, 0.2]))),  # pi on another alphabet
         (Pmf(np.array([0.2, 0.3, 0.5])), PI),  # mu on another alphabet
-    ])
+    ]
+
+    @pytest.mark.parametrize("mus,pi", WRONG_SIZED)
     def test_wrong_sized_laws_rejected(self, mus, pi):
         with pytest.raises(ValidationError):
             exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 2, 2, mus, pi)
@@ -200,6 +204,113 @@ class TestRouteAgreement:
 
     def test_univ_single_every_tuple(self):
         self.check_every_tuple(DetectorKind.UNIV_SINGLE, 4, 6)  # 614,656 tuples
+
+
+class TestPerCoordinateRoute:
+    """Known-law kinds rank one per-type key; the route equals the enumeration."""
+
+    MU3 = Pmf(np.array([0.2, 0.3, 0.5]))
+    PI3 = Pmf(np.array([0.55, 0.3, 0.15]))  # with MU3, keys are certified at these n
+    MIXED = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.31, 0.32, 0.31, 0.30)]  # criterion 6
+    SINGLE = (DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE, DetectorKind.MU_ONLY)
+    DECISION_GRID = (
+        [(kind, m, 2, n, {}) for kind in SINGLE for m, n in ((3, 12), (4, 8), (5, 5))]
+        + [(kind, m, 3, n, {}) for kind in SINGLE for m, n in ((3, 8), (4, 4), (5, 3))]
+        + [(DetectorKind.TYP_MULTI, 5, 2, 8, {"t": 2}), (DetectorKind.TYP_MULTI, 5, 3, 3, {"t": 2})]
+    )
+
+    def laws(self, k):
+        return (MU, PI) if k == 2 else (self.MU3, self.PI3)
+
+    @pytest.mark.parametrize("kind,m,k,n,extra", DECISION_GRID,
+                             ids=[f"{c[0].value}-M{c[1]}-K{c[2]}" for c in DECISION_GRID])
+    def test_top_t_by_key_decides_every_tuple(self, kind, m, k, n, extra):
+        mu, pi = self.laws(k)
+        scorer = Scorer(kind, m, k, mu=mu, pi=pi, **extra)
+        table = enumerate_types(n, k)
+        ranking = oracle._ranking(scorer, scorer.row_stats(table.counts, n))
+        assert ranking is not None, "keys not certified"
+        order, starts, t_size = ranking
+        rank = np.empty(table.size, dtype=np.int64)  # position of each type's key value
+        rank[order] = np.cumsum(np.isin(np.arange(table.size), starts)) - 1
+        column = {tuple(i - 1 for i in sorted(outlier_set(h))): col
+                  for col, h in enumerate(scorer.hypotheses)}
+        seen = 0
+        for tidx, cols in tuple_decisions(scorer, table, chunk=1 << 14):
+            top = np.sort(np.argsort(rank[tidx], axis=1, kind="stable")[:, :t_size], axis=1)
+            assert np.array_equal([column[tuple(row)] for row in top], cols), seen
+            seen += len(cols)
+        assert seen == table.size**m
+
+    VALUE_GRID = (
+        [(kind, 3, 2, (2, 9, 20, 30), MU, {}) for kind in SINGLE]
+        + [(kind, m, 2, (3, 6), MU, {}) for kind in SINGLE for m in (4, 5)]
+        + [(kind, 3, 3, (2, 5, 8), None, {}) for kind in SINGLE]
+        + [(DetectorKind.TYP_MULTI, 5, 2, (2, 5, 8), mus, {"t": 2}) for mus in (MU, MIXED)]
+    )
+
+    @pytest.mark.parametrize("kind,m,k,ns,mus,extra", VALUE_GRID)
+    def test_equals_enumeration(self, kind, m, k, ns, mus, extra):
+        mu, pi = self.laws(k)
+        mus = mu if mus is None else mus
+        fam = HypothesisFamily.fixed_size(m, 2) if extra else HypothesisFamily.single_outlier(m)
+        for n in ns:
+            route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu, **extra)
+            enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu,
+                                  per_coordinate=False, **extra)
+            for truth in fam.hypotheses:
+                got, want = route[truth], enum[truth]
+                assert (got.route, want.route) == ("per-coordinate", "enumeration")
+                assert got.prob == pytest.approx(want.prob, rel=1e-12, abs=0), (n, truth)
+                assert got.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0), (n, truth)
+
+    def test_max_error_routes_every_truth(self):
+        worst, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
+                               6, 2, self.MIXED, PI, t=2)
+        assert {e.route for e in per.values()} == {"per-coordinate"}
+        assert worst.log_prob == max(e.log_prob for e in per.values())
+
+    # log_prob and prob hex of the enumeration before the per-coordinate route existed
+    UNCERTIFIED = [
+        # ml-single keys on these laws tie in exact arithmetic but come out an ulp apart
+        ((DetectorKind.ML_SINGLE, 3, Coordinate(2), 4, 3, TestRouteAgreement.MU3,
+          TestRouteAgreement.PI3), {}, "-0x1.6ac284eb54214p+0", "0x1.f0809ea03a84cp-3"),
+        ((DetectorKind.ML_SINGLE, 4, Coordinate(4), 3, 3, TestRouteAgreement.MU3,
+          TestRouteAgreement.PI3), {"chunk": 97}, "-0x1.9518c91da262cp-1", "0x1.d02d72712415ep-2"),
+        # typ-multi at T=3 adds members in index order
+        ((DetectorKind.TYP_MULTI, 7, Subset((2, 5, 6)), 2, 2, MU, PI), {"t": 3},
+         "-0x1.ac32cbafddc00p-4", "0x1.cd2d8eab9d6fap-1"),
+        # universal kinds always enumerate
+        ((DetectorKind.UNIV_SINGLE, 4, Coordinate(3), 5, 2, MU, PI), {"chunk": 97},
+         "-0x1.7838b1ccfc690p-1", "0x1.eb1bac40bc0fcp-2"),
+    ]
+
+    @pytest.mark.parametrize("args,extra,log_hex,prob_hex", UNCERTIFIED)
+    def test_uncertified_cases_enumerate_unchanged(self, args, extra, log_hex, prob_hex):
+        kind, m, truth, n, k, mu, pi = args
+        fam = HypothesisFamily.fixed_size(m, extra["t"]) if "t" in extra \
+            else HypothesisFamily.single_outlier(m)
+        got = exact_error(kind, fam, truth, n, k, mu, pi, **extra)
+        assert got.route == "enumeration"
+        assert (got.log_prob.hex(), got.prob.hex()) == (log_hex, prob_hex)
+
+    @pytest.mark.parametrize("kind", SINGLE)
+    def test_reach_m1000_n1000(self, kind):
+        got = exact_error(kind, HypothesisFamily.single_outlier(1000), Coordinate(500),
+                          1000, 2, MU, PI)
+        assert got.route == "per-coordinate"
+        assert math.isfinite(got.log_prob) and 0 < got.prob < 1e-70
+
+    @pytest.mark.parametrize("kind", SINGLE)
+    def test_validation_still_raised(self, kind):
+        with pytest.raises(ValidationError):  # a generating law without full support
+            exact_error(kind, FAM3, Coordinate(1), 3, 2, Pmf(np.array([1.0, 0.0])), PI, mu=MU)
+        for mus, pi in TestExactError.WRONG_SIZED:
+            with pytest.raises(ValidationError):
+                exact_error(kind, FAM3, Coordinate(1), 3, 2, mus, pi, mu=MU)
+        with pytest.raises(ValidationError):  # NULL in the family of an argmin kind
+            exact_error(kind, HypothesisFamily.single_outlier(3, include_null=True),
+                        Coordinate(1), 3, 2, MU, PI)
 
 
 class TestMaxError:
