@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation failure, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -94,14 +95,10 @@ def _family_for(
     if kind in (DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI):
         require(t is not None, f"{kind.value} needs --t")
         return HypothesisFamily.fixed_size(m, t)
-    if kind is DetectorKind.IDENTICAL_UNIV:
-        require(sizes is not None, "identical-univ needs --sizes")
-        return HypothesisFamily.sized(m, sizes, include_null=False)
-    if kind is DetectorKind.NULL_IDENTICAL:
-        require(sizes is not None, "null-identical needs --sizes")
-        return HypothesisFamily.sized(m, sizes, include_null=True)
-    include_null = kind is DetectorKind.NULL_SINGLE
-    return HypothesisFamily.single_outlier(m, include_null=include_null)
+    if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
+        require(sizes is not None, f"{kind.value} needs --sizes")
+        return HypothesisFamily.sized(m, sizes, include_null=kind is DetectorKind.NULL_IDENTICAL)
+    return HypothesisFamily.single_outlier(m, include_null=kind is DetectorKind.NULL_SINGLE)
 
 
 def _sweep_setup(args) -> tuple[DetectorKind, HypothesisFamily, LawSpec, Pmf, Optional[Pmf]]:
@@ -213,11 +210,9 @@ def cmd_detect(args) -> int:
         obs = ObservationMatrix.from_csv(args.file, k=args.k)
     mu = _parse_pmf(args.mu) if args.mu else None
     pi = _parse_pmf(args.pi) if args.pi else None
-    family = None
-    if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
-        sizes = _parse_int_list(args.sizes) if args.sizes else None
-        family = _family_for(kind, obs.m, args.t, sizes)
-    table = score_table(kind, obs, mu=mu, pi=pi, t=args.t, family=family)
+    sizes = _parse_int_list(args.sizes) if args.sizes else None
+    family = _family_for(kind, obs.m, args.t, sizes)
+    table = score_table(kind, obs, mu=mu, pi=pi, family=family)
     lam = null_threshold(kind, args.lam, obs.m, obs.n, obs.k)
     decision = decide(table, lam)
     record = {
@@ -246,7 +241,7 @@ def cmd_oracle(args) -> int:
     rows = ["n," + ",".join(f"err[{h}]" for h in family.hypotheses) + ",max"]
     for n in ns:
         worst, per = max_error(
-            kind, family, n, args.k, mus, pi, mu=mu, t=args.t, lam=args.lam, cap=args.cap,
+            kind, family, n, args.k, mus, pi, mu=mu, lam=args.lam, cap=args.cap,
         )
         errs = [per[h].prob for h in family.hypotheses]
         rows.append(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(worst.prob)]))
@@ -259,7 +254,7 @@ def cmd_simulate(args) -> int:
     ns = tuple(_parse_int_list(args.n_grid))
     cfg = SimConfig(
         kind=kind, family=family, k=args.k, n_grid=ns, trials=args.trials,
-        seed=args.seed, mus=mus, pi=pi, mu=mu, t=args.t, lam=args.lam,
+        seed=args.seed, mus=mus, pi=pi, mu=mu, lam=args.lam,
     )
     meta = {
         "command": "simulate", "kind": kind.value, "seed": args.seed,
@@ -289,7 +284,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `outliertest` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="outliertest",
         description="Outlier hypothesis tests, error exponents, and exact error sweeps.",
@@ -373,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -14,9 +14,10 @@ outlier-set size and then lexicographically.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import NamedTuple, Optional, Union
@@ -95,16 +96,23 @@ def outlier_set(h: HypothesisId) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class HypothesisFamily:
-    """An ordered collection of candidate hypotheses.
+    """An ordered collection of candidate hypotheses: the one list a test decides over.
 
     For each outlier count k the family must contain either every
     size-k subset of {1..M} or none of them, and every non-null member
     must satisfy |S| < M/2.  Ordering is size-ascending, then
-    lexicographic, with the null hypothesis (if present) first.
+    lexicographic, with the null hypothesis (if present) first, so the
+    non-null members are ``hypotheses[include_null:]``.  Members are keyed
+    by outlier set, so ``Coordinate(i)`` and ``Subset((i,))`` name the
+    same member.  ``coordinates`` holds each non-null member's zero-based
+    outlier coordinates, ascending, in family order.
     """
 
     hypotheses: tuple[HypothesisId, ...]
     m: int
+    include_null: bool = field(init=False, repr=False, compare=False)
+    coordinates: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hypotheses:
@@ -127,21 +135,27 @@ class HypothesisFamily:
                     "each size must be all-or-none"
                 )
         ordered = tuple(sorted(self.hypotheses, key=_family_key))
+        include_null = ordered[0] is NULL
         object.__setattr__(self, "hypotheses", ordered)
-
-    @property
-    def include_null(self) -> bool:
-        return any(h is NULL for h in self.hypotheses)
+        object.__setattr__(self, "include_null", include_null)
+        object.__setattr__(self, "coordinates", tuple(
+            tuple(i - 1 for i in sorted(outlier_set(h))) for h in ordered[include_null:]))
+        # NULL is the only member with an empty outlier set
+        index = {outlier_set(h): i for i, h in enumerate(ordered)}
+        if len(index) != len(ordered):
+            raise ValidationError("family names a hypothesis twice")
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, h: HypothesisId) -> int:
-        key = outlier_set(h)
-        for i, cand in enumerate(self.hypotheses):
-            if outlier_set(cand) == key and (cand is NULL) == (h is NULL):
-                return i
-        raise ValidationError(f"{h} is not in the family")
+        try:
+            return self._index[outlier_set(h)]
+        except KeyError:
+            raise ValidationError(f"{h} is not in the family") from None
 
     @classmethod
+    @functools.cache
     def single_outlier(cls, m: int, include_null: bool = False) -> "HypothesisFamily":
+        """Every single coordinate, NULL first when included; shared per (M, include_null)."""
         hyps: list[HypothesisId] = [Coordinate(i) for i in range(1, m + 1)]
         if include_null:
             hyps.append(NULL)
@@ -398,13 +412,16 @@ def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
 
 
 class Scorer:
-    """The score kernel of one detector on M coordinates.
+    """The score kernel of one detector over a hypothesis family.
 
     Maps symbol counts (batch, M, K) of n samples per row to scores
-    (batch, H), one column per non-null hypothesis in family order; smaller
-    is better.  It runs in two stages: per-row statistics (`row_stats`),
-    then a combine step over hypotheses (`combine`), so that a caller
-    holding the statistics of every type can gather them by index.
+    (batch, H), one column per non-null member of ``family`` in family
+    order; smaller is better.  It runs in two stages: per-row statistics
+    (`row_stats`), then a combine step over hypotheses (`combine`), so that
+    a caller holding the statistics of every type can gather them by index.
+    The family must fit the kind: single coordinates for the single-outlier
+    kinds, one size T > 1 for the multi kinds, any sizes for the
+    identical kinds, and NULL only for the null-aware kinds.
 
     * ml-single: D(gamma_i||mu) + sum_{j!=i} D(gamma_j||pi)
     * typ-single: sum_{j!=i} D(gamma_j||pi);  mu-only: D(gamma_i||mu)
@@ -415,57 +432,44 @@ class Scorer:
       dispersion outside S
 
     Dispersions use the entropy identity sum_{j in J} D(gamma_j||mix_J) =
-    |J| H(mix_J) - sum_{j in J} H(gamma_j).  Every batch entry goes through
-    the same floating-point operations whatever the batch size.
+    |J| H(mix_J) - sum_{j in J} H(gamma_j).  Members are summed in index
+    order.  Every batch entry goes through the same floating-point
+    operations whatever the batch size.
     """
 
     def __init__(
         self,
         kind: DetectorKind,
-        m: int,
+        family: HypothesisFamily,
         k: int,
         *,
         mu: Optional[Pmf] = None,
         pi: Optional[Pmf] = None,
-        t: Optional[int] = None,
-        family: Optional[HypothesisFamily] = None,
     ):
         kind = DetectorKind(kind)
         require(kind not in _MU_KINDS or mu is not None, f"{kind.value} needs mu")
         require(kind not in _PI_KINDS or pi is not None, f"{kind.value} needs pi")
         self.mu = _check_law(mu, k, "mu") if kind in _MU_KINDS else None
         self.pi = _check_law(pi, k, "pi") if kind in _PI_KINDS else None
-        if family is not None:
-            require(family.m == m, "family and observations disagree on M")
-            require(kind in NULL_AWARE_KINDS or not family.include_null,
-                    f"{kind.value} never decides the null hypothesis; drop it from the family")
+        require(kind in NULL_AWARE_KINDS or not family.include_null,
+                f"{kind.value} never decides the null hypothesis; drop it from the family")
+        sizes = {len(inside) for inside in family.coordinates}
         if kind in _MULTI_KINDS:
-            require(t is not None, f"{kind.value} needs T")
-            require(1 < t < m / 2, f"need 1 < T < M/2, got T={t}, M={m}")
-            members = list(combinations(range(1, m + 1), t))
-            hyps = tuple(Subset(s) for s in members)
-        elif kind in _IDENTICAL_KINDS:
-            require(family is not None, "identical-outlier detectors need a hypothesis family")
-            hyps = tuple(h for h in family.hypotheses if h is not NULL)
-            members = [sorted(outlier_set(h)) for h in hyps]
-        else:
-            members = [(i,) for i in range(1, m + 1)]
-            hyps = tuple(Coordinate(i) for i in range(1, m + 1))
+            require(len(sizes) == 1 and min(sizes) > 1,
+                    f"{kind.value} needs a family of one outlier-set size T > 1")
+        elif kind not in _IDENTICAL_KINDS:
+            require(sizes == {1}, f"{kind.value} needs a family of single coordinates")
         self.kind = kind
-        self.m = m
-        self.hypotheses: tuple[HypothesisId, ...] = hyps
-        # zero-based outlier coordinates of each column
-        self._inside = [[i - 1 for i in s] for s in members]
+        self.family = family
+        self.m = family.m
+        self.hypotheses: tuple[HypothesisId, ...] = family.hypotheses[family.include_null:]
+        # zero-based outlier coordinates of each column, ascending
+        self._inside = family.coordinates
 
     def column(self, h: HypothesisId) -> int:
-        """The score column of hypothesis h, or -1 for NULL."""
-        if h is NULL:
-            return -1
-        key = outlier_set(h)
-        for col, cand in enumerate(self.hypotheses):
-            if outlier_set(cand) == key:
-                return col
-        raise ValidationError(f"{h} is not a hypothesis of {self.kind.value}")
+        """The score column of family member h, or -1 for NULL."""
+        index = self.family.index_of(h)
+        return -1 if h is NULL else index - self.family.include_null
 
     def row_stats(self, counts: np.ndarray, n: int) -> RowStats:
         """Statistics of count rows (..., K) of n samples each."""
@@ -527,14 +531,21 @@ def score_table(
     *,
     mu: Optional[Pmf] = None,
     pi: Optional[Pmf] = None,
-    t: Optional[int] = None,
     family: Optional[HypothesisFamily] = None,
 ) -> ScoreTable:
     """The score table of any detector kind on one observation matrix.
 
-    Null-aware kinds score the non-null hypotheses; ``family`` may include NULL for them.
+    Null-aware kinds score the non-null hypotheses; ``family`` may include
+    NULL for them.  Single-outlier kinds default to every coordinate (with
+    NULL for null-single); the other kinds need ``family``.
     """
-    scorer = Scorer(kind, obs.m, obs.k, mu=mu, pi=pi, t=t, family=family)
+    kind = DetectorKind(kind)
+    if family is None:
+        require(kind not in _MULTI_KINDS | _IDENTICAL_KINDS,
+                f"{kind.value} needs a hypothesis family")
+        family = HypothesisFamily.single_outlier(obs.m, kind is DetectorKind.NULL_SINGLE)
+    require(family.m == obs.m, "family and observations disagree on M")
+    scorer = Scorer(kind, family, obs.k, mu=mu, pi=pi)
     row = scorer.scores(obs.counts[None], obs.n)[0]
     return ScoreTable(tuple(zip(scorer.hypotheses, row.tolist())))
 
@@ -545,10 +556,9 @@ def run_detector(
     *,
     mu: Optional[Pmf] = None,
     pi: Optional[Pmf] = None,
-    t: Optional[int] = None,
     family: Optional[HypothesisFamily] = None,
     lam: Optional[float] = None,
 ) -> HypothesisId:
     """Score and decide in one step; null-aware kinds use the lambda threshold."""
-    table = score_table(kind, obs, mu=mu, pi=pi, t=t, family=family)
+    table = score_table(kind, obs, mu=mu, pi=pi, family=family)
     return decide(table, null_threshold(kind, lam, obs.m, obs.n, obs.k))

@@ -180,9 +180,8 @@ def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
     return table.log_multiplicity + terms.sum(axis=1)
 
 
-def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
-            cap=DEFAULT_TUPLE_CAP, chunk=DEFAULT_CHUNK,
-            per_coordinate=True) -> dict[HypothesisId, ErrorProbability]:
+def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
+            cap=DEFAULT_TUPLE_CAP, per_coordinate=True) -> dict[HypothesisId, ErrorProbability]:
     """Exact error of each truth, by the per-coordinate route when it is certified.
 
     Otherwise one pass over the type tuples serves every truth: a tuple's
@@ -191,15 +190,13 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
     ``per_coordinate=False`` forces the enumeration.
     """
     m = family.m
-    for truth in truths:
-        family.index_of(truth)  # validates membership
+    if mu is None and isinstance(mus, Pmf):
+        mu = mus
+    scorer = Scorer(kind, family, k, mu=mu, pi=pi)
+    truth_cols = [scorer.column(truth) for truth in truths]  # validates membership
     laws = [coordinate_laws(truth, m, mus, pi) for truth in truths]
     require(all(law.size == k for row in laws for law in row),
             "generating laws must be pmfs on the K-letter alphabet")
-    if mu is None and isinstance(mus, Pmf):
-        mu = mus
-    scorer = Scorer(kind, m, k, mu=mu, pi=pi, t=t, family=family)
-    truth_cols = [scorer.column(truth) for truth in truths]
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
     ranking = _ranking(scorer, scorer.row_stats(table.counts, n)) if per_coordinate else None
@@ -220,7 +217,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
         log_errs = _ranked_errors(*ranking, log_rows, law_idx, truth_cols)
     else:
         route = "enumeration"
-        log_errs = _enumerated_errors(scorer, table, lam, chunk, log_rows, law_idx, truth_cols)
+        log_errs = _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols)
     return {truth: ErrorProbability(min(math.exp(e), 1.0), e, route)
             for truth, e in zip(truths, log_errs)}
 
@@ -230,18 +227,18 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, t=None, lam=None,
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_errors(scorer, table, lam, chunk, log_rows, law_idx, truth_cols) -> list[float]:
+def _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols) -> list[float]:
     """Log error of each truth: logsumexp of wrong-decision tuple weights, chunk by chunk.
 
-    Tuples come in radix order, so a block of n_types**tail consecutive
-    tuples shares its leading coordinates.  A tuple's log weight is built
-    as the left-to-right sum over coordinates of its types' log
-    probabilities: the head of each block is gathered once, and the tail
-    coordinates are added by broadcasting.  numpy sums fewer than 8 terms
-    left to right too, so for M <= 7 these are the bits of
-    ``w[arange(M), tidx].sum(axis=1)``.
+    Chunks hold DEFAULT_CHUNK tuples.  Tuples come in radix order, so a
+    block of n_types**tail consecutive tuples shares its leading
+    coordinates.  A tuple's log weight is built as the left-to-right sum
+    over coordinates of its types' log probabilities: the head of each
+    block is gathered once, and the tail coordinates are added by
+    broadcasting.  numpy sums fewer than 8 terms left to right too, so for
+    M <= 7 these are the bits of ``w[arange(M), tidx].sum(axis=1)``.
     """
-    m, n_types = scorer.m, table.size
+    m, n_types, chunk = scorer.m, table.size, DEFAULT_CHUNK
     tail = 0
     while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
         tail += 1
@@ -312,7 +309,7 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     takes the route: the kernel adds members in index order, so subsets
     holding the same keys can score an ulp apart.
     """
-    kind, t_size = scorer.kind, len(outlier_set(scorer.hypotheses[0]))
+    kind, t_size = scorer.kind, len(scorer.family.coordinates[0])
     if kind is DetectorKind.MU_ONLY:
         key = stats.d_mu
     elif kind is DetectorKind.ML_SINGLE:
@@ -401,10 +398,8 @@ def exact_error(
     pi: Pmf,
     *,
     mu: Optional[Pmf] = None,
-    t: Optional[int] = None,
     lam: Optional[float] = None,
     cap: int = DEFAULT_TUPLE_CAP,
-    chunk: int = DEFAULT_CHUNK,
 ) -> ErrorProbability:
     """Exact probability that the detector misses the truth hypothesis.
 
@@ -412,8 +407,7 @@ def exact_error(
     outlier law for detectors that use one (defaults to ``mus`` when it
     is a single pmf).
     """
-    return _errors(kind, family, [truth], n, k, mus, pi,
-                   mu=mu, t=t, lam=lam, cap=cap, chunk=chunk)[truth]
+    return _errors(kind, family, [truth], n, k, mus, pi, mu=mu, lam=lam, cap=cap)[truth]
 
 
 def max_error(
@@ -480,7 +474,6 @@ def brute_force_error(
     pi: Pmf,
     *,
     mu: Optional[Pmf] = None,
-    t: Optional[int] = None,
     lam: Optional[float] = None,
     max_sequences: int = 2_000_000,
 ) -> float:
@@ -497,7 +490,7 @@ def brute_force_error(
     for seq in product(range(k), repeat=m * n):
         data = np.array(seq, dtype=np.int64).reshape(m, n)
         obs = ObservationMatrix(data, k)
-        decision = run_detector(kind, obs, mu=mu, pi=pi, t=t, family=family, lam=lam)
+        decision = run_detector(kind, obs, mu=mu, pi=pi, family=family, lam=lam)
         if outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (truth is NULL):
             p = 1.0
             for i, law in enumerate(laws):

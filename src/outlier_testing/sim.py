@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .detectors import (
     DetectorKind,
@@ -49,7 +49,6 @@ class SimConfig:
     mus: LawSpec = None
     pi: Optional[Pmf] = None
     mu: Optional[Pmf] = None  # detector-side outlier law, when the kind uses one
-    t: Optional[int] = None
     lam: Optional[float] = None  # None = the vanishing default threshold
 
     def __post_init__(self):
@@ -88,11 +87,11 @@ class ErrorEstimate:
 
 
 def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact binomial confidence interval for an error count."""
+    """Exact binomial confidence interval for an error count: beta quantiles, by betaincinv."""
     if not 0 <= errors <= trials or trials < 1:
         raise ValidationError("need 0 <= errors <= trials")
-    lo = 0.0 if errors == 0 else float(beta.ppf(alpha / 2, errors, trials - errors + 1))
-    hi = 1.0 if errors == trials else float(beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+    lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
+    hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
     return lo, hi
 
 
@@ -158,7 +157,7 @@ def estimate_error(cfg: SimConfig, truth: HypothesisId, n: int) -> ErrorEstimate
     m = cfg.family.m
     truth_index = cfg.family.index_of(truth)
     mu = cfg.mu if cfg.mu is not None else (cfg.mus if isinstance(cfg.mus, Pmf) else None)
-    scorer = Scorer(cfg.kind, m, cfg.k, mu=mu, pi=cfg.pi, t=cfg.t, family=cfg.family)
+    scorer = Scorer(cfg.kind, cfg.family, cfg.k, mu=mu, pi=cfg.pi)
     truth_col = scorer.column(truth)
     lam = null_threshold(cfg.kind, cfg.lam, m, n, cfg.k)
     batch = max(1, min(MC_CHUNK, MC_MAX_DRAWS // (m * n)))

@@ -196,7 +196,7 @@ def test_criterion_6_multi_outlier_exponent():
     fam = HypothesisFamily.fixed_size(5, 2)
     ns = [10, 15, 20, 25, 30]
     errs = [
-        exact_error(DetectorKind.TYP_MULTI, fam, Subset((1, 2)), n, 2, MU, PI, t=2).prob
+        exact_error(DetectorKind.TYP_MULTI, fam, Subset((1, 2)), n, 2, MU, PI).prob
         for n in ns
     ]
     slope_same = exponent_fit(ns, errs).slope
@@ -205,7 +205,7 @@ def test_criterion_6_multi_outlier_exponent():
     vals = [0.30, 0.31, 0.32, 0.31, 0.30]
     mus = [Pmf(np.array([v, 1 - v])) for v in vals]
     errs = [
-        exact_error(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), n, 2, mus, PI, t=2).prob
+        exact_error(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), n, 2, mus, PI).prob
         for n in ns
     ]
     slope_mixed = exponent_fit(ns, errs).slope
@@ -269,8 +269,8 @@ def test_criterion_8_oracle_integrity():
     fam5 = HypothesisFamily.fixed_size(5, 2)
     for kind in (DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI):
         for n in (1, 2):
-            exact = exact_error(kind, fam5, Subset((1, 3)), n, 2, MU, PI, t=2).prob
-            brute = brute_force_error(kind, fam5, Subset((1, 3)), n, 2, MU, PI, t=2)
+            exact = exact_error(kind, fam5, Subset((1, 3)), n, 2, MU, PI).prob
+            brute = brute_force_error(kind, fam5, Subset((1, 3)), n, 2, MU, PI)
             worst = max(worst, abs(exact - brute))
             ok &= abs(exact - brute) <= 1e-12
 

@@ -73,6 +73,20 @@ class TestExponentCommand:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_rejected_argv_leaves_shared_parser_intact(self, capsys):
+        # one parser serves every call in a process: a rejected argv must not change the next run
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["exponent", "--kind", "both-known", "--mu", "0.3,0.7", "--pi", "0.7,0.3"]
+        before = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--kind", "both-known", "--mu"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == before
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.17435338714477777, abs=1e-12)
+
 
 class TestBoundCommand:
     def test_single_bound_json(self, capsys):
@@ -241,7 +255,7 @@ class TestOracleCommand:
         assert code == 0 and len(lines) == 3
         mu, pi = cli._parse_pmf(mu), cli._parse_pmf(pi)
         for n, line in zip((2, 3), lines[1:]):
-            errs = [exact_error(DetectorKind(kind), fam, h, n, k, mu, pi, t=t).prob
+            errs = [exact_error(DetectorKind(kind), fam, h, n, k, mu, pi).prob
                     for h in fam.hypotheses]
             assert line == ",".join([str(n)] + [cli._fmt(e) for e in errs] + [cli._fmt(max(errs))])
 
@@ -347,6 +361,10 @@ class TestEntryPoint:
         probe = ("import json, os, outlier_testing.cli\n"
                  f"print(json.dumps([os.environ.get(v) for v in {self.VARS!r}]))")
         assert json.loads(self.python(["-c", probe])) == [None, None, None]
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        probe = "import sys, outlier_testing.cli\nprint('scipy.stats' in sys.modules)"
+        assert self.python(["-c", probe]).strip() == "False"
 
     def test_module_run_prints_as_main(self, capsys):
         argv = ["exponent", "--kind", "both-known", "--mu", "0.3,0.7", "--pi", "0.7,0.3"]

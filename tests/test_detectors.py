@@ -23,6 +23,8 @@ from outlier_testing.detectors import (
     score_table,
 )
 from outlier_testing.errors import ValidationError
+from outlier_testing.oracle import exact_error
+from outlier_testing.sim import SimConfig, estimate_error
 from outlier_testing.simplex import Pmf, kl
 
 MU = Pmf(np.array([0.5, 0.5]))
@@ -78,6 +80,34 @@ class TestHypothesisFamily:
         fam = HypothesisFamily.single_outlier(3)
         with pytest.raises(ValidationError):
             fam.index_of(NULL)
+
+    def test_duplicate_member_rejected(self):
+        with pytest.raises(ValidationError):
+            HypothesisFamily((Coordinate(1), Coordinate(2), Coordinate(3), Subset((2,))), 3)
+
+    def test_single_outlier_family_is_shared(self):
+        assert HypothesisFamily.single_outlier(4) is HypothesisFamily.single_outlier(4)
+        assert HypothesisFamily.single_outlier(4, True).hypotheses[0] is NULL
+
+    LOOKUP_CASES = [
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(5, include_null=True)),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(7, 3)),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], include_null=True)),
+    ]
+
+    @pytest.mark.parametrize("kind,fam", LOOKUP_CASES, ids=[c[0].value for c in LOOKUP_CASES])
+    def test_lookups_equal_linear_scan(self, kind, fam):
+        def scan(hyps, h):  # the first member with h's outlier set
+            return next(i for i, c in enumerate(hyps) if outlier_set(c) == outlier_set(h))
+
+        scorer = Scorer(kind, fam, 2)
+        # Coordinate(i) and Subset((i,)) stand for each other
+        swapped = [Subset((h.index,)) if isinstance(h, Coordinate) else Coordinate(h.members[0])
+                   for h in fam.hypotheses if len(outlier_set(h)) == 1]
+        for h in (*fam.hypotheses, *swapped):
+            assert fam.index_of(h) == scan(fam.hypotheses, h), h
+            assert scorer.column(h) == (-1 if h is NULL else scan(scorer.hypotheses, h)), h
+        assert scorer.hypotheses == tuple(h for h in fam.hypotheses if h is not NULL)
 
 
 class TestObservationMatrix:
@@ -175,29 +205,32 @@ class TestSingleOutlierScores:
 class TestMultiOutlierScores:
     def test_typ_multi_counts_subsets(self):
         o = ObservationMatrix(np.zeros((5, 4), dtype=int), 2)
-        table = score_table(DetectorKind.TYP_MULTI, o, pi=PI, t=2)
+        table = score_table(DetectorKind.TYP_MULTI, o, pi=PI,
+                            family=HypothesisFamily.fixed_size(5, 2))
         assert len(table.entries) == 10
 
     def test_typ_multi_finds_planted_pair(self):
         rows = np.zeros((5, 6), dtype=int)
         rows[1] = 1
         rows[3] = 1
-        table = score_table(DetectorKind.TYP_MULTI, ObservationMatrix(rows, 2), pi=PI, t=2)
+        table = score_table(DetectorKind.TYP_MULTI, ObservationMatrix(rows, 2), pi=PI,
+                            family=HypothesisFamily.fixed_size(5, 2))
         assert decide(table) == Subset((2, 4))
 
     def test_univ_multi_finds_planted_pair(self):
         rows = np.zeros((5, 6), dtype=int)
         rows[0] = 1
         rows[4] = 1
-        table = score_table(DetectorKind.UNIV_MULTI, ObservationMatrix(rows, 2), t=2)
+        table = score_table(DetectorKind.UNIV_MULTI, ObservationMatrix(rows, 2),
+                            family=HypothesisFamily.fixed_size(5, 2))
         assert decide(table) == Subset((1, 5))
 
     def test_t_range_enforced(self):
         o = ObservationMatrix(np.zeros((5, 2), dtype=int), 2)
         with pytest.raises(ValidationError):
-            score_table(DetectorKind.TYP_MULTI, o, pi=PI, t=1)
+            score_table(DetectorKind.TYP_MULTI, o, pi=PI, family=HypothesisFamily.fixed_size(5, 1))
         with pytest.raises(ValidationError):
-            score_table(DetectorKind.UNIV_MULTI, o, t=3)
+            score_table(DetectorKind.UNIV_MULTI, o, family=HypothesisFamily.fixed_size(5, 3))
 
 
 class TestIdenticalOutlierScores:
@@ -247,13 +280,31 @@ class TestNullAware:
             decide(table, lam=-1.0)
 
 
+MISFITS = [
+    (DetectorKind.ML_SINGLE, HypothesisFamily.fixed_size(5, 2), Subset((1, 2))),
+    (DetectorKind.TYP_MULTI, HypothesisFamily.single_outlier(5), Coordinate(1)),
+    (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(5, include_null=True), NULL),
+]
+
+
+@pytest.mark.parametrize("kind,fam,truth", MISFITS, ids=[c[0].value for c in MISFITS])
+def test_family_must_fit_kind(kind, fam, truth):
+    with pytest.raises(ValidationError, match="family"):
+        Scorer(kind, fam, 2, mu=MU, pi=PI)
+    with pytest.raises(ValidationError, match="family"):
+        exact_error(kind, fam, truth, 2, 2, MU, PI)
+    cfg = SimConfig(kind=kind, family=fam, k=2, n_grid=(4,), trials=100, seed=0, mus=MU, pi=PI)
+    with pytest.raises(ValidationError, match="family"):
+        estimate_error(cfg, truth, 4)
+
+
 class TestDispatch:
     def test_missing_params(self):
         o = obs([[0, 1], [0, 0], [0, 0]])
         with pytest.raises(ValidationError):
             score_table(DetectorKind.ML_SINGLE, o, mu=MU)  # no pi
         with pytest.raises(ValidationError):
-            score_table(DetectorKind.TYP_MULTI, o, pi=PI)  # no t
+            score_table(DetectorKind.TYP_MULTI, o, pi=PI)  # no family
 
     def test_kind_coercion_from_string(self):
         o = obs([[0, 1], [0, 0], [0, 0]])
@@ -314,8 +365,8 @@ def _kernel_cases():
         for kind in ("ml-single", "typ-single", "univ-single", "mu-only", "null-single"):
             yield kind, m, {}
         if m > 4:  # 1 < T < M/2
-            yield "typ-multi", m, {"t": 2}
-            yield "univ-multi", m, {"t": 2}
+            yield "typ-multi", m, {"family": HypothesisFamily.fixed_size(m, 2)}
+            yield "univ-multi", m, {"family": HypothesisFamily.fixed_size(m, 2)}
         sizes = [1] if m == 3 else [1, 2]
         yield "identical-univ", m, {"family": HypothesisFamily.sized(m, sizes)}
         yield "null-identical", m, {"family": HypothesisFamily.sized(m, sizes, include_null=True)}
@@ -335,7 +386,7 @@ class TestScoreKernel:
         want = reference_scores(kind, data, 3, table.hypotheses, mu=self.MU3, pi=self.PI3)
         np.testing.assert_allclose(table.scores, want, rtol=1e-12, atol=0)
         if kind in ("typ-multi", "univ-multi"):
-            assert len(table.entries) == math.comb(m, extra["t"])
+            assert len(table.entries) == math.comb(m, 2)
         elif "family" in extra:
             assert table.hypotheses == tuple(h for h in extra["family"].hypotheses if h is not NULL)
         else:
@@ -347,7 +398,8 @@ class TestScoreKernel:
         rng = np.random.default_rng(7)
         counts = np.stack([rng.multinomial(12, rng.dirichlet(np.ones(3)), size=m)
                            for _ in range(40)])
-        scorer = Scorer(kind, m, 3, mu=self.MU3, pi=self.PI3, **extra)
+        family = extra.get("family") or HypothesisFamily.single_outlier(m, kind == "null-single")
+        scorer = Scorer(kind, family, 3, mu=self.MU3, pi=self.PI3)
         batched = scorer.scores(counts, 12)
         for b in range(len(counts)):
             assert np.array_equal(batched[b], scorer.scores(counts[b:b + 1], 12)[0])

@@ -115,22 +115,22 @@ class TestExactError:
         # K >= 3 breaks the symmetries a binary alphabet hides
         mu, pi = Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2]))
         fam3, fam3n = FAM3, HypothesisFamily.single_outlier(3, include_null=True)
-        cases = [(kind, fam3, {}, (1, 2)) for kind in (
+        cases = [(kind, fam3, (1, 2)) for kind in (
             DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE,
             DetectorKind.UNIV_SINGLE, DetectorKind.MU_ONLY)]
         cases += [
-            (DetectorKind.NULL_SINGLE, fam3n, {}, (1, 2)),
-            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(3, [1]), {}, (1, 2)),
-            (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(3, [1], True), {}, (1, 2)),
-            (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}, (1,)),
-            (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}, (1,)),
-            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), {}, (1,)),
+            (DetectorKind.NULL_SINGLE, fam3n, (1, 2)),
+            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(3, [1]), (1, 2)),
+            (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(3, [1], True), (1, 2)),
+            (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), (1,)),
+            (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), (1,)),
+            (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), (1,)),
         ]
-        for kind, fam, extra, ns in cases:
+        for kind, fam, ns in cases:
             for truth in fam.hypotheses:
                 for n in ns:
-                    exact = exact_error(kind, fam, truth, n, 3, mu, pi, **extra).prob
-                    brute = brute_force_error(kind, fam, truth, n, 3, mu, pi, **extra)
+                    exact = exact_error(kind, fam, truth, n, 3, mu, pi).prob
+                    brute = brute_force_error(kind, fam, truth, n, 3, mu, pi)
                     assert exact == pytest.approx(brute, abs=1e-12), (kind, truth, n)
 
     def test_null_in_family_needs_null_aware_kind(self):
@@ -188,7 +188,7 @@ class TestRouteAgreement:
 
     def check_every_tuple(self, kind, m, n, k=3):
         table = enumerate_types(n, k)
-        scorer = Scorer(kind, m, k, mu=self.MU3, pi=self.PI3)
+        scorer = Scorer(kind, HypothesisFamily.single_outlier(m), k, mu=self.MU3, pi=self.PI3)
         column = {h: col for col, h in enumerate(scorer.hypotheses)}
         rows = np.stack([np.repeat(np.arange(k), c) for c in table.counts])  # (T, n) symbols
         seen = 0
@@ -226,7 +226,9 @@ class TestPerCoordinateRoute:
                              ids=[f"{c[0].value}-M{c[1]}-K{c[2]}" for c in DECISION_GRID])
     def test_top_t_by_key_decides_every_tuple(self, kind, m, k, n, extra):
         mu, pi = self.laws(k)
-        scorer = Scorer(kind, m, k, mu=mu, pi=pi, **extra)
+        fam = HypothesisFamily.fixed_size(m, **extra) if extra \
+            else HypothesisFamily.single_outlier(m)
+        scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
         table = enumerate_types(n, k)
         ranking = oracle._ranking(scorer, scorer.row_stats(table.counts, n))
         assert ranking is not None, "keys not certified"
@@ -255,9 +257,9 @@ class TestPerCoordinateRoute:
         mus = mu if mus is None else mus
         fam = HypothesisFamily.fixed_size(m, 2) if extra else HypothesisFamily.single_outlier(m)
         for n in ns:
-            route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu, **extra)
+            route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu,
-                                  per_coordinate=False, **extra)
+                                  per_coordinate=False)
             for truth in fam.hypotheses:
                 got, want = route[truth], enum[truth]
                 assert (got.route, want.route) == ("per-coordinate", "enumeration")
@@ -266,7 +268,7 @@ class TestPerCoordinateRoute:
 
     def test_max_error_routes_every_truth(self):
         worst, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
-                               6, 2, self.MIXED, PI, t=2)
+                               6, 2, self.MIXED, PI)
         assert {e.route for e in per.values()} == {"per-coordinate"}
         assert worst.log_prob == max(e.log_prob for e in per.values())
 
@@ -286,11 +288,14 @@ class TestPerCoordinateRoute:
     ]
 
     @pytest.mark.parametrize("args,extra,log_hex,prob_hex", UNCERTIFIED)
-    def test_uncertified_cases_enumerate_unchanged(self, args, extra, log_hex, prob_hex):
+    def test_uncertified_cases_enumerate_unchanged(self, monkeypatch, args, extra, log_hex,
+                                                   prob_hex):
         kind, m, truth, n, k, mu, pi = args
         fam = HypothesisFamily.fixed_size(m, extra["t"]) if "t" in extra \
             else HypothesisFamily.single_outlier(m)
-        got = exact_error(kind, fam, truth, n, k, mu, pi, **extra)
+        if "chunk" in extra:
+            monkeypatch.setattr(oracle, "DEFAULT_CHUNK", extra["chunk"])
+        got = exact_error(kind, fam, truth, n, k, mu, pi)
         assert got.route == "enumeration"
         assert (got.log_prob.hex(), got.prob.hex()) == (log_hex, prob_hex)
 
@@ -332,28 +337,29 @@ class TestOnePass:
 
     LAWS = {2: (MU, PI), 3: (Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2])))}
     CASES = [
-        (DetectorKind.ML_SINGLE, FAM3, {}),
-        (DetectorKind.TYP_SINGLE, FAM3, {}),
-        (DetectorKind.UNIV_SINGLE, FAM3, {}),
-        (DetectorKind.MU_ONLY, FAM3, {}),
-        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), {}),
-        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), {}),
-        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), {}),
-        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}),
-        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), {"t": 2}),
+        (DetectorKind.ML_SINGLE, FAM3),
+        (DetectorKind.TYP_SINGLE, FAM3),
+        (DetectorKind.UNIV_SINGLE, FAM3),
+        (DetectorKind.MU_ONLY, FAM3),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True)),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2])),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True)),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2)),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2)),
     ]
     CHUNK = 100
 
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("kind,fam,extra", CASES, ids=[c[0].value for c in CASES])
-    def test_equals_exact_error_per_truth(self, kind, fam, extra, k):
+    @pytest.mark.parametrize("kind,fam", CASES, ids=[c[0].value for c in CASES])
+    def test_equals_exact_error_per_truth(self, monkeypatch, kind, fam, k):
         mu, pi = self.LAWS[k]
         n = 6 if fam.m == 3 else 2
         assert enumerate_types(n, k).size ** fam.m > 2 * self.CHUNK  # several chunks
-        worst, per = max_error(kind, fam, n, k, mu, pi, chunk=self.CHUNK, **extra)
+        monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
+        worst, per = max_error(kind, fam, n, k, mu, pi)
         assert list(per) == list(fam.hypotheses)
         for truth in fam.hypotheses:
-            single = exact_error(kind, fam, truth, n, k, mu, pi, chunk=self.CHUNK, **extra)
+            single = exact_error(kind, fam, truth, n, k, mu, pi)
             assert per[truth].log_prob == single.log_prob, truth
             assert per[truth].prob == single.prob, truth
         assert worst.log_prob == max(e.log_prob for e in per.values())
@@ -367,8 +373,9 @@ class TestOnePass:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
         fam = HypothesisFamily.sized(5, [1, 2])
-        _, per = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI, chunk=self.CHUNK)
+        _, per = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI)
         assert len(calls) == 1 and len(per) == 15
 
 

@@ -74,6 +74,19 @@ class TestClopperPearson:
             lo, hi = clopper_pearson(e, t)
             assert lo <= e / t <= hi
 
+    def test_equals_beta_quantiles(self):
+        # bit for bit the quantiles beta.ppf gives, though sim does not import scipy.stats
+        for trials in (100, 101, 997, 1000, 4096, 10_000):
+            grid = {*range(6), *np.linspace(0, trials, 40, dtype=int).tolist(),
+                    *range(trials - 5, trials + 1)}
+            for errors in grid:
+                for alpha in (0.05, 0.01):
+                    lo, hi = clopper_pearson(errors, trials, alpha)
+                    assert lo == (0.0 if errors == 0
+                                  else beta.ppf(alpha / 2, errors, trials - errors + 1))
+                    assert hi == (1.0 if errors == trials
+                                  else beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+
     def test_nominal_coverage_on_synthetic_bernoulli(self):
         rng = np.random.default_rng(21)
         p, trials, reps = 0.07, 400, 300
@@ -155,8 +168,8 @@ BATCH_CASES = [
         DetectorKind.MU_ONLY)),
     (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), NULL,
      {"lam": 0.5}),
-    (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((2, 4)), {"t": 2}),
-    (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((1, 5)), {"t": 2}),
+    (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((2, 4)), {}),
+    (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), Subset((1, 5)), {}),
     (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), Subset((3, 4)), {}),
     (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], include_null=True),
      Coordinate(1), {"lam": 0.5}),
@@ -178,8 +191,7 @@ class TestBatchedMonteCarlo:
         errors = 0
         for trial in range(cfg.trials):
             obs = generate(truth, MU3, PI3, family.m, n, 3, (cfg.seed, truth_index, n, trial))
-            decision = run_detector(kind, obs, mu=MU3, pi=PI3, t=cfg.t, family=family,
-                                    lam=cfg.lam)
+            decision = run_detector(kind, obs, mu=MU3, pi=PI3, family=family, lam=cfg.lam)
             errors += outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (
                 truth is NULL)
         est = estimate_error(cfg, truth, n)
