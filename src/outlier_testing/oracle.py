@@ -10,13 +10,19 @@ kinds that rank one per-type key (ml-single, typ-single, mu-only, and
 typ-multi at T=2) factor over coordinates: when a floating-point
 certificate shows that the kernel orders tuples as the keys do, the error
 is a sum over key values of products of per-coordinate masses
-(`_ranked_errors`), in O(M x distinct keys) per decision.  Every other
-case enumerates the type tuples in chunks, fully vectorized: the
-detectors' score kernel computes each type's row statistics once and
-gathers them per tuple, so the oracle decides every tuple exactly as the
-detector run on a matrix with those types does.  Probabilities accumulate
-in log space.  A full-sequence brute force (all K^(Mn) raw sequences, each
-run through `run_detector`) cross-checks both routes and the type-class
+(`_ranked_errors`), in O(M x distinct keys) per truth.  Every other
+case enumerates the type tuples in chunks, fully vectorized, and decides
+every tuple exactly as the detector run on a matrix with those types
+does.  Known-law kinds are scored by the detectors' kernel from each
+type's row statistics, computed once and gathered per tuple.  The
+universal kinds decide from pooled-count keys: the kernel's score up to a
+shared term, read from entropy tables of pooled integer counts
+(`_pooled_keys`).  A rounding certificate (`_key_slack`) shows that keys
+farther apart than a slack rank as the kernel's scores do; tuples whose
+best two keys, or whose key spread and lambda, lie within it go to the
+kernel, so ties are the kernel's too.  Probabilities accumulate in log
+space.  A full-sequence brute force (all K^(Mn) raw sequences, each run
+through `run_detector`) cross-checks both routes and the type-class
 weights at tiny sizes.
 """
 from __future__ import annotations
@@ -27,7 +33,7 @@ from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import entr, gammaln, logsumexp
 
 from .detectors import (
     NULL,
@@ -150,15 +156,157 @@ def tuple_decisions(
     Row statistics are computed once per type and gathered by index, so
     known-law kinds never build a (b, M, K) tensor.  ``lam`` is the
     null-aware threshold, None for argmin kinds.
+
+    The universal kinds decide from pooled-count keys (`_pooled_keys`):
+    each key is the kernel's score up to a term every hypothesis shares,
+    read from entropy tables of pooled integer counts, with no logarithm
+    and no (b, M, K) tensor.  A tuple whose best two keys lie within the
+    slack of `_key_slack`, or (null-aware kinds) whose key spread lies
+    within it of lam, is decided by the kernel instead, so every decision,
+    ties included, is the kernel's.
     """
     m, n_types = scorer.m, table.size
     total = n_types**m
     stats = scorer.row_stats(table.counts, table.n)
-    radix = n_types ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    keys = _pooled_keys(scorer, table, stats.ent)
+    slack = _key_slack(m, table.n, table.k)
+    if lam is not None and lam < 0:
+        raise ValidationError("lambda must be >= 0")
     for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        tidx = (flat[:, None] // radix[None, :]) % n_types
-        yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
+        cols = _tuple_columns(n_types, m, start, min(start + chunk, total))
+        tidx = np.ascontiguousarray(cols.T)
+        if keys is None:
+            yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
+            continue
+        key = keys(cols)
+        low = key.min(axis=0)
+        close = key <= low + slack
+        near = close.sum(axis=0) > 1
+        # where no other key is close, the column of the one close key
+        decision = (np.arange(len(key))[:, None] * close).sum(axis=0)
+        if lam is not None:
+            spread = key.max(axis=0) - low
+            near |= np.abs(spread - lam) <= slack
+            decision = np.where(spread > lam, decision, -1)
+        if near.any():
+            decision[near] = decide_batch(scorer.combine(stats.take(tidx[near])), lam)
+        yield tidx, decision
+
+
+def _tuple_columns(n_types: int, m: int, start: int, stop: int) -> np.ndarray:
+    """Type indices (M, b) of tuples start..stop-1 in radix order, without division.
+
+    Coordinate j holds runs of n_types**(M-1-j) equal indices that cycle
+    through 0..n_types-1, so each row is a repeat (or, for the last
+    coordinate, a tile) of a short arange.
+    """
+    width = stop - start
+    out = np.empty((m, width), dtype=np.int64)
+    for j in range(m - 1):
+        run = n_types ** (m - 1 - j)
+        first = start // run
+        heads = np.arange(first, (stop - 1) // run + 1, dtype=np.int64) % n_types
+        skip = start - first * run
+        out[j] = np.repeat(heads, run)[skip:skip + width]
+    skip = start % n_types
+    out[m - 1] = np.tile(np.arange(n_types), (skip + width) // n_types + 1)[skip:skip + width]
+    return out
+
+
+def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray]):
+    """Per-tuple keys of a universal kind, or None to score with the kernel.
+
+    A pool of s coordinates with n samples each has integer counts c
+    summing to n s, and the kernel's mixture of the pool is c / (n s).
+    With per-type codes sum_k c_k B^k over the first K-1 counts, B = n (M-1)
+    + 1, a pool's code is the integer sum of its members' codes (codes are
+    linear, and no pooled count reaches B), and ``tab[s][code]`` holds
+    s H(c / (n s)), built once per pool size from ``enumerate_types(n s, K)``.
+    Against the kernel's dispersions these keys drop sum_j H(gamma_j),
+    which every hypothesis shares:
+
+    * univ-single, null-single, univ-multi: tab[M-|S|][Sigma - c_S] + sum_{j in S} H(gamma_j)
+    * identical-univ, null-identical: tab[|S|][c_S] + tab[M-|S|][Sigma - c_S]
+
+    Each key is a few gathers and adds per hypothesis.  ``keys(cols)``
+    maps type indices (M, b) to keys (H, b).  Returns None for
+    known-law kinds and when a table would pass ROUTE_MAX_TERMS entries.
+    """
+    if ent is None:
+        return None
+    m, n, k = scorer.m, table.n, table.k
+    identical = scorer.kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL)
+    base = n * (m - 1) + 1
+    by_size: dict[int, list[int]] = {}
+    for col, inside in enumerate(scorer.family.coordinates):
+        by_size.setdefault(len(inside), []).append(col)
+    pools = {m - t for t in by_size} | (set(by_size) if identical else set())
+    if any(1 + n * s * sum(base**j for j in range(k - 1)) > ROUTE_MAX_TERMS for s in pools):
+        return None
+    powers = base ** np.arange(k - 1, dtype=np.int64)
+    code = table.counts[:, :-1] @ powers
+    tab = {}
+    for s in pools:
+        pooled = enumerate_types(n * s, k).counts
+        tab[s] = np.zeros(1 + n * s * int(powers.sum()))
+        tab[s][pooled[:, :-1] @ powers] = s * entr(pooled / (n * s)).sum(axis=1)
+    groups = [(t, np.array(cols), np.array([scorer.family.coordinates[c] for c in cols]))
+              for t, cols in by_size.items()]
+    n_cols = len(scorer.family.coordinates)
+
+    def keys(cols: np.ndarray) -> np.ndarray:
+        """Keys (H, b) of the tuples with type indices ``cols`` (M, b)."""
+        codes = code[cols]
+        ents = None if identical else ent[cols]
+        whole = codes.sum(axis=0)
+        out = np.empty((n_cols, cols.shape[1]))
+        for t, rows, members in groups:
+            c_in = codes[members[:, 0]]
+            for j in range(1, t):
+                c_in = c_in + codes[members[:, j]]
+            key = tab[m - t][whole - c_in]
+            if identical:
+                key += tab[t][c_in]
+            else:
+                for j in range(t):
+                    key += ents[members[:, j]]
+            out[rows] = key
+        return out
+
+    return keys
+
+
+def _key_slack(m: int, n: int, k: int) -> float:
+    """How far apart pooled keys must be for the kernel to order them alike.
+
+    Write u = eps/2 and L = 2 + ln(n M K).  The kernel's score of S is its
+    key minus the row-entropy sum (one float shared by every column of a
+    row) plus a rounding error e_S, and |e_S| <= B = eps M (2M + K + 8) L:
+
+    * Pool mixtures.  Each row pmf entry c/n is off by at most u of itself,
+      and the kernel sums the M rows in index order, so a pool's float
+      mixture q' differs from c / (n s) by sum_k |q'_k - q_k| <= (2M + 3) u
+      M / s.  A zero pooled count stays exactly 0: adding zeros is exact,
+      so the total and the in-pool sum are the same float.  A nonzero q_k
+      is at least 1/(n s), where -x ln x has slope at most 1 + ln(2 n M)
+      (for n M^2 far below 1/eps), so s |H(q') - H(q)| <= (2M + 3) u M
+      (1 + ln(2 n M)).
+    * Evaluating xlogy and its K-term sum costs at most (K + 1) u of
+      H <= ln K, in the kernel and in the tables, times s <= M.
+    * At most M + 10 further roundings (sums of row entropies inside S,
+      products by s, the combine step's adds, the key's own adds) each
+      cost u of a magnitude <= M ln K.
+
+    So when the best two keys are more than 2B apart the kernel's argmin
+    is the key's, and when a null-aware kind's key spread is more than 3B
+    from lam (the spreads differ by 2B plus a rounding of each
+    subtraction) the kernel's spread lies on the same side.  The slack is
+    3B, or 1e-9 M ln K (no key exceeds M ln K) when that is larger; keys
+    that tie in exact arithmetic differ by far less, so the kernel decides
+    every tie.
+    """
+    bound = np.finfo(float).eps * m * (2 * m + k + 8) * (2 + math.log(n * m * k))
+    return max(3 * bound, 1e-9 * max(1.0, m * math.log(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +362,8 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
     if ranking is not None:
         route = "per-coordinate"
-        log_errs = _ranked_errors(*ranking, log_rows, law_idx, truth_cols)
+        members = [scorer.family.coordinates[col] for col in truth_cols]
+        log_errs = _ranked_errors(*ranking, log_rows, law_idx, members)
     else:
         route = "enumeration"
         log_errs = _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols)
@@ -330,7 +479,7 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     return order, starts, t_size
 
 
-def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_cols) -> list[float]:
+def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_members) -> list[float]:
     """Log error of each truth from per-coordinate key laws, summed over wrong decisions.
 
     For decision D and its worst member w (by key, then index), D wins iff
@@ -339,6 +488,7 @@ def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_cols) -> list
     key better than v (or equal, for a lower index) inside D, key worse than
     v (or equal, for a higher index) outside D.  So log P(D) is a
     logsumexp over v of sums of per-coordinate log masses.
+    ``truth_members`` holds each truth's zero-based coordinates.
     """
     ninf = np.full((len(log_rows), 1), -np.inf)
     at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
@@ -346,46 +496,87 @@ def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_cols) -> list
     at_or_worse = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
     better = np.hstack([ninf, at_or_better[:, :-1]])
     worse = np.hstack([at_or_worse[:, 1:], ninf])
+    if t_size == 2:
+        return _pair_errors(at, better, at_or_better, worse, at_or_worse,
+                            law_idx, np.array(truth_members))
 
     out = []
-    for rows, col in zip(law_idx, truth_cols):
-        a, b, be, w, we = (x[rows] for x in (at, better, at_or_better, worse, at_or_worse))
+    for rows, (col,) in zip(law_idx, truth_members):
+        a, w, we = (x[rows] for x in (at, worse, at_or_worse))
         # before[i]: coordinates j < i all worse; after[i]: j > i all worse or equal
         before = np.zeros_like(w)
         np.cumsum(w[:-1], axis=0, out=before[1:])
         after = np.zeros_like(we)
         after[:-1] = np.cumsum(we[:0:-1], axis=0)[::-1]
-        if t_size == 1:
-            log_dec = _log_sum_exp(a + before + after)
-        else:
-            log_dec = np.concatenate([_pair_log_probs(i, a, b, be, w, we, before, after)
-                                      for i in range(len(a) - 1)])
+        log_dec = _log_sum_exp(a + before + after)
         out.append(float(_log_sum_exp(np.delete(log_dec, col))))
     return out
 
 
-def _pair_log_probs(i, a, b, be, w, we, before, after) -> np.ndarray:
-    """log P(decision = {i, j}) for every j > i, from the `_ranked_errors` arrays."""
-    # row j-i-1 of between_*: the coordinates strictly between i and j
-    zero = np.zeros((1, a.shape[1]))
-    between_w = np.cumsum(np.vstack([zero, w[i + 1:-1]]), axis=0)
-    between_we = np.cumsum(np.vstack([zero, we[i + 1:-1]]), axis=0)
-    rest = before[i] + after[i + 1:]
-    worst_j = a[i + 1:] + be[i] + between_w + rest  # j is D's worst: i as good or better
-    worst_i = a[i] + b[i + 1:] + between_we + rest  # i is D's worst: j strictly better
-    return _log_sum_exp(np.logaddexp(worst_j, worst_i))
+#: elements of each (truths, 2, keys) array `_pair_errors` holds at once
+SCAN_BLOCK = 1 << 16
 
 
-def _log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis.
+def _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truths) -> list[float]:
+    """Log error of each truth {t1 < t2} of a T=2 family, in one scan over the coordinates.
+
+    The arguments are `_ranked_errors`' (law row, key value) arrays, the law
+    row of each truth's coordinates (H, M), and the truths' pairs (H, 2).
+    Pair {i < j} wins with key value v when j is its worst member (i at v
+    or better, every other coordinate before j worse than v, every one
+    after j worse or equal) or when i is (j strictly better than v, every
+    other coordinate before i worse, every one after i worse or equal).
+    Its log mass is a sum along the coordinates, so every pair's is a path
+    through one left-to-right scan whose log states per (truth, v) are:
+
+    * lead: every coordinate so far worse than v, no member chosen;
+    * open (term j-worst, term i-worst): first member i chosen, its
+      followers worse (resp. worse or equal), split by whether i = t1;
+    * done: both members chosen, every coordinate since j worse or equal.
+
+    Pairs that open at t1 cannot close at t2, so done sums every pair but
+    the truth, and the error is its logsumexp over v.  Each step costs
+    O(truths x keys): no (M, M) array is formed.  Truths run in batches of
+    SCAN_BLOCK / (2 x keys).
+    """
+    stay_rows = np.stack([worse, at_or_worse], axis=1)  # (law rows, 2, keys)
+    enter_rows = np.stack([at_or_better, at], axis=1)
+    leave_rows = np.stack([at, better], axis=1)
+    m, v = law_idx.shape[1], at.shape[1]
+    batch = max(1, SCAN_BLOCK // (2 * v))
+    out = []
+    for lo in range(0, len(law_idx), batch):
+        rows, (t1, t2) = law_idx[lo:lo + batch], truths[lo:lo + batch].T
+        h = len(rows)
+        lead = np.zeros((h, 1, v))
+        open_other = np.full((h, 2, v), -np.inf)
+        open_first = open_other.copy()
+        done = np.full((h, v), -np.inf)
+        for c in range(m):
+            r = rows[:, c]
+            closing = np.where((t2 == c)[:, None, None], open_other,
+                               np.logaddexp(open_other, open_first))
+            done = np.logaddexp(done + at_or_worse[r],
+                                _log_sum_exp(closing + leave_rows[r], axis=1))
+            start = lead + enter_rows[r]
+            first = (t1 == c)[:, None, None]
+            open_other = np.logaddexp(open_other + stay_rows[r], np.where(first, -np.inf, start))
+            open_first = np.logaddexp(open_first + stay_rows[r], np.where(first, start, -np.inf))
+            lead = lead + worse[r][:, None]
+        out.extend(_log_sum_exp(done).tolist())
+    return out
+
+
+def _log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(x))) over one axis, the last by default.
 
     scipy's logsumexp costs about 0.3 ms a call in argument handling, more
     than the route's small rows themselves.
     """
-    top = x.max(axis=-1, keepdims=True)
+    top = x.max(axis=axis, keepdims=True)
     top[np.isneginf(top)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
+        return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def exact_error(

@@ -12,6 +12,8 @@ from outlier_testing.detectors import (
     ObservationMatrix,
     Scorer,
     Subset,
+    decide_batch,
+    null_threshold,
     outlier_set,
     run_detector,
 )
@@ -204,6 +206,84 @@ class TestRouteAgreement:
 
     def test_univ_single_every_tuple(self):
         self.check_every_tuple(DetectorKind.UNIV_SINGLE, 4, 6)  # 614,656 tuples
+
+
+class TestPooledKeys:
+    """Universal kinds decide from pooled-count keys; every decision is the kernel's."""
+
+    U, N = DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE
+    GRID = [
+        (U, HypothesisFamily.single_outlier(3), 3, 9),
+        (U, HypothesisFamily.single_outlier(4), 3, 4),
+        (U, HypothesisFamily.single_outlier(6), 2, 5),
+        (U, HypothesisFamily.single_outlier(8), 2, 2),
+        (N, HypothesisFamily.single_outlier(3, include_null=True), 2, 12),
+        (N, HypothesisFamily.single_outlier(4, include_null=True), 3, 3),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), 2, 5),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2), 3, 2),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), 2, 6),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), 3, 2),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), 2, 5),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), 3, 2),
+    ]
+
+    def check_every_tuple(self, monkeypatch, kind, fam, k, n, lam=None) -> int:
+        """Assert tuple_decisions equals the kernel on every tuple; return the rows it re-decided."""
+        table = enumerate_types(n, k)
+        scorer = Scorer(kind, fam, k)
+        lam = null_threshold(kind, lam, fam.m, n, k)
+        stats = scorer.row_stats(table.counts, n)
+        redecided = []
+
+        def counting(scores, lam=None):
+            redecided.append(len(scores))
+            return decide_batch(scores, lam)
+
+        monkeypatch.setattr(oracle, "decide_batch", counting)
+        seen = 0
+        for tidx, cols in tuple_decisions(scorer, table, lam, chunk=1 << 14):
+            want = decide_batch(scorer.combine(stats.take(tidx)), lam)
+            assert np.array_equal(cols, want), f"{kind.value}: decisions differ in tuples {seen}.."
+            seen += len(cols)
+        assert seen == table.size**fam.m
+        return sum(redecided)
+
+    @pytest.mark.parametrize("kind,fam,k,n", GRID,
+                             ids=[f"{c[0].value}-M{c[1].m}-K{c[2]}" for c in GRID])
+    def test_every_tuple_decided_as_the_kernel(self, monkeypatch, kind, fam, k, n):
+        redecided = self.check_every_tuple(monkeypatch, kind, fam, k, n)
+        # every grid holds exact ties (all M types equal), which the kernel decides;
+        # the keys decide the rest
+        assert 0 < redecided < enumerate_types(n, k).size**fam.m
+
+    def test_lambda_at_an_attained_spread(self, monkeypatch):
+        kind, fam, k, n = self.N, HypothesisFamily.single_outlier(3, include_null=True), 2, 6
+        scorer = Scorer(kind, fam, k)
+        counts = enumerate_types(n, k).counts[[0, 0, 1]]
+        scores = scorer.scores(counts[None], n)[0]
+        lam = float(scores.max() - scores.min())  # the spread of types (6,0), (6,0), (5,1)
+        at_lam = self.check_every_tuple(monkeypatch, kind, fam, k, n, lam)
+        assert at_lam > self.check_every_tuple(monkeypatch, kind, fam, k, n, math.inf)
+
+    @pytest.mark.parametrize("kind,fam", [(DetectorKind.UNIV_SINGLE, FAM3),
+                                          (DetectorKind.IDENTICAL_UNIV,
+                                           HypothesisFamily.sized(5, [1, 2]))])
+    def test_tables_over_the_limit_use_the_kernel(self, monkeypatch, kind, fam):
+        n, truth = (12, Coordinate(2)) if fam.m == 3 else (4, Subset((2, 4)))
+        keyed = exact_error(kind, fam, truth, n, 2, MU, PI)
+        redecided = []
+
+        def counting(scores, lam=None):
+            redecided.append(len(scores))
+            return decide_batch(scores, lam)
+
+        monkeypatch.setattr(oracle, "ROUTE_MAX_TERMS", 0)
+        monkeypatch.setattr(oracle, "decide_batch", counting)
+        kernel = exact_error(kind, fam, truth, n, 2, MU, PI)
+        assert sum(redecided) == enumerate_types(n, 2).size**fam.m  # no tuple was keyed
+        assert (kernel.prob.hex(), kernel.log_prob.hex()) == (keyed.prob.hex(),
+                                                              keyed.log_prob.hex())
+        assert kernel.route == keyed.route == "enumeration"
 
 
 class TestPerCoordinateRoute:
