@@ -241,14 +241,15 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
     for col, inside in enumerate(scorer.family.coordinates):
         by_size.setdefault(len(inside), []).append(col)
     pools = {m - t for t in by_size} | (set(by_size) if identical else set())
-    if any(1 + n * s * sum(base**j for j in range(k - 1)) > ROUTE_MAX_TERMS for s in pools):
+    lengths = {s: 1 + n * s * sum(base**j for j in range(k - 1)) for s in pools}
+    if max(lengths.values()) > ROUTE_MAX_TERMS:
         return None
     powers = base ** np.arange(k - 1, dtype=np.int64)
     code = table.counts[:, :-1] @ powers
     tab = {}
     for s in pools:
         pooled = enumerate_types(n * s, k).counts
-        tab[s] = np.zeros(1 + n * s * int(powers.sum()))
+        tab[s] = np.zeros(lengths[s])
         tab[s][pooled[:, :-1] @ powers] = s * entr(pooled / (n * s)).sum(axis=1)
     groups = [(t, np.array(cols), np.array([scorer.family.coordinates[c] for c in cols]))
               for t, cols in by_size.items()]
@@ -557,7 +558,7 @@ def _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truths) 
             closing = np.where((t2 == c)[:, None, None], open_other,
                                np.logaddexp(open_other, open_first))
             done = np.logaddexp(done + at_or_worse[r],
-                                _log_sum_exp(closing + leave_rows[r], axis=1))
+                                np.logaddexp.reduce(closing + leave_rows[r], axis=1))
             start = lead + enter_rows[r]
             first = (t1 == c)[:, None, None]
             open_other = np.logaddexp(open_other + stay_rows[r], np.where(first, -np.inf, start))
@@ -567,16 +568,16 @@ def _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truths) 
     return out
 
 
-def _log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(x))) over one axis, the last by default.
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis.
 
     scipy's logsumexp costs about 0.3 ms a call in argument handling, more
     than the route's small rows themselves.
     """
-    top = x.max(axis=axis, keepdims=True)
+    top = x.max(axis=-1, keepdims=True)
     top[np.isneginf(top)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
 
 
 def exact_error(
