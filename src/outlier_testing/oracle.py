@@ -174,23 +174,34 @@ def tuple_decisions(
         raise ValidationError("lambda must be >= 0")
     for start in range(0, total, chunk):
         cols = _tuple_columns(n_types, m, start, min(start + chunk, total))
-        tidx = np.ascontiguousarray(cols.T)
         if keys is None:
+            tidx = np.ascontiguousarray(cols.T)
             yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
             continue
-        key = keys(cols)
-        low = key.min(axis=0)
-        close = key <= low + slack
-        near = close.sum(axis=0) > 1
-        # where no other key is close, the column of the one close key
-        decision = (np.arange(len(key))[:, None] * close).sum(axis=0)
-        if lam is not None:
-            spread = key.max(axis=0) - low
-            near |= np.abs(spread - lam) <= slack
-            decision = np.where(spread > lam, decision, -1)
+        decision, near = _key_decisions(keys(cols), slack, lam)
         if near.any():
-            decision[near] = decide_batch(scorer.combine(stats.take(tidx[near])), lam)
-        yield tidx, decision
+            near_idx = np.ascontiguousarray(cols[:, near].T)
+            decision[near] = decide_batch(scorer.combine(stats.take(near_idx)), lam)
+        yield cols.T, decision
+
+
+def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float]):
+    """Decisions (b,) from keys (H, b), and which of them the kernel must make instead.
+
+    Those are the tuples whose best two keys lie within ``slack`` of each
+    other or, with a threshold ``lam``, whose key spread lies within it of
+    lam.
+    """
+    low = key.min(axis=0)
+    close = key <= low + slack
+    near = close.sum(axis=0) > 1
+    # where no other key is close, the column of the one close key
+    decision = (np.arange(len(key))[:, None] * close).sum(axis=0)
+    if lam is not None:
+        spread = key.max(axis=0) - low
+        near |= np.abs(spread - lam) <= slack
+        decision = np.where(spread > lam, decision, -1)
+    return decision, near
 
 
 def _tuple_columns(n_types: int, m: int, start: int, stop: int) -> np.ndarray:

@@ -242,7 +242,7 @@ class TestPooledKeys:
         monkeypatch.setattr(oracle, "decide_batch", counting)
         seen = 0
         for tidx, cols in tuple_decisions(scorer, table, lam, chunk=1 << 14):
-            want = decide_batch(scorer.combine(stats.take(tidx)), lam)
+            want = decide_batch(scorer.combine(stats.take(np.ascontiguousarray(tidx))), lam)
             assert np.array_equal(cols, want), f"{kind.value}: decisions differ in tuples {seen}.."
             seen += len(cols)
         assert seen == table.size**fam.m
