@@ -175,6 +175,8 @@ def tuple_decisions(
     for start in range(0, total, chunk):
         cols = _tuple_columns(n_types, m, start, min(start + chunk, total))
         if keys is None:
+            # C-ordered like a detector's own count rows: numpy's summation
+            # order, and so the kernel's bits, can follow the memory layout
             tidx = np.ascontiguousarray(cols.T)
             yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
             continue
