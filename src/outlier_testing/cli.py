@@ -122,6 +122,7 @@ def _sweep_setup(args) -> tuple[DetectorKind, HypothesisFamily, LawSpec, Pmf, Op
 def cmd_exponent(args) -> int:
     kind = args.kind
     record = {"command": "exponent", "kind": kind}
+    opts = _solver_options(args)  # checked whether or not the kind uses the solver
     if kind == "both-known":
         require(args.mu is not None and args.pi is not None, "both-known needs --mu and --pi")
         res = exponent_both_known(_parse_pmf(args.mu), _parse_pmf(args.pi))
@@ -135,15 +136,11 @@ def cmd_exponent(args) -> int:
     elif kind == "univ-single":
         require(args.mu is not None and args.pi is not None and args.m is not None,
                 "univ-single needs --mu, --pi and --m")
-        res = exponent_univ_single(
-            _parse_pmf(args.mu), _parse_pmf(args.pi), args.m, _solver_options(args)
-        )
+        res = exponent_univ_single(_parse_pmf(args.mu), _parse_pmf(args.pi), args.m, opts)
     elif kind == "univ-multi":
         require(args.mus is not None and args.pi is not None and args.t is not None,
                 "univ-multi needs --mus, --pi and --t")
-        res = exponent_univ_multi(
-            _parse_pmfs(args.mus), _parse_pmf(args.pi), args.t, _solver_options(args)
-        )
+        res = exponent_univ_multi(_parse_pmfs(args.mus), _parse_pmf(args.pi), args.t, opts)
     else:
         raise ValidationError(f"unknown exponent kind {kind!r}")
     record.update(

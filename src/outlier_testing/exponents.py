@@ -77,6 +77,12 @@ class SolverOptions:
     restarts: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValidationError("restarts must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("solver seed must be >= 0")
+
 
 def _check_model(mu: Pmf, pi: Pmf) -> None:
     if mu.size != pi.size:

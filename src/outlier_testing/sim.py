@@ -10,6 +10,7 @@ behaves sensibly at the near-zero error rates this package lives in.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +55,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 100:
             raise ValidationError("need at least 100 trials per point")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValidationError("n grid must hold positive sample sizes")
         for law in self._all_laws():
@@ -126,20 +129,133 @@ def sample_counts(
 ) -> np.ndarray:
     """Symbol counts (len(seeds), M, K) of the matrices `generate` draws from these seeds.
 
-    Each seed's uniforms map to symbols as in `generate`: the symbol of u
-    is the number of entries of the law's cumulative sum at most u, capped
-    at K-1, so it is at least j+1 exactly when u >= cumsum[j], j < K-1.
-    Only the counts are kept.
+    Seeds are non-negative integers or equal-length tuples of them.  The
+    batch's seeds are expanded together (`_seed_states`), bit-identical to
+    `default_rng(SeedSequence(seed))` for each seed, so every trial draws
+    the uniforms `generate` draws.  Each seed's uniforms map to symbols as
+    in `generate`: the symbol of u is the number of entries of the law's
+    cumulative sum at most u, capped at K-1, so it is at least j+1 exactly
+    when u >= cumsum[j], j < K-1.  Only the counts are kept.
     """
     laws = coordinate_laws(truth, m, mus, pi)
     cuts = np.stack([np.cumsum(law.probs) for law in laws])[:, : k - 1]
-    u = np.stack([np.random.default_rng(np.random.SeedSequence(s)).random((m, n)) for s in seeds])
+    u = np.empty((len(seeds), m, n))
+    for rows, states in _seed_states(seeds):
+        for row, state in zip(rows, states):
+            np.random.Generator(np.random.PCG64(_SeedWords(state))).random(out=u[row])
     # at_least[..., j]: samples of each row with symbol >= j
     at_least = np.zeros((len(seeds), m, k + 1), dtype=np.int64)
     at_least[..., 0] = n
     for j in range(k - 1):
         at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
     return at_least[..., :-1] - at_least[..., 1:]
+
+
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) at the
+# default pool size, run on uint32 vectors with one entry per seed
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multipliers `calls` successive hashmix steps use, as a (calls+1, 1) uint32 column."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    table = np.array(consts, dtype=np.uint32)[:, None]
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix; step j (row j of the result) xors consts[j], multiplies by consts[j+1]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _pool_words(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence(entropy).generate_state(4, np.uint64)` for every column of `words`.
+
+    `words` is (L, B) uint32, column b holding seed b's entropy words.
+    Every step of numpy's pool hashing runs once on the whole row of B
+    seeds; the hash constants depend on no seed, so they are tabled.
+    """
+    length, batch = words.shape
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    pool = np.zeros((_POOL, batch), dtype=np.uint32)
+    pool[: min(length, _POOL)] = words[:_POOL]
+    pool = _hashmix(pool, consts[: _POOL + 1])
+    step = _POOL
+    for src in range(_POOL):
+        # mix a hash of this pool word into each of the others
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[step : step + _POOL]))
+        step += _POOL - 1
+    for word in words[_POOL:]:
+        # entropy past the pool size: mix a hash of each word into every pool word
+        pool = _mix(pool, _hashmix(word, consts[step : step + _POOL + 1]))
+        step += _POOL
+    # generate_state reads the pool twice round for 8 uint32 words, pairs little-endian
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_states(seeds):
+    """Each seed's PCG64 state words, as `SeedSequence(seed).generate_state(4, np.uint64)`.
+
+    Yields (rows, states) per group of seeds whose entropy words have one
+    layout: their positions in `seeds` and a (rows, 4) uint64 array.  Each
+    integer splits into little-endian 32-bit words as SeedSequence splits
+    it (0 is one word), the whole batch at once.  Seeds whose integers
+    split into different word counts are hashed apart: padding them to one
+    length would change the hash.
+    """
+    table = np.array(seeds, dtype=object).reshape(len(seeds), -1)
+    if table.min() < 0:
+        raise ValidationError("seeds must be non-negative integers")
+    if table.max() <= _MASK32:  # every integer is one word: the batch has one layout
+        yield np.arange(len(seeds)), _pool_words(table.T.astype(np.uint32))
+        return
+    # words[w][b, c]: word w of integer c of seed b; counts[b, c]: how many it has
+    words = [(table & _MASK32).astype(np.uint32)]
+    counts = np.ones(table.shape, dtype=np.int64)
+    rest = table >> 32
+    while rest.any():
+        counts += rest != 0
+        words.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    for layout in np.unique(counts, axis=0):
+        rows = np.flatnonzero((counts == layout).all(axis=1))
+        entropy = np.stack([words[w][rows, c] for c, used in enumerate(layout)
+                            for w in range(used)])
+        yield rows, _pool_words(entropy)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator its precomputed `generate_state(4, np.uint64)` words.
+
+    PCG64 seeds itself from these exactly as from the SeedSequence they
+    were computed for; it asks for nothing else.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("precomputed seed words serve generate_state(4, np.uint64) only")
+        return self.words
 
 
 def _trial_seed(master: int, truth_index: int, n: int, trial: int):

@@ -323,6 +323,37 @@ class TestSimulateCommand:
         assert code == 2 and out == "" and "one outlier law per coordinate" in err
 
 
+class TestSimulateStream:
+    """Full stdout of one simulate run per seed, recorded from the per-trial SeedSequence draws."""
+
+    ARGS = ["simulate", "--kind", "univ-single", "--m", "3", "--k", "2", "--n-grid", "10",
+            "--trials", "100", "--truth", "1", "--mus", "0.3,0.7", "--pi", "0.7,0.3"]
+    HEADER = "n,estimate,ci_lo,ci_hi,errors,trials\n"
+
+    @pytest.mark.parametrize("seed,row", [
+        ("0", "10,0.29,0.203574189251,0.389265958907,29,100\n"),
+        # a master seed of three 32-bit words
+        ("99999999999999999999999", "10,0.31,0.221288792131,0.41031455416,31,100\n"),
+    ])
+    def test_pinned_rows(self, capsys, seed, row):
+        code, out, _ = run(capsys, *self.ARGS, "--seed", seed)
+        assert code == 0
+        assert out == self.HEADER + row
+
+
+class TestNegativeSeedsAndRestarts:
+    @pytest.mark.parametrize("argv", [
+        [*TestSimulateStream.ARGS, "--seed", "-1"],
+        ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "3",
+         "--solver-seed", "-1"],
+        ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "3",
+         "--restarts", "-1"],
+    ], ids=["seed", "solver-seed", "restarts"])
+    def test_exit_2_with_empty_stdout(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err
+
+
 class TestEntryPoint:
     """`python -m outlier_testing` pins BLAS to one thread; the library does not."""
 

@@ -56,6 +56,10 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             cfg3(pi=Pmf(np.array([1.0, 0.0])))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError):
+            cfg3(seed=-1)
+
 
 class TestClopperPearson:
     def test_rule_of_three(self):
@@ -201,18 +205,66 @@ class TestBatchedMonteCarlo:
     def test_counts_are_bincounts_of_generate(self):
         # a law whose cumulative sum rounds below 1 exercises the cap at K-1
         skewed = Pmf(np.array([0.1, 0.2, 0.7 - 1e-10, 1e-10]))
-        seeds = [(3, 1, 9, trial) for trial in range(50)]
-        counts = sample_counts(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seeds)
-        assert counts.shape == (50, 4, 4)
-        for seed, c in zip(seeds, counts):
-            data = generate(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed).data
-            assert np.array_equal(c, [np.bincount(row, minlength=4) for row in data])
+        batches = [
+            [(3, 1, 9, trial) for trial in range(50)],
+            [(2**64 + 7, 1, 9, trial) for trial in range(20)],  # a three-word master
+            [(0, 0, 1, 0), (2**40, 0, 1, 1)],  # entropy of four and of five words
+        ]
+        for seeds in batches:
+            counts = sample_counts(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seeds)
+            assert counts.shape == (len(seeds), 4, 4)
+            for seed, c in zip(seeds, counts):
+                data = generate(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed).data
+                assert np.array_equal(c, [np.bincount(row, minlength=4) for row in data])
 
     def test_batch_size_changes_nothing(self, monkeypatch):
         cfg = cfg3(kind=DetectorKind.UNIV_SINGLE, trials=300)
         whole = estimate_error(cfg, Coordinate(3), 7)
         monkeypatch.setattr(sim, "MC_CHUNK", 7)
         assert estimate_error(cfg, Coordinate(3), 7) == whole
+
+
+def expanded(seeds):
+    """The batch seed expansion, reassembled in the order of `seeds`."""
+    states = np.zeros((len(seeds), 4), dtype=np.uint64)
+    for rows, group in sim._seed_states(seeds):
+        states[rows] = group
+    return states
+
+
+def numpy_states(seeds):
+    return np.stack([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+
+
+class TestSeedExpansion:
+    """The batch expansion of trial seeds against numpy's own SeedSequence, seed by seed."""
+
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 1, 10**23])
+    def test_edge_masters(self, master):
+        # 2**64 + 1 and 10**23 give entropy longer than the 4-word pool
+        seeds = [(master, truth, n, trial) for truth in (0, 2) for n in (1, 40)
+                 for trial in (0, 1, 99)]
+        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+
+    def test_random_tuples_in_one_batch(self):
+        # one batch of mixed entropy lengths: the expansion groups them, never pads
+        rng = np.random.default_rng(404)
+        seeds = []
+        for _ in range(200):
+            master = int(rng.integers(0, 2**32)) << int(rng.choice([0, 0, 16, 40, 70]))
+            seeds.append((master, int(rng.integers(0, 20)), int(rng.integers(1, 500)),
+                          int(rng.integers(0, 2**33))))
+        entropy_words = {sum(max(1, -(-v.bit_length() // 32)) for v in s) for s in seeds}
+        assert len(entropy_words) > 2
+        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+
+    def test_plain_integer_seeds(self):
+        seeds = [0, 5, 2**32, 2**200]
+        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError):
+            expanded([(1, 0, 5, 0), (1, 0, 5, -1)])
 
 
 class TestExponentSweep:
