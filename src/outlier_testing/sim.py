@@ -11,6 +11,7 @@ behaves sensibly at the near-zero error rates this package lives in.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,8 +56,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 100:
             raise ValidationError("need at least 100 trials per point")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValidationError("n grid must hold positive sample sizes")
         for law in self._all_laws():

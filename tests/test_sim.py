@@ -56,9 +56,10 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             cfg3(pi=Pmf(np.array([1.0, 0.0])))
 
-    def test_rejects_negative_seed(self):
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError):
-            cfg3(seed=-1)
+            cfg3(seed=seed)
 
 
 class TestClopperPearson:
