@@ -12,9 +12,9 @@ require two kinds of optimization:
 * a convex minimization of a Bhattacharyya objective over a relative
   entropy ball, solved by Frank-Wolfe: the linear subproblem over the
   ball is a one-dimensional exponential tilt whose parameter is a root
-  found by Brent's method, the step length comes from a bounded scalar
-  search, and the strong convexity of the ball yields fast convergence of
-  the duality gap.
+  found by Brent's method, the exact step length is a root of the
+  objective's derivative along the segment (or the full step), and the
+  strong convexity of the ball yields fast convergence of the duality gap.
 
 The single-outlier lower bound pairs that ball with a penalized closed
 form, evaluated on a fixed grid, whose gap to the both-known optimum
@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 from scipy.special import rel_entr, xlogy
 
 from .errors import SolverError, ValidationError
@@ -374,52 +374,65 @@ def grid_exponent_univ_single(mu: Pmf, pi: Pmf, steps: int = 400) -> ExponentRes
 def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius: float) -> np.ndarray:
     """The exponential tilt of the center along -direction hitting the ball boundary.
 
-    Returns argmin of <direction, x> over D(x||center) <= radius.
+    Returns argmin of <direction, x> over D(x||center) <= radius.  With the
+    direction shifted to d >= 0, min d = 0, the tilt x_theta = center
+    exp(-theta d)/Z(theta) has Z <= 1 and D(x_theta||center) =
+    -theta <d, x_theta> - ln Z(theta), both from one pass over the weights.
     """
+    center = np.exp(log_center)
+    d = direction - direction.min()
+    if not d.any():
+        # every point of the ball is a minimizer
+        return center / center.sum()
 
-    def point(theta: float) -> np.ndarray:
-        z = log_center - theta * direction
-        z = z - z.max()
-        w = np.exp(z)
-        return w / w.sum()
+    def point(theta: float) -> tuple[np.ndarray, float]:
+        w = center * np.exp(-theta * d)
+        z = w.sum()
+        x = w / z
+        return x, -theta * float(d @ x) - math.log(z)
 
-    def div(theta: float) -> float:
-        x = point(theta)
-        return float(rel_entr(x, np.exp(log_center)).sum())
+    def excess(theta: float) -> float:
+        return point(theta)[1] - radius
 
     hi = 1.0
     for _ in range(200):
-        if div(hi) >= radius or hi > 1e12:
+        if excess(hi) >= 0.0 or hi > 1e12:
             break
         hi *= 2.0
-    if div(hi) < radius:
-        return point(hi)
-    return point(brentq(lambda th: div(th) - radius, 0.0, hi, xtol=1e-15))
+    if excess(hi) < 0.0:
+        return point(hi)[0]
+    return point(brentq(excess, 0.0, hi, xtol=1e-15))[0]
 
 
 def _fw_min_bhattacharyya(
     mu: np.ndarray, center: np.ndarray, radius: float
 ) -> tuple[float, int, float, np.ndarray]:
-    """Minimize 2B(mu, q) over the KL ball around center via Frank-Wolfe."""
+    """Minimize 2B(mu, q) over the KL ball around center via Frank-Wolfe.
+
+    Along a step q + g d the sum S(g) = sum sqrt(mu (q + g d)) is concave, so
+    the exact step is 1 when S'(1) >= 0 and otherwise the root of S' in
+    [0, 1], where S'(0) > 0 whenever the duality gap is positive.
+    """
     log_center = np.log(center)
-
-    def value(q: np.ndarray) -> float:
-        return -2.0 * math.log(np.sqrt(mu * q).sum())
-
+    sqrt_mu = np.sqrt(mu)
     q = center.copy()
     gap = math.inf
     for it in range(1, FW_MAX_ITERS + 1):
-        s = np.sqrt(mu * q).sum()
-        grad = -np.sqrt(mu / np.maximum(q, 1e-300)) / s
+        sqrt_q = np.sqrt(q)
+        s = float(sqrt_mu @ sqrt_q)
+        grad = -sqrt_mu / np.maximum(sqrt_q, 1e-150) / s
         x = _tilt_to_radius(log_center, grad, radius)
         gap = float(grad @ (q - x))
         if gap <= FW_GAP_TOL:
-            return value(q), it, gap, q
+            return -2.0 * math.log(s), it, gap, q
         d = x - q
-        # the objective is convex along the segment
-        step = minimize_scalar(lambda g: value(q + g * d), bounds=(0.0, 1.0),
-                               method="bounded", options={"xatol": 1e-12})
-        q = q + step.x * d
+
+        def slope(g: float) -> float:
+            # 2 S'(g); the floor keeps it finite where the tilt has zero mass
+            return float(sqrt_mu @ (d / np.sqrt(np.maximum(q + g * d, 1e-300))))
+
+        step = 1.0 if slope(1.0) >= 0.0 else brentq(slope, 0.0, 1.0, xtol=1e-12)
+        q = q + step * d
     raise SolverError(f"Frank-Wolfe did not reach duality gap {FW_GAP_TOL} (gap={gap:.3e})")
 
 

@@ -48,7 +48,7 @@ from .detectors import (
     run_detector,
 )
 from .errors import EnumerationCapError, ValidationError, require
-from .simplex import Pmf, TypeVector, entropy, kl
+from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
@@ -579,18 +579,6 @@ def _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truths) 
             lead = lead + worse[r][:, None]
         out.extend(_log_sum_exp(done).tolist())
     return out
-
-
-def _log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis.
-
-    scipy's logsumexp costs about 0.3 ms a call in argument handling, more
-    than the route's small rows themselves.
-    """
-    top = x.max(axis=-1, keepdims=True)
-    top[np.isneginf(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
 
 
 def exact_error(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, rel_entr, xlogy
+from scipy.special import rel_entr, xlogy
 
 from .errors import SupportError, ValidationError
 
@@ -142,16 +142,31 @@ def bhattacharyya(p: Pmf, q: Pmf) -> float:
     return float(max(-math.log(min(s, 1.0)), 0.0))
 
 
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis.
+
+    scipy's logsumexp costs about 0.3 ms a call in argument handling, more
+    than the small rows of the Chernoff search and the oracle's
+    per-coordinate route themselves.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
+
+
 def _chernoff_objective(log_p: np.ndarray, log_q: np.ndarray, s: float) -> float:
     # -ln sum p^s q^(1-s), computed stably in log space
-    return -float(logsumexp(s * log_p + (1.0 - s) * log_q))
+    return -float(_log_sum_exp(s * log_p + (1.0 - s) * log_q))
 
 
 def chernoff(p: Pmf, q: Pmf) -> float:
     """Chernoff information max_{s in [0,1]} -ln sum p^s q^(1-s).
 
     The inner objective is concave in s; scipy's bounded scalar search
-    locates the maximizer to within 1e-10.
+    (xatol 1e-10) finds the maximizer s*.  The objective is flat there, so
+    the value agrees with a search at xatol 1e-12 to within 1e-12, while
+    s* is only as close as the float objective resolves its flat top.
     """
     value, _ = chernoff_with_optimizer(p, q)
     return value

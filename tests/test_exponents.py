@@ -203,6 +203,7 @@ class TestKlBall:
         obj = -2 * np.log(np.sqrt(grid * mu.probs).sum(axis=1))
         target = obj[d <= radius].min()
         assert res.value == pytest.approx(target, abs=1e-6)
+        assert res.value - res.feasibility_gap <= target
         assert 0.0 < res.value < 2 * bhattacharyya(mu, pi)
 
     def test_mid_radius_against_grid_k3(self):
@@ -230,6 +231,21 @@ class TestKlBall:
             radius = rng.uniform(0.01, 0.99) * vertex_div
             x = _tilt_to_radius(np.log(center), direction, radius)
             assert abs(rel_entr(x, center).sum() - radius) <= 1e-12 * radius
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.9])
+    def test_binary_ball_solved_in_one_step(self, fraction):
+        # at K=2 the first tilt is the ball minimizer and the exact line
+        # search steps onto it, so the second iteration certifies a zero gap
+        for mu, pi in PAIRS:
+            res = min_over_kl_ball(mu, KlBallSpec(pi, fraction * kl(mu, pi)))
+            assert res.iterations == 2
+            assert res.feasibility_gap <= 1e-12
+
+    def test_constant_direction_returns_center(self):
+        # every point of the ball minimizes a constant linear objective
+        center = np.array([0.2, 0.3, 0.5])
+        x = _tilt_to_radius(np.log(center), np.full(3, -1.7), 0.1)
+        np.testing.assert_allclose(x, center, rtol=0, atol=1e-15)
 
     def test_negative_radius_rejected(self):
         _, pi = PAIRS[0]
@@ -260,6 +276,21 @@ class TestLowerBounds:
             # the point beats the trivial cap, so the check has teeth near 2B
             assert cost < two_b
             assert thm_single_lower_bound(mu, pi, m).value <= cost
+
+    @pytest.mark.parametrize("m", [3, 10, 60])
+    def test_single_bound_ball_part_against_grid(self, m):
+        # the grid minimum over the ball's feasible points is at least the
+        # ball minimum, and on a grid of step h = 1e-6 within h |slope| of
+        # it, the objectives' slope at the ball minimum being below 0.65 here
+        xs = np.linspace(0.0, 1.0, 1_000_001)[1:-1]
+        for mu, pi in PAIRS:
+            radius = (2 * bhattacharyya(mu, pi) + typical_floor_log(pi)) / (m - 1)
+            ball = min_over_kl_ball(mu, KlBallSpec(pi, radius))
+            part = ball.value - ball.feasibility_gap
+            inside = _binary_kl(xs, pi.probs[0]) <= radius
+            grid = (-2 * np.log(np.sqrt(mu.probs[0] * xs) + np.sqrt(mu.probs[1] * (1 - xs))))[inside].min()
+            assert grid - 1e-6 <= part <= grid
+            assert thm_single_lower_bound(mu, pi, m).value >= max(part, 0.0)
 
     def test_single_bound_names_winning_part(self):
         mu, pi = PAIRS[0]

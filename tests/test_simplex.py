@@ -1,10 +1,13 @@
 """Divergence primitives: frozen values, identities, and property suites."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from outlier_testing.errors import SupportError, ValidationError
 from outlier_testing.simplex import (
@@ -27,6 +30,30 @@ P73 = Pmf(np.array([0.7, 0.3]))
 
 def random_pmf(rng, k):
     return Pmf.normalize(rng.dirichlet(np.ones(k)) + 1e-6)
+
+
+# three-law K=3 outlier sets over one typical law: each set's multi-outlier
+# exponent takes the Chernoff information of three product-law pairs
+K3_LAWS = [Pmf(np.array(p)) for p in ([0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [0.1, 0.4, 0.5],
+                                      [0.3, 0.2, 0.5], [0.2, 0.2, 0.6], [0.15, 0.35, 0.5],
+                                      [0.35, 0.15, 0.5])]
+K3_PI = Pmf(np.array([0.5, 0.3, 0.2]))
+K3_SETS = list(combinations(range(len(K3_LAWS)), 3))[:16]
+
+
+def fine_chernoff(p, q):
+    """Chernoff information by a bounded search at xatol=1e-12 on scipy's logsumexp."""
+    log_p, log_q = np.log(p.probs), np.log(q.probs)
+    res = minimize_scalar(lambda s: logsumexp(s * log_p + (1.0 - s) * log_q), bounds=(0.0, 1.0),
+                          method="bounded", options={"xatol": 1e-12})
+    return -float(res.fun)
+
+
+def tilted_log_ratio_mean(p, q, s):
+    """E_w[ln p - ln q] for w proportional to p^s q^(1-s): the objective's slope at s."""
+    log_ratio = np.log(p.probs) - np.log(q.probs)
+    w = p.probs**s * q.probs ** (1.0 - s)
+    return float(w @ log_ratio / w.sum())
 
 
 # weights in [0.05, 1] keep every pmf comfortably full-support
@@ -197,6 +224,29 @@ class TestChernoff:
             d_q = (grid * (np.log(grid) - np.log(q.probs))).sum(axis=1)
             minmax = np.maximum(d_p, d_q).min()
             assert chernoff(p, q) == pytest.approx(minmax, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_fine_search(self, k):
+        # the objective is flat at s*, so the value agrees to 1e-12 while s*
+        # is only as close as the float objective can resolve: the slope
+        # there stays below 1e-6 (about 1e-7 seen over 4500 random pairs)
+        rng = np.random.default_rng(20 + k)
+        for _ in range(30):
+            p, q = random_pmf(rng, k), random_pmf(rng, k)
+            val, s_star = chernoff_with_optimizer(p, q)
+            assert abs(val - fine_chernoff(p, q)) <= 1e-12
+            assert abs(tilted_log_ratio_mean(p, q, s_star)) <= 1e-6
+
+    def test_three_law_product_sets_match_fine_search(self):
+        for members in K3_SETS:
+            for i, j in combinations(members, 2):
+                left = Pmf(np.outer(K3_LAWS[i].probs, K3_PI.probs).ravel())
+                right = Pmf(np.outer(K3_PI.probs, K3_LAWS[j].probs).ravel())
+                want = fine_chernoff(left, right)
+                assert abs(chernoff_pair_product(K3_LAWS[i], K3_LAWS[j], K3_PI) - want) <= 1e-12
+                val, s_star = chernoff_with_optimizer(left, right)
+                assert abs(val - want) <= 1e-12
+                assert abs(tilted_log_ratio_mean(left, right, s_star)) <= 1e-6
 
     def test_requires_full_support(self):
         with pytest.raises(SupportError):
