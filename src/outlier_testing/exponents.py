@@ -395,12 +395,10 @@ def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius: float
         return point(theta)[1] - radius
 
     hi = 1.0
-    for _ in range(200):
-        if excess(hi) >= 0.0 or hi > 1e12:
-            break
+    while excess(hi) < 0.0:
+        if hi > 1e12:
+            return point(hi)[0]
         hi *= 2.0
-    if excess(hi) < 0.0:
-        return point(hi)[0]
     return point(brentq(excess, 0.0, hi, xtol=1e-15))[0]
 
 
