@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -96,90 +96,82 @@ def outlier_set(h: HypothesisId) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class HypothesisFamily:
-    """An ordered collection of candidate hypotheses: the one list a test decides over.
+    """The hypotheses a test decides over: every size-k subset of {1..M} for each k in ``sizes``.
 
-    For each outlier count k the family must contain either every
-    size-k subset of {1..M} or none of them, and every non-null member
-    must satisfy |S| < M/2.  Ordering is size-ascending, then
-    lexicographic, with the null hypothesis (if present) first, so the
-    non-null members are ``hypotheses[include_null:]``.  Members are keyed
-    by outlier set, so ``Coordinate(i)`` and ``Subset((i,))`` name the
-    same member.  ``coordinates`` holds each non-null member's zero-based
-    outlier coordinates, ascending, in family order.
+    Each size holds all of its subsets or none, so (M, sizes, include_null)
+    describes the family completely; every size k satisfies 1 <= k < M/2.
+    Ordering is size-ascending, then lexicographic, with the null hypothesis
+    (if present) first, so the non-null members are
+    ``hypotheses[include_null:]``.  ``members`` holds, per size, the (H_k, k)
+    zero-based coordinates of that size's members in family order.
+    ``hypotheses`` builds the hypothesis objects on first read: size-1
+    members are ``Coordinate``s when 1 is the only size, ``Subset``s
+    otherwise.  ``index_of`` ranks an outlier set, so ``Coordinate(i)`` and
+    ``Subset((i,))`` name the same member.
     """
 
-    hypotheses: tuple[HypothesisId, ...]
     m: int
-    include_null: bool = field(init=False, repr=False, compare=False)
-    coordinates: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...]
+    include_null: bool = False
 
     def __post_init__(self):
-        if not self.hypotheses:
-            raise ValidationError("hypothesis family is empty")
-        seen_sizes: dict[int, set[frozenset[int]]] = {}
-        for h in self.hypotheses:
-            s = outlier_set(h)
-            if s and max(s) > self.m:
-                raise ValidationError(f"{h} names a coordinate beyond M={self.m}")
-            if s and len(s) >= self.m / 2:
-                raise ValidationError(f"{h} has |S| >= M/2 (M={self.m})")
-            seen_sizes.setdefault(len(s), set()).add(s)
-        for size, subsets in seen_sizes.items():
-            if size == 0:
-                continue
-            expected = math.comb(self.m, size)
-            if len(subsets) != expected:
-                raise ValidationError(
-                    f"family holds {len(subsets)} of {expected} size-{size} subsets; "
-                    "each size must be all-or-none"
-                )
-        ordered = tuple(sorted(self.hypotheses, key=_family_key))
-        include_null = ordered[0] is NULL
-        object.__setattr__(self, "hypotheses", ordered)
-        object.__setattr__(self, "include_null", include_null)
-        object.__setattr__(self, "coordinates", tuple(
-            tuple(i - 1 for i in sorted(outlier_set(h))) for h in ordered[include_null:]))
-        # NULL is the only member with an empty outlier set
-        index = {outlier_set(h): i for i, h in enumerate(ordered)}
-        if len(index) != len(ordered):
-            raise ValidationError("family names a hypothesis twice")
-        object.__setattr__(self, "_index", index)
+        sizes = tuple(sorted(set(self.sizes)))
+        if not sizes or sizes[0] < 1 or sizes[-1] >= self.m / 2:
+            raise ValidationError(
+                f"outlier-set sizes must be nonempty with 1 <= |S| < M/2, got {sizes} at M={self.m}")
+        object.__setattr__(self, "sizes", sizes)
+
+    @functools.cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for k in self.sizes:
+            h = math.comb(self.m, k)
+            cols = np.fromiter(chain.from_iterable(combinations(range(self.m), k)),
+                               dtype=np.int64, count=h * k).reshape(h, k)
+            cols.setflags(write=False)
+            out.append(cols)
+        return tuple(out)
+
+    @functools.cached_property
+    def hypotheses(self) -> tuple[HypothesisId, ...]:
+        if self.sizes == (1,):
+            hyps = [Coordinate(i) for i in range(1, self.m + 1)]
+        else:
+            hyps = [Subset(tuple(s)) for cols in self.members for s in (cols + 1).tolist()]
+        return (NULL,) * self.include_null + tuple(hyps)
 
     def index_of(self, h: HypothesisId) -> int:
-        try:
-            return self._index[outlier_set(h)]
-        except KeyError:
-            raise ValidationError(f"{h} is not in the family") from None
+        """The position of h in family order, from O(|S|) binomials.
+
+        Among the size-k subsets of {1..M}, c_1 < ... < c_k has
+        sum_i C(M - c_i, k - i + 1) successors in lexicographic order (the
+        combinatorial number system).
+        """
+        if h is NULL and self.include_null:
+            return 0
+        s = sorted(outlier_set(h))
+        k = len(s)
+        if k not in self.sizes or s[-1] > self.m:
+            raise ValidationError(f"{h} is not in the family")
+        before = self.include_null + sum(math.comb(self.m, j) for j in self.sizes if j < k)
+        after = sum(math.comb(self.m - c, k - i) for i, c in enumerate(s))
+        return before + math.comb(self.m, k) - 1 - after
 
     @classmethod
     @functools.cache
     def single_outlier(cls, m: int, include_null: bool = False) -> "HypothesisFamily":
         """Every single coordinate, NULL first when included; shared per (M, include_null)."""
-        hyps: list[HypothesisId] = [Coordinate(i) for i in range(1, m + 1)]
-        if include_null:
-            hyps.append(NULL)
-        return cls(tuple(hyps), m)
+        return cls(m, (1,), include_null)
 
     @classmethod
     def fixed_size(cls, m: int, t: int) -> "HypothesisFamily":
         if not 1 < t < m / 2:
             raise ValidationError(f"need 1 < T < M/2, got T={t}, M={m}")
-        return cls(tuple(Subset(s) for s in combinations(range(1, m + 1), t)), m)
+        return cls(m, (t,))
 
     @classmethod
     def sized(cls, m: int, sizes, include_null: bool = False) -> "HypothesisFamily":
-        hyps: list[HypothesisId] = []
-        if include_null:
-            hyps.append(NULL)
-        for k in sorted(set(sizes)):
-            hyps.extend(Subset(s) for s in combinations(range(1, m + 1), k))
-        return cls(tuple(hyps), m)
-
-
-def _family_key(h: HypothesisId):
-    s = outlier_set(h)
-    return (len(s), tuple(sorted(s)))
+        return cls(m, tuple(sizes), include_null)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +403,18 @@ def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
     return law.probs
 
 
+#: gathered member statistics (batch x members x K floats) the combine step holds at once
+COMBINE_BLOCK = 1 << 21
+
+
+def _member_sums(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each member's sum of a (batch, M, ...) over its rows cols (H, k), in index order."""
+    acc = a[:, cols[:, 0]]
+    for j in range(1, cols.shape[1]):
+        acc = acc + a[:, cols[:, j]]
+    return acc
+
+
 class Scorer:
     """The score kernel of one detector over a hypothesis family.
 
@@ -453,18 +457,19 @@ class Scorer:
         self.pi = _check_law(pi, k, "pi") if kind in _PI_KINDS else None
         require(kind in NULL_AWARE_KINDS or not family.include_null,
                 f"{kind.value} never decides the null hypothesis; drop it from the family")
-        sizes = {len(inside) for inside in family.coordinates}
         if kind in _MULTI_KINDS:
-            require(len(sizes) == 1 and min(sizes) > 1,
+            require(len(family.sizes) == 1 and family.sizes[0] > 1,
                     f"{kind.value} needs a family of one outlier-set size T > 1")
         elif kind not in _IDENTICAL_KINDS:
-            require(sizes == {1}, f"{kind.value} needs a family of single coordinates")
+            require(family.sizes == (1,), f"{kind.value} needs a family of single coordinates")
         self.kind = kind
         self.family = family
         self.m = family.m
-        self.hypotheses: tuple[HypothesisId, ...] = family.hypotheses[family.include_null:]
-        # zero-based outlier coordinates of each column, ascending
-        self._inside = family.coordinates
+
+    @functools.cached_property
+    def hypotheses(self) -> tuple[HypothesisId, ...]:
+        """The hypothesis of each score column."""
+        return self.family.hypotheses[self.family.include_null:]
 
     def column(self, h: HypothesisId) -> int:
         """The score column of family member h, or -1 for NULL."""
@@ -491,11 +496,7 @@ class Scorer:
             return stats.d_pi.sum(axis=1)[:, None] - stats.d_pi
         if kind is DetectorKind.TYP_MULTI:
             per = stats.d_pi
-            total = per.sum(axis=1)
-            out = np.empty((per.shape[0], len(self._inside)))
-            for col, inside in enumerate(self._inside):
-                out[:, col] = total - per[:, inside].sum(axis=1)
-            return out
+            return per.sum(axis=1)[:, None] - _member_sums(per, self.family.members[0])
         rows, ent = stats.pmf, stats.ent
         total_pmf = rows.sum(axis=1)
         total_ent = ent.sum(axis=1)
@@ -505,15 +506,19 @@ class Scorer:
                 total_ent[:, None] - ent
             )
         identical = kind in _IDENTICAL_KINDS
-        out = np.empty((rows.shape[0], len(self._inside)))
-        for col, inside in enumerate(self._inside):
-            n_in, n_out = len(inside), self.m - len(inside)
-            in_pmf, in_ent = rows[:, inside, :].sum(axis=1), ent[:, inside].sum(axis=1)
-            score = n_out * _entropies((total_pmf - in_pmf) / n_out) - (total_ent - in_ent)
-            if identical:
-                score = n_in * _entropies(in_pmf / n_in) - in_ent + score
-            out[:, col] = score
-        return out
+        step = max(1, COMBINE_BLOCK // (rows.shape[0] * rows.shape[2]))
+        out = []
+        for members in self.family.members:
+            n_in, n_out = members.shape[1], self.m - members.shape[1]
+            for lo in range(0, len(members), step):
+                cols = members[lo:lo + step]
+                in_pmf, in_ent = _member_sums(rows, cols), _member_sums(ent, cols)
+                score = n_out * _entropies_inplace((total_pmf[:, None, :] - in_pmf) / n_out) - (
+                    total_ent[:, None] - in_ent)
+                if identical:
+                    score = n_in * _entropies_inplace(in_pmf / n_in) - in_ent + score
+                out.append(score)
+        return np.concatenate(out, axis=1)
 
     def scores(self, counts: np.ndarray, n: int) -> np.ndarray:
         """Scores (batch, H) of count tensors (batch, M, K) of n samples per row."""

@@ -250,10 +250,8 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
     m, n, k = scorer.m, table.n, table.k
     identical = scorer.kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL)
     base = n * (m - 1) + 1
-    by_size: dict[int, list[int]] = {}
-    for col, inside in enumerate(scorer.family.coordinates):
-        by_size.setdefault(len(inside), []).append(col)
-    pools = {m - t for t in by_size} | (set(by_size) if identical else set())
+    sizes = scorer.family.sizes
+    pools = {m - t for t in sizes} | (set(sizes) if identical else set())
     lengths = {s: 1 + n * s * sum(base**j for j in range(k - 1)) for s in pools}
     if max(lengths.values()) > ROUTE_MAX_TERMS:
         return None
@@ -264,17 +262,15 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
         pooled = enumerate_types(n * s, k).counts
         tab[s] = np.zeros(lengths[s])
         tab[s][pooled[:, :-1] @ powers] = s * entr(pooled / (n * s)).sum(axis=1)
-    groups = [(t, np.array(cols), np.array([scorer.family.coordinates[c] for c in cols]))
-              for t, cols in by_size.items()]
-    n_cols = len(scorer.family.coordinates)
 
     def keys(cols: np.ndarray) -> np.ndarray:
         """Keys (H, b) of the tuples with type indices ``cols`` (M, b)."""
         codes = code[cols]
         ents = None if identical else ent[cols]
         whole = codes.sum(axis=0)
-        out = np.empty((n_cols, cols.shape[1]))
-        for t, rows, members in groups:
+        out = []
+        for members in scorer.family.members:
+            t = members.shape[1]
             c_in = codes[members[:, 0]]
             for j in range(1, t):
                 c_in = c_in + codes[members[:, j]]
@@ -284,8 +280,8 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
             else:
                 for j in range(t):
                     key += ents[members[:, j]]
-            out[rows] = key
-        return out
+            out.append(key)
+        return np.concatenate(out)
 
     return keys
 
@@ -376,8 +372,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
     if ranking is not None:
         route = "per-coordinate"
-        members = [scorer.family.coordinates[col] for col in truth_cols]
-        log_errs = _ranked_errors(*ranking, log_rows, law_idx, members)
+        log_errs = _ranked_errors(*ranking, log_rows, law_idx, family.members[0][truth_cols])
     else:
         route = "enumeration"
         log_errs = _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols)
@@ -472,7 +467,7 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     takes the route: the kernel adds members in index order, so subsets
     holding the same keys can score an ulp apart.
     """
-    kind, t_size = scorer.kind, len(scorer.family.coordinates[0])
+    kind, t_size = scorer.kind, scorer.family.sizes[0]
     if kind is DetectorKind.MU_ONLY:
         key = stats.d_mu
     elif kind is DetectorKind.ML_SINGLE:
@@ -502,7 +497,7 @@ def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_members) -> l
     key better than v (or equal, for a lower index) inside D, key worse than
     v (or equal, for a higher index) outside D.  So log P(D) is a
     logsumexp over v of sums of per-coordinate log masses.
-    ``truth_members`` holds each truth's zero-based coordinates.
+    ``truth_members`` (truths, T) holds each truth's zero-based coordinates.
     """
     ninf = np.full((len(log_rows), 1), -np.inf)
     at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
@@ -511,8 +506,7 @@ def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_members) -> l
     better = np.hstack([ninf, at_or_better[:, :-1]])
     worse = np.hstack([at_or_worse[:, 1:], ninf])
     if t_size == 2:
-        return _pair_errors(at, better, at_or_better, worse, at_or_worse,
-                            law_idx, np.array(truth_members))
+        return _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truth_members)
 
     out = []
     for rows, (col,) in zip(law_idx, truth_members):

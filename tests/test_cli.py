@@ -175,6 +175,20 @@ class TestDetectCommand:
         assert len(rec["scores"]) == 5 + 10  # every size-1 and size-2 subset, no null
         assert rec["decision"] == "subset {2}"
 
+    @pytest.mark.parametrize("kind,single", [("identical-univ", "univ-single"),
+                                             ("null-identical", "null-single")])
+    def test_size_one_family_labels_coordinates(self, capsys, tmp_path, kind, single):
+        # 1 as the only size gives coordinates, scored as the single-outlier kind scores them
+        path = tmp_path / "obs.csv"
+        path.write_text("0,0,0,0\n1,1,1,1\n0,0,0,1\n0,0,1,0\n0,1,0,0\n")
+        lam = ("--lam", "0.1")
+        _, out, _ = run(capsys, "detect", "--file", str(path), "--kind", kind, "--sizes", "1", *lam)
+        _, want, _ = run(capsys, "detect", "--file", str(path), "--kind", single, *lam)
+        rec, ref = json.loads(out), json.loads(want)
+        assert rec["scores"] == ref["scores"]
+        assert [h for h, _ in rec["scores"]] == [f"coordinate {i}" for i in range(1, 6)]
+        assert rec["decision"] == ref["decision"] == "coordinate 2"
+
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("not,numbers\nat,all\n")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import rel_entr
+from scipy.special import rel_entr, xlogy
 
+from outlier_testing import detectors
 from outlier_testing.detectors import (
     NULL,
     Coordinate,
@@ -67,8 +68,15 @@ class TestHypothesisFamily:
         assert sets[5] == (1, 2) and sets[-1] == (4, 5)
 
     def test_all_or_none_per_size(self):
-        with pytest.raises(ValidationError):
-            HypothesisFamily((Coordinate(1), Coordinate(2)), 3)
+        # a family is (M, sizes, include_null): each size brings all its subsets
+        for sizes in ([], [0, 1], [1, 3], [3]):
+            with pytest.raises(ValidationError):
+                HypothesisFamily.sized(6, sizes)  # sizes must satisfy 1 <= k < M/2
+        for m, sizes, null in ((5, [1, 2], True), (9, [2, 4], False), (12, [5], False)):
+            fam = HypothesisFamily.sized(m, sizes, include_null=null)
+            held = [h for h in fam.hypotheses if h is not NULL]
+            assert len(held) == sum(math.comb(m, k) for k in sizes)
+            assert len(fam.hypotheses) == len(held) + null
 
     def test_subset_size_limit(self):
         # |S| < M/2 rules out size-2 subsets at M=4
@@ -82,8 +90,10 @@ class TestHypothesisFamily:
             fam.index_of(NULL)
 
     def test_duplicate_member_rejected(self):
-        with pytest.raises(ValidationError):
-            HypothesisFamily((Coordinate(1), Coordinate(2), Coordinate(3), Subset((2,))), 3)
+        # a size named twice is one size: no member can appear twice
+        assert HypothesisFamily.sized(5, [2, 1, 2]) == HypothesisFamily.sized(5, [1, 2])
+        fam = HypothesisFamily.sized(5, [2, 1, 2])
+        assert len(set(map(outlier_set, fam.hypotheses))) == len(fam.hypotheses) == 15
 
     def test_single_outlier_family_is_shared(self):
         assert HypothesisFamily.single_outlier(4) is HypothesisFamily.single_outlier(4)
@@ -93,9 +103,12 @@ class TestHypothesisFamily:
         (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(5, include_null=True)),
         (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(7, 3)),
         (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], include_null=True)),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(9, 4)),
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(9, [1, 2, 3, 4], include_null=True)),
     ]
+    LOOKUP_IDS = ["null-single", "univ-multi", "null-identical", "univ-multi-m9", "null-identical-m9"]
 
-    @pytest.mark.parametrize("kind,fam", LOOKUP_CASES, ids=[c[0].value for c in LOOKUP_CASES])
+    @pytest.mark.parametrize("kind,fam", LOOKUP_CASES, ids=LOOKUP_IDS)
     def test_lookups_equal_linear_scan(self, kind, fam):
         def scan(hyps, h):  # the first member with h's outlier set
             return next(i for i, c in enumerate(hyps) if outlier_set(c) == outlier_set(h))
@@ -108,6 +121,20 @@ class TestHypothesisFamily:
             assert fam.index_of(h) == scan(fam.hypotheses, h), h
             assert scorer.column(h) == (-1 if h is NULL else scan(scorer.hypotheses, h)), h
         assert scorer.hypotheses == tuple(h for h in fam.hypotheses if h is not NULL)
+
+    @pytest.mark.parametrize("kind,fam", LOOKUP_CASES, ids=LOOKUP_IDS)
+    def test_non_members_raise(self, kind, fam):
+        lacking = next(k for k in range(1, fam.m) if k not in fam.sizes)
+        k = fam.sizes[0]
+        outside = [
+            Subset(tuple(range(1, lacking + 1))),  # a size the family lacks
+            Subset((*range(1, k), fam.m + 1)),  # coordinate M+1
+        ]
+        if not fam.include_null:
+            outside.append(NULL)
+        for h in outside:
+            with pytest.raises(ValidationError):
+                fam.index_of(h)
 
 
 class TestObservationMatrix:
@@ -370,6 +397,12 @@ def _kernel_cases():
         sizes = [1] if m == 3 else [1, 2]
         yield "identical-univ", m, {"family": HypothesisFamily.sized(m, sizes)}
         yield "null-identical", m, {"family": HypothesisFamily.sized(m, sizes, include_null=True)}
+    # numpy sums 8 or more terms pairwise, fewer left to right
+    for t in (3, 8):
+        yield "typ-multi", 17, {"family": HypothesisFamily.fixed_size(17, t)}
+        yield "univ-multi", 17, {"family": HypothesisFamily.fixed_size(17, t)}
+    yield "identical-univ", 9, {"family": HypothesisFamily.sized(9, [1, 2, 3])}
+    yield "null-identical", 9, {"family": HypothesisFamily.sized(9, [1, 2, 3], include_null=True)}
 
 
 class TestScoreKernel:
@@ -386,7 +419,7 @@ class TestScoreKernel:
         want = reference_scores(kind, data, 3, table.hypotheses, mu=self.MU3, pi=self.PI3)
         np.testing.assert_allclose(table.scores, want, rtol=1e-12, atol=0)
         if kind in ("typ-multi", "univ-multi"):
-            assert len(table.entries) == math.comb(m, 2)
+            assert len(table.entries) == math.comb(m, extra["family"].sizes[0])
         elif "family" in extra:
             assert table.hypotheses == tuple(h for h in extra["family"].hypotheses if h is not NULL)
         else:
@@ -403,3 +436,37 @@ class TestScoreKernel:
         batched = scorer.scores(counts, 12)
         for b in range(len(counts)):
             assert np.array_equal(batched[b], scorer.scores(counts[b:b + 1], 12)[0])
+
+    @pytest.mark.parametrize("kind,m,extra", [c for c in _kernel_cases() if "family" in c[2]])
+    def test_combine_matches_per_column_loop(self, kind, m, extra, monkeypatch):
+        # one gather per size gives the bits of a loop over columns, and
+        # neither the batch size nor the member blocks change any of them
+        rng = np.random.default_rng(m)
+        counts = np.stack([rng.multinomial(12, rng.dirichlet(np.ones(3)), size=m)
+                           for _ in range(20)])
+        scorer = Scorer(kind, extra["family"], 3, pi=self.PI3)
+        stats = scorer.row_stats(counts, 12)
+        got = scorer.combine(stats)
+        monkeypatch.setattr(detectors, "COMBINE_BLOCK", 7 * 20 * 3)  # 7 members a block
+        assert np.array_equal(scorer.combine(stats), got)
+
+        def entropies(p):
+            return -xlogy(p, p).sum(axis=-1)
+
+        want = np.empty_like(got)
+        for col, h in enumerate(scorer.hypotheses):
+            inside = sorted(i - 1 for i in outlier_set(h))
+            if kind == "typ-multi":
+                want[:, col] = stats.d_pi.sum(axis=1) - stats.d_pi[:, inside].sum(axis=1)
+                continue
+            rows, ent = stats.pmf, stats.ent
+            n_in, n_out = len(inside), m - len(inside)
+            in_pmf, in_ent = rows[:, inside, :].sum(axis=1), ent[:, inside].sum(axis=1)
+            score = n_out * entropies((rows.sum(axis=1) - in_pmf) / n_out) - (
+                ent.sum(axis=1) - in_ent)
+            if "identical" in kind:
+                score = n_in * entropies(in_pmf / n_in) - in_ent + score
+            want[:, col] = score
+        assert np.array_equal(got, want)
+        for b in (0, 7):
+            assert np.array_equal(got[b], scorer.scores(counts[b:b + 1], 12)[0])
