@@ -386,13 +386,9 @@ class RowStats(NamedTuple):
         return RowStats._make(None if a is None else a[idx] for a in self)
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    return -xlogy(p, p).sum(axis=-1)
-
-
-def _entropies_inplace(p: np.ndarray) -> np.ndarray:
-    """_entropies(p), overwriting p: the same numbers without a second array of p's size."""
-    return -xlogy(p, p, out=p).sum(axis=-1)
+def _entropies(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entropies of the pmfs p (..., K); ``out=p`` overwrites p instead of allocating."""
+    return -xlogy(p, p, out=out).sum(axis=-1)
 
 
 def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
@@ -407,11 +403,11 @@ def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
 COMBINE_BLOCK = 1 << 21
 
 
-def _member_sums(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each member's sum of a (batch, M, ...) over its rows cols (H, k), in index order."""
-    acc = a[:, cols[:, 0]]
+def _member_sums(a: np.ndarray, cols: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Each member's sum of a over its coordinates cols (H, k) along ``axis``, in index order."""
+    acc = a.take(cols[:, 0], axis=axis)
     for j in range(1, cols.shape[1]):
-        acc = acc + a[:, cols[:, j]]
+        acc += a.take(cols[:, j], axis=axis)
     return acc
 
 
@@ -502,23 +498,26 @@ class Scorer:
         total_ent = ent.sum(axis=1)
         if kind in (DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE):
             n_out = self.m - 1
-            return n_out * _entropies_inplace((total_pmf[:, None, :] - rows) / n_out) - (
-                total_ent[:, None] - ent
-            )
+            mix = (total_pmf[:, None, :] - rows) / n_out
+            return n_out * _entropies(mix, out=mix) - (total_ent[:, None] - ent)
         identical = kind in _IDENTICAL_KINDS
         step = max(1, COMBINE_BLOCK // (rows.shape[0] * rows.shape[2]))
-        out = []
+        out = np.empty((rows.shape[0], sum(map(len, self.family.members))))
+        col = 0
         for members in self.family.members:
             n_in, n_out = members.shape[1], self.m - members.shape[1]
             for lo in range(0, len(members), step):
                 cols = members[lo:lo + step]
                 in_pmf, in_ent = _member_sums(rows, cols), _member_sums(ent, cols)
-                score = n_out * _entropies_inplace((total_pmf[:, None, :] - in_pmf) / n_out) - (
-                    total_ent[:, None] - in_ent)
+                mix = total_pmf[:, None, :] - in_pmf
+                mix /= n_out
+                score = out[:, col:col + len(cols)]
+                np.subtract(n_out * _entropies(mix, out=mix), total_ent[:, None] - in_ent, out=score)
                 if identical:
-                    score = n_in * _entropies_inplace(in_pmf / n_in) - in_ent + score
-                out.append(score)
-        return np.concatenate(out, axis=1)
+                    in_pmf /= n_in
+                    score += n_in * _entropies(in_pmf, out=in_pmf) - in_ent
+                col += len(cols)
+        return out
 
     def scores(self, counts: np.ndarray, n: int) -> np.ndarray:
         """Scores (batch, H) of count tensors (batch, M, K) of n samples per row."""

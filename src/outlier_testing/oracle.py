@@ -33,7 +33,7 @@ from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import entr, gammaln, logsumexp
+from scipy.special import entr, gammaln
 
 from .detectors import (
     NULL,
@@ -42,6 +42,7 @@ from .detectors import (
     HypothesisId,
     ObservationMatrix,
     Scorer,
+    _member_sums,
     decide_batch,
     null_threshold,
     outlier_set,
@@ -271,15 +272,9 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
         out = []
         for members in scorer.family.members:
             t = members.shape[1]
-            c_in = codes[members[:, 0]]
-            for j in range(1, t):
-                c_in = c_in + codes[members[:, j]]
+            c_in = _member_sums(codes, members, axis=0)
             key = tab[m - t][whole - c_in]
-            if identical:
-                key += tab[t][c_in]
-            else:
-                for j in range(t):
-                    key += ents[members[:, j]]
+            key += tab[t][c_in] if identical else _member_sums(ents, members, axis=0)
             out.append(key)
         return np.concatenate(out)
 
@@ -305,7 +300,8 @@ def _key_slack(m: int, n: int, k: int) -> float:
       H <= ln K, in the kernel and in the tables, times s <= M.
     * At most M + 10 further roundings (sums of row entropies inside S,
       products by s, the combine step's adds, the key's own adds) each
-      cost u of a magnitude <= M ln K.
+      cost u of a magnitude <= M ln K.  A key sums its |S| member entropies
+      and adds the table term: |S| roundings, as when added one at a time.
 
     So when the best two keys are more than 2B apart the kernel's argmin
     is the key's, and when a null-aware kind's key spread is more than 3B
@@ -386,7 +382,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
 
 def _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols) -> list[float]:
-    """Log error of each truth: logsumexp of wrong-decision tuple weights, chunk by chunk.
+    """Log error of each truth: log-sum-exp of wrong-decision tuple weights, chunk by chunk.
 
     Chunks hold DEFAULT_CHUNK tuples.  Tuples come in radix order, so a
     block of n_types**tail consecutive tuples shares its leading
@@ -412,8 +408,8 @@ def _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols) -> lis
             wrong = decision != col
             if np.any(wrong):
                 weights = _tuple_log_weights(log_rows[rows], head_idx)[lo:lo + decision.size]
-                acc.append(logsumexp(weights[wrong]))
-    return [float(logsumexp(acc)) if acc else -math.inf for acc in pieces]
+                acc.append(_log_sum_exp(weights[wrong]))
+    return [float(_log_sum_exp(np.array(acc))) if acc else -math.inf for acc in pieces]
 
 
 def _tuple_log_weights(w: np.ndarray, head_idx: np.ndarray) -> np.ndarray:

@@ -143,21 +143,25 @@ def bhattacharyya(p: Pmf, q: Pmf) -> float:
 
 
 def _log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis.
+    """log(sum(exp(x))) over the last axis, with scipy's algorithm and bits.
 
-    scipy's logsumexp costs about 0.3 ms a call in argument handling, more
-    than the small rows of the Chernoff search and the oracle's
-    per-coordinate route themselves.
+    Like scipy's ``logsumexp`` it sums the maximal terms apart (Blanchard,
+    Higham and Higham, IMA J. Numer. Anal. 41(4), 2021,
+    doi:10.1093/imanum/draa038), without scipy's argument handling (about
+    70 us a call, more than the oracle's small rows).  Rows of -inf give -inf.
     """
     top = x.max(axis=-1, keepdims=True)
-    top[np.isneginf(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
+    hit = x == top
+    terms = np.exp(x - np.where(np.isfinite(top), top, 0.0))
+    terms[hit] = 0.0
+    count = hit.sum(axis=-1)
+    return np.log1p(terms.sum(axis=-1) / count) + np.log(count) + top[..., 0]
 
 
 def _chernoff_objective(log_p: np.ndarray, log_q: np.ndarray, s: float) -> float:
-    # -ln sum p^s q^(1-s), computed stably in log space
-    return -float(_log_sum_exp(s * log_p + (1.0 - s) * log_q))
+    # -ln sum p^s q^(1-s): each term lies between min(p, q) >= FULL_SUPPORT_MIN
+    # and 1, so the direct sum neither underflows nor overflows
+    return -math.log(np.exp(s * log_p + (1.0 - s) * log_q).sum())
 
 
 def chernoff(p: Pmf, q: Pmf) -> float:

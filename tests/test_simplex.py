@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from outlier_testing.errors import SupportError, ValidationError
 from outlier_testing.simplex import (
+    FULL_SUPPORT_MIN,
     Pmf,
     TypeVector,
     bhattacharyya,
@@ -22,6 +23,7 @@ from outlier_testing.simplex import (
     geometric_midpoint,
     kl,
     mixture,
+    _log_sum_exp,
 )
 
 P37 = Pmf(np.array([0.3, 0.7]))
@@ -39,6 +41,25 @@ K3_LAWS = [Pmf(np.array(p)) for p in ([0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [0.1, 
                                       [0.35, 0.15, 0.5])]
 K3_PI = Pmf(np.array([0.5, 0.3, 0.2]))
 K3_SETS = list(combinations(range(len(K3_LAWS)), 3))[:16]
+
+
+def floor_pmf(rng, k, at):
+    """A random pmf on k letters whose letter ``at`` holds just above FULL_SUPPORT_MIN."""
+    tiny = 1.5 * FULL_SUPPORT_MIN
+    w = rng.dirichlet(np.ones(k))
+    w[at] = 0.0
+    w *= (1.0 - tiny) / w.sum()
+    w[at] = tiny
+    return Pmf(w)
+
+
+def floor_pairs(k):
+    """Law pairs with a mass near the support floor: against a random law, at the
+    same letter, and at opposite letters (where the Chernoff information is large)."""
+    rng = np.random.default_rng(100 + k)
+    return [(floor_pmf(rng, k, 0), random_pmf(rng, k)),
+            (floor_pmf(rng, k, 0), floor_pmf(rng, k, 0)),
+            (floor_pmf(rng, k, 0), floor_pmf(rng, k, k - 1))]
 
 
 def fine_chernoff(p, q):
@@ -192,6 +213,41 @@ class TestBhattacharyya:
         assert 2 * bhattacharyya(p, q) <= min(kl(p, q), kl(q, p)) + 1e-12
 
 
+class TestLogSumExp:
+    """`_log_sum_exp` has scipy's algorithm and bits: the oracle's pinned errors rest on it."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(11)
+        for length in (1, 2, 3, 7, 8, 9, 16, 17, 128, 1000, 4097, 70000):
+            for scale in (1.0, 1.0, 10.0, 10.0, 300.0, 300.0):
+                x = scale * rng.standard_normal(length)
+                yield x
+                if length > 1:
+                    tied = x.copy()
+                    tied[rng.integers(length, size=2)] = x.max()
+                    yield tied
+                    holes = x.copy()
+                    holes[rng.integers(length, size=max(1, length // 4))] = -np.inf
+                    yield holes
+        yield np.full(5, -np.inf)
+
+    def test_equals_scipy_bit_for_bit(self):
+        for x in self.arrays():
+            assert _log_sum_exp(x) == logsumexp(x)
+
+    def test_rows_equal_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((5, 1000)) * 10.0
+        x[1] = -np.inf
+        x[2, :300] = -np.inf
+        x[3, rng.integers(1000, size=3)] = x[3].max()
+        got = _log_sum_exp(x)
+        assert got.shape == (5,)
+        for row, value in zip(x, got):
+            assert value == logsumexp(row)
+
+
 class TestChernoff:
     def test_le_two_bhattacharyya(self):
         rng = np.random.default_rng(7)
@@ -225,14 +281,16 @@ class TestChernoff:
             minmax = np.maximum(d_p, d_q).min()
             assert chernoff(p, q) == pytest.approx(minmax, abs=1e-4)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 64])
     def test_matches_fine_search(self, k):
         # the objective is flat at s*, so the value agrees to 1e-12 while s*
         # is only as close as the float objective can resolve: the slope
-        # there stays below 1e-6 (about 1e-7 seen over 4500 random pairs)
+        # there stays below 1e-6 (about 1e-7 seen over 4500 random pairs).
+        # Laws with a mass at the support floor check that the objective's
+        # unshifted sum of p^s q^(1-s) stays as accurate as scipy's logsumexp.
         rng = np.random.default_rng(20 + k)
-        for _ in range(30):
-            p, q = random_pmf(rng, k), random_pmf(rng, k)
+        pairs = [(random_pmf(rng, k), random_pmf(rng, k)) for _ in range(30)]
+        for p, q in pairs + floor_pairs(k):
             val, s_star = chernoff_with_optimizer(p, q)
             assert abs(val - fine_chernoff(p, q)) <= 1e-12
             assert abs(tilted_log_ratio_mean(p, q, s_star)) <= 1e-6
