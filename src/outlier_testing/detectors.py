@@ -399,7 +399,11 @@ def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
     return law.probs
 
 
-#: gathered member statistics (batch x members x K floats) the combine step holds at once
+#: floats in one block of gathered member pmfs (batch x members x K) in the
+#: combine step.  It bounds that block, not the step's memory: the block's
+#: working set (the gathered pmfs, a gather temporary, their mixture, the
+#: entropy sums and the score rows) is four to five times as large, about
+#: 75 MB beside the output at univ-multi M=300, T=2, K=2, batch 174.
 COMBINE_BLOCK = 1 << 21
 
 

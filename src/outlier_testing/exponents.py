@@ -19,6 +19,10 @@ require two kinds of optimization:
 The single-outlier lower bound pairs that ball with a penalized closed
 form, evaluated on a fixed grid, whose gap to the both-known optimum
 shrinks like 1/M.
+
+`scipy.optimize` is imported inside the three functions that call it, so
+that importing this module (as the CLI does for every subcommand) does not
+load the optimizer; only the subcommands that solve pay for it.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import rel_entr, xlogy
 
 from .errors import SolverError, ValidationError
@@ -178,6 +181,8 @@ def _solve_pair_program(
     FEASIBILITY_TOL.  Returns (value, gap, iterations, minimizer) of the
     best such start.
     """
+    from scipy.optimize import minimize
+
     m, k = refs.shape
     out_s = np.array([i for i in range(m) if i not in s])
     out_sp = np.array([i for i in range(m) if i not in s_prime])
@@ -379,6 +384,8 @@ def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius: float
     exp(-theta d)/Z(theta) has Z <= 1 and D(x_theta||center) =
     -theta <d, x_theta> - ln Z(theta), both from one pass over the weights.
     """
+    from scipy.optimize import brentq
+
     center = np.exp(log_center)
     d = direction - direction.min()
     if not d.any():
@@ -411,6 +418,8 @@ def _fw_min_bhattacharyya(
     the exact step is 1 when S'(1) >= 0 and otherwise the root of S' in
     [0, 1], where S'(0) > 0 whenever the duality gap is positive.
     """
+    from scipy.optimize import brentq
+
     log_center = np.log(center)
     sqrt_mu = np.sqrt(mu)
     q = center.copy()

@@ -243,8 +243,11 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
     * identical-univ, null-identical: tab[|S|][c_S] + tab[M-|S|][Sigma - c_S]
 
     Each key is a few gathers and adds per hypothesis.  ``keys(cols)``
-    maps type indices (M, b) to keys (H, b).  Returns None for
-    known-law kinds and when a table would pass ROUTE_MAX_TERMS entries.
+    maps type indices (M, b) to keys (H, b), written in place one size at
+    a time: the pool terms of every size first, then (non-identical
+    kinds) the member entropy sums, so the gathered codes are freed before
+    the entropies are gathered.  Returns None for known-law kinds and when
+    a table would pass ROUTE_MAX_TERMS entries.
     """
     if ent is None:
         return None
@@ -264,19 +267,30 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
         tab[s] = np.zeros(lengths[s])
         tab[s][pooled[:, :-1] @ powers] = s * entr(pooled / (n * s)).sum(axis=1)
 
+    ends = np.cumsum([len(members) for members in scorer.family.members])
+
     def keys(cols: np.ndarray) -> np.ndarray:
         """Keys (H, b) of the tuples with type indices ``cols`` (M, b)."""
+        out = np.empty((ends[-1], cols.shape[1]))
         codes = code[cols]
-        ents = None if identical else ent[cols]
         whole = codes.sum(axis=0)
-        out = []
-        for members in scorer.family.members:
+        for members, key in zip(scorer.family.members, np.split(out, ends[:-1])):
             t = members.shape[1]
             c_in = _member_sums(codes, members, axis=0)
-            key = tab[m - t][whole - c_in]
-            key += tab[t][c_in] if identical else _member_sums(ents, members, axis=0)
-            out.append(key)
-        return np.concatenate(out)
+            inside = tab[t][c_in] if identical else None
+            np.subtract(whole, c_in, out=c_in)
+            # every pool code is in range: "clip" only skips take's buffer
+            tab[m - t].take(c_in, out=key, mode="clip")
+            if identical:
+                key += inside
+            del c_in, inside
+        if identical:
+            return out
+        del codes, whole
+        ents = ent[cols]
+        for members, key in zip(scorer.family.members, np.split(out, ends[:-1])):
+            key += _member_sums(ents, members, axis=0)
+        return out
 
     return keys
 

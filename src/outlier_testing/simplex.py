@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import rel_entr, xlogy
 
 from .errors import SupportError, ValidationError
@@ -181,6 +180,10 @@ def chernoff_with_optimizer(p: Pmf, q: Pmf) -> tuple[float, float]:
     _check_same_length(p, q)
     if not (p.full_support() and q.full_support()):
         raise SupportError("chernoff requires full-support pmfs")
+    # imported here, not at module scope: the CLI's oracle, detect and
+    # simulate import this module but never search
+    from scipy.optimize import minimize_scalar
+
     log_p = np.log(p.probs)
     log_q = np.log(q.probs)
     res = minimize_scalar(lambda s: -_chernoff_objective(log_p, log_q, s), bounds=(0.0, 1.0),

@@ -411,6 +411,31 @@ class TestEntryPoint:
         probe = "import sys, outlier_testing.cli\nprint('scipy.stats' in sys.modules)"
         assert self.python(["-c", probe]).strip() == "False"
 
+    def test_only_solving_commands_load_scipy_optimize(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("0,1\n0,0\n0,0\n")
+        runs = [
+            ["oracle", "--kind", "univ-single", "--m", "3", "--k", "2", "--n-grid", "4",
+             "--mus", "0.3,0.7", "--pi", "0.7,0.3"],
+            TestSimulateStream.ARGS,
+            ["detect", "--file", str(path), "--kind", "univ-single"],
+            ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3",
+             "--m", "3", "--restarts", "0"],
+        ]
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from outlier_testing import cli\n"
+            "loaded = ['scipy.optimize' in sys.modules]\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    loaded.append('scipy.optimize' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        # after the import, oracle, simulate and detect; then the solver loads it
+        assert json.loads(self.python(["-c", probe]).splitlines()[-1]) == [
+            False, False, False, False, True]
+
     def test_module_run_prints_as_main(self, capsys):
         argv = ["exponent", "--kind", "both-known", "--mu", "0.3,0.7", "--pi", "0.7,0.3"]
         _, want, _ = run(capsys, *argv)
