@@ -186,16 +186,19 @@ def cmd_figure(args) -> int:
     else:
         pairs = list(DEFAULT_FIGURE_PAIRS)
     require(3 <= args.m_min <= args.m_max, "need 3 <= m-min <= m-max")
-    print("pair,mu,pi,m,lower_bound,two_b")
+    # rows are printed only once every pair has succeeded, so a failing run
+    # leaves stdout empty
+    rows = ["pair,mu,pi,m,lower_bound,two_b"]
     for idx, (mu_text, pi_text) in enumerate(pairs, start=1):
         mu, pi = _parse_pmf(mu_text), _parse_pmf(pi_text)
         two_b = 2.0 * bhattacharyya(mu, pi)
         for m in range(args.m_min, args.m_max + 1):
             bound = thm_single_lower_bound(mu, pi, m)
-            print(",".join([
+            rows.append(",".join([
                 str(idx), mu_text.replace(",", " "), pi_text.replace(",", " "),
                 str(m), _fmt(bound.value), _fmt(two_b),
             ]))
+    print("\n".join(rows))
     return 0
 
 

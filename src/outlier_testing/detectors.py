@@ -256,8 +256,11 @@ class ObservationMatrix:
 
     @classmethod
     def from_binary(cls, path) -> "ObservationMatrix":
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read observation binary file: {exc}") from exc
         if len(blob) < 16 or blob[:4] != cls._BIN_MAGIC:
             raise ValidationError("not an observation binary file")
         m, n, k = struct.unpack("<III", blob[4:16])
@@ -355,10 +358,6 @@ _MU_KINDS = frozenset({DetectorKind.ML_SINGLE, DetectorKind.MU_ONLY})
 _PI_KINDS = frozenset({DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE, DetectorKind.TYP_MULTI})
 _MULTI_KINDS = frozenset({DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI})
 _IDENTICAL_KINDS = frozenset({DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL})
-_UNIVERSAL_KINDS = frozenset({
-    DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE, DetectorKind.UNIV_MULTI,
-    *_IDENTICAL_KINDS,
-})
 
 
 def null_threshold(
@@ -373,12 +372,16 @@ def null_threshold(
 class RowStats(NamedTuple):
     """Per-row statistics of count rows; every array has the rows' leading shape.
 
-    A field the detector kind does not read is None.
+    Universal kinds fill ``pmf`` and ``ent``, known-law kinds ``key`` and
+    ``d_pi`` (None when the kind holds no pi).  ``key`` is a row's own term
+    in the scores of the members holding it: D(gamma||mu) - D(gamma||pi)
+    for ml-single, -D(gamma||pi) for typ-single and typ-multi, and
+    D(gamma||mu) for mu-only.
     """
 
     pmf: Optional[np.ndarray]  # (..., K) empirical distributions gamma
     ent: Optional[np.ndarray]  # H(gamma)
-    d_mu: Optional[np.ndarray]  # D(gamma || mu)
+    key: Optional[np.ndarray]  # the row's own term, smaller is better
     d_pi: Optional[np.ndarray]  # D(gamma || pi)
 
     def take(self, idx: np.ndarray) -> "RowStats":
@@ -435,10 +438,13 @@ class Scorer:
     * identical-univ, null-identical: the dispersion inside S plus the
       dispersion outside S
 
-    Dispersions use the entropy identity sum_{j in J} D(gamma_j||mix_J) =
-    |J| H(mix_J) - sum_{j in J} H(gamma_j).  Members are summed in index
-    order.  Every batch entry goes through the same floating-point
-    operations whatever the batch size.
+    The combine step has one formula per law family.  A kind that holds a
+    law (mu or pi) scores S as the sum of its members' `RowStats` keys plus
+    the row's sum_j D(gamma_j||pi) when it holds pi.  A kind that holds
+    neither scores dispersions by the entropy identity sum_{j in J}
+    D(gamma_j||mix_J) = |J| H(mix_J) - sum_{j in J} H(gamma_j).  Members
+    are summed in index order.  Every batch entry goes through the same
+    floating-point operations whatever the batch size.
     """
 
     def __init__(
@@ -465,6 +471,7 @@ class Scorer:
         self.kind = kind
         self.family = family
         self.m = family.m
+        self.identical = kind in _IDENTICAL_KINDS
 
     @functools.cached_property
     def hypotheses(self) -> tuple[HypothesisId, ...]:
@@ -479,32 +486,24 @@ class Scorer:
     def row_stats(self, counts: np.ndarray, n: int) -> RowStats:
         """Statistics of count rows (..., K) of n samples each."""
         p = counts / n
-        if self.kind in _UNIVERSAL_KINDS:
+        if self.mu is None and self.pi is None:
             return RowStats(p, _entropies(p), None, None)
-        d_mu = None if self.mu is None else rel_entr(p, self.mu).sum(axis=-1)
         d_pi = None if self.pi is None else rel_entr(p, self.pi).sum(axis=-1)
-        return RowStats(None, None, d_mu, d_pi)
+        if self.mu is None:
+            return RowStats(None, None, -d_pi, d_pi)
+        key = rel_entr(p, self.mu).sum(axis=-1)
+        return RowStats(None, None, key if d_pi is None else key - d_pi, d_pi)
 
     def combine(self, stats: RowStats) -> np.ndarray:
         """Scores (batch, H) from row statistics of leading shape (batch, M)."""
-        kind = self.kind
-        if kind is DetectorKind.MU_ONLY:
-            return stats.d_mu
-        if kind is DetectorKind.ML_SINGLE:
-            return stats.d_mu - stats.d_pi + stats.d_pi.sum(axis=1)[:, None]
-        if kind is DetectorKind.TYP_SINGLE:
-            return stats.d_pi.sum(axis=1)[:, None] - stats.d_pi
-        if kind is DetectorKind.TYP_MULTI:
-            per = stats.d_pi
-            return per.sum(axis=1)[:, None] - _member_sums(per, self.family.members[0])
+        if stats.key is not None:
+            score = _member_sums(stats.key, self.family.members[0])
+            if stats.d_pi is not None:
+                score += stats.d_pi.sum(axis=1)[:, None]
+            return score
         rows, ent = stats.pmf, stats.ent
         total_pmf = rows.sum(axis=1)
         total_ent = ent.sum(axis=1)
-        if kind in (DetectorKind.UNIV_SINGLE, DetectorKind.NULL_SINGLE):
-            n_out = self.m - 1
-            mix = (total_pmf[:, None, :] - rows) / n_out
-            return n_out * _entropies(mix, out=mix) - (total_ent[:, None] - ent)
-        identical = kind in _IDENTICAL_KINDS
         step = max(1, COMBINE_BLOCK // (rows.shape[0] * rows.shape[2]))
         out = np.empty((rows.shape[0], sum(map(len, self.family.members))))
         col = 0
@@ -517,7 +516,7 @@ class Scorer:
                 mix /= n_out
                 score = out[:, col:col + len(cols)]
                 np.subtract(n_out * _entropies(mix, out=mix), total_ent[:, None] - in_ent, out=score)
-                if identical:
+                if self.identical:
                     in_pmf /= n_in
                     score += n_in * _entropies(in_pmf, out=in_pmf) - in_ent
                 col += len(cols)

@@ -6,10 +6,10 @@ over M-tuples of types, weighted by exact type-class probabilities.
 This replaces asymptotic claims with ground-truth finite-n numbers.
 
 Two routes compute it, and each result names the one it took.  Known-law
-kinds that rank one per-type key (ml-single, typ-single, mu-only, and
-typ-multi at T=2) factor over coordinates: when a floating-point
-certificate shows that the kernel orders tuples as the keys do, the error
-is a sum over key values of products of per-coordinate masses
+kinds that rank the kernel's per-type `RowStats.key` (ml-single,
+typ-single, mu-only, and typ-multi at T=2) factor over coordinates: when a
+floating-point certificate shows that the kernel orders tuples as the keys
+do, the error is a sum over key values of products of per-coordinate masses
 (`_ranked_errors`), in O(M x distinct keys) per truth.  Every other
 case enumerates the type tuples in chunks, fully vectorized, and decides
 every tuple exactly as the detector run on a matrix with those types
@@ -80,6 +80,7 @@ def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTa
     """Enumerate the C(n+K-1, K-1) empirical types of length-n sequences."""
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and K >= 2")
+    require(cap >= 1, f"the cap must be at least 1, got {cap}")
     total = math.comb(n + k - 1, k - 1)
     if total > cap:
         raise EnumerationCapError(f"{total} types exceeds cap {cap}")
@@ -252,7 +253,7 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
     if ent is None:
         return None
     m, n, k = scorer.m, table.n, table.k
-    identical = scorer.kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL)
+    identical = scorer.identical
     base = n * (m - 1) + 1
     sizes = scorer.family.sizes
     pools = {m - t for t in sizes} | (set(sizes) if identical else set())
@@ -453,38 +454,33 @@ ROUTE_MAX_TERMS = 1 << 21
 def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
     """How a known-law kind ranks types, when its exact error factors over coordinates.
 
-    ml-single, typ-single, mu-only and typ-multi at T=2 decide the T
-    coordinates of best per-type key, the earliest index first among equal
-    keys.  The key is d_mu - d_pi (as `Scorer.combine` computes it), -d_pi,
-    d_mu and -d_pi; smaller is better.  Returns (types sorted by key,
-    stably; start of each run of equal keys; T), or None for the enumeration.
+    ``stats`` are the kernel's statistics of every type.  A known-law kind
+    whose members have T <= 2 coordinates (ml-single, typ-single, mu-only,
+    typ-multi at T=2) decides the T coordinates of best `RowStats.key`, the
+    earliest index first among equal keys; smaller is better.  Returns
+    (types sorted by key, stably; start of each run of equal keys; T), or
+    None for the enumeration: universal kinds hold no key.
 
     Certificate that the kernel decides as the keys do, tie for tie.  The
-    kernel turns keys into scores with one or two more roundings, each off
-    by at most u = eps/2 of its result: fl(key_i + S) for ml-single,
-    fl(S - d_i) for typ-single and fl(S - fl(d_a + d_b)) for typ-multi,
-    where S is the row's float sum of d_pi, so |S| <= M max d_pi (1 + M u).
-    mu-only scores the key itself.  Rounding is monotone, so equal keys (at
-    T=2, equal key pairs) score bit-equal and a better key never scores
-    worse.  Only comparisons with the winner matter.  If g is the smallest
-    gap between distinct keys, every other coordinate (at T=2, every pair
-    but the top two) has a key (key sum) at least g worse, because such a
-    pair holds a key at least g worse than its rank counterpart.  The
-    roundings move two such scores by at most eps (4 max|key| + |S|)
-    together, so they stay strictly in order when g exceeds that; the route
-    asks g > 4 eps (max|key| + M max d_pi), which implies it.  Keys that tie
-    in exact arithmetic but come out an ulp apart fail it.  T >= 3 never
-    takes the route: the kernel adds members in index order, so subsets
-    holding the same keys can score an ulp apart.
+    kernel turns keys into scores with at most two more roundings, each off
+    by at most u = eps/2 of its result: fl(key_i + S) at T=1 and
+    fl(fl(key_a + key_b) + S) at T=2, where S is the row's float sum of
+    d_pi, so |S| <= M max d_pi (1 + M u).  mu-only holds no pi, so its
+    score is the key itself, with no rounding.  Rounding is monotone, so
+    equal keys (at T=2, equal key pairs) score bit-equal and a better key
+    never scores worse.  Only comparisons with the winner matter.  If g is
+    the smallest gap between distinct keys, every other coordinate (at T=2,
+    every pair but the top two) has a key (key sum) at least g worse,
+    because such a pair holds a key at least g worse than its rank
+    counterpart.  The roundings move two such scores by at most eps
+    (4 max|key| + |S|) together, so they stay strictly in order when g
+    exceeds that; the route asks g > 4 eps (max|key| + M max d_pi), which
+    implies it.  Keys that tie in exact arithmetic but come out an ulp
+    apart fail it.  T >= 3 never takes the route: the kernel adds members
+    in index order, so subsets holding the same keys can score an ulp apart.
     """
-    kind, t_size = scorer.kind, scorer.family.sizes[0]
-    if kind is DetectorKind.MU_ONLY:
-        key = stats.d_mu
-    elif kind is DetectorKind.ML_SINGLE:
-        key = stats.d_mu - stats.d_pi
-    elif kind is DetectorKind.TYP_SINGLE or (kind is DetectorKind.TYP_MULTI and t_size == 2):
-        key = -stats.d_pi
-    else:
+    key, t_size = stats.key, scorer.family.sizes[0]
+    if key is None or t_size > 2:
         return None
     slack = 0.0 if stats.d_pi is None else (
         4 * np.finfo(float).eps * (np.abs(key).max() + scorer.m * stats.d_pi.max()))

@@ -282,6 +282,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize("extra,code", [
         (["--n-grid", "2,40", "--cap", "100"], 4),
         (["--n-grid", "2,3", "--pi", "0.5,0.3,0.2"], 2),
+        (["--n-grid", "2,3", "--cap", "0"], 2),
+        (["--n-grid", "2,3", "--cap", "-1"], 2),
     ])
     def test_failure_leaves_stdout_empty(self, capsys, extra, code):
         args = ["oracle", "--kind", "univ-single", "--m", "3", "--k", "2",
@@ -362,7 +364,12 @@ class TestNegativeSeedsAndRestarts:
          "--solver-seed", "-1"],
         ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "3",
          "--restarts", "-1"],
-    ], ids=["seed", "solver-seed", "restarts"])
+        ["detect", "--binary", "--file", "no-such-observations.bin", "--kind", "univ-single"],
+        ["detect", "--binary", "--file", ".", "--kind", "univ-single"],
+        # the second pair fails after the first has produced its rows
+        ["figure", "--m-min", "3", "--m-max", "4", "--pairs", "0.3,0.7:0.7,0.3;0.4,0.6:0.4,0.6"],
+    ], ids=["seed", "solver-seed", "restarts", "binary-missing", "binary-directory",
+            "figure-pair"])
     def test_exit_2_with_empty_stdout(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error" in err

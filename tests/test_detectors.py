@@ -437,14 +437,18 @@ class TestScoreKernel:
         for b in range(len(counts)):
             assert np.array_equal(batched[b], scorer.scores(counts[b:b + 1], 12)[0])
 
-    @pytest.mark.parametrize("kind,m,extra", [c for c in _kernel_cases() if "family" in c[2]])
+    # the single-outlier cases come last so that the others keep their ids
+    @pytest.mark.parametrize("kind,m,extra", [c for c in _kernel_cases() if "family" in c[2]]
+                             + [c for c in _kernel_cases() if "family" not in c[2]])
     def test_combine_matches_per_column_loop(self, kind, m, extra, monkeypatch):
-        # one gather per size gives the bits of a loop over columns, and
-        # neither the batch size nor the member blocks change any of them
+        # a loop over columns, with each kind's formula written out, gives
+        # the kernel's bits, and neither the batch size nor the member
+        # blocks change any of them
         rng = np.random.default_rng(m)
         counts = np.stack([rng.multinomial(12, rng.dirichlet(np.ones(3)), size=m)
                            for _ in range(20)])
-        scorer = Scorer(kind, extra["family"], 3, pi=self.PI3)
+        family = extra.get("family") or HypothesisFamily.single_outlier(m, kind == "null-single")
+        scorer = Scorer(kind, family, 3, mu=self.MU3, pi=self.PI3)
         stats = scorer.row_stats(counts, 12)
         got = scorer.combine(stats)
         monkeypatch.setattr(detectors, "COMBINE_BLOCK", 7 * 20 * 3)  # 7 members a block
@@ -453,20 +457,32 @@ class TestScoreKernel:
         def entropies(p):
             return -xlogy(p, p).sum(axis=-1)
 
+        rows = counts / 12
+        ent = entropies(rows)
+        d_mu = rel_entr(rows, self.MU3.probs).sum(axis=-1)
+        d_pi = rel_entr(rows, self.PI3.probs).sum(axis=-1)
+        total_pmf, total_ent, total_pi = rows.sum(axis=1), ent.sum(axis=1), d_pi.sum(axis=1)
         want = np.empty_like(got)
         for col, h in enumerate(scorer.hypotheses):
             inside = sorted(i - 1 for i in outlier_set(h))
-            if kind == "typ-multi":
-                want[:, col] = stats.d_pi.sum(axis=1) - stats.d_pi[:, inside].sum(axis=1)
-                continue
-            rows, ent = stats.pmf, stats.ent
-            n_in, n_out = len(inside), m - len(inside)
-            in_pmf, in_ent = rows[:, inside, :].sum(axis=1), ent[:, inside].sum(axis=1)
-            score = n_out * entropies((rows.sum(axis=1) - in_pmf) / n_out) - (
-                ent.sum(axis=1) - in_ent)
-            if "identical" in kind:
-                score = n_in * entropies(in_pmf / n_in) - in_ent + score
-            want[:, col] = score
+            i, n_in, n_out = inside[0], len(inside), m - len(inside)
+            if kind == "ml-single":
+                want[:, col] = (d_mu[:, i] - d_pi[:, i]) + total_pi
+            elif kind == "typ-single":
+                want[:, col] = total_pi - d_pi[:, i]
+            elif kind == "mu-only":
+                want[:, col] = d_mu[:, i]
+            elif kind == "typ-multi":
+                want[:, col] = total_pi - d_pi[:, inside].sum(axis=1)
+            elif kind in ("univ-single", "null-single"):
+                want[:, col] = n_out * entropies((total_pmf - rows[:, i]) / n_out) - (
+                    total_ent - ent[:, i])
+            else:
+                in_pmf, in_ent = rows[:, inside, :].sum(axis=1), ent[:, inside].sum(axis=1)
+                score = n_out * entropies((total_pmf - in_pmf) / n_out) - (total_ent - in_ent)
+                if "identical" in kind:
+                    score = n_in * entropies(in_pmf / n_in) - in_ent + score
+                want[:, col] = score
         assert np.array_equal(got, want)
         for b in (0, 7):
             assert np.array_equal(got[b], scorer.scores(counts[b:b + 1], 12)[0])
