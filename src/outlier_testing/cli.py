@@ -372,6 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the library takes lam = inf (always NULL), but JSON has no infinity
+        lam = getattr(args, "lam", None)
+        require(lam is None or np.isfinite(lam), "lambda must be finite")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -313,8 +313,8 @@ def decide_batch(scores: np.ndarray, lam: Optional[float] = None) -> np.ndarray:
     best = np.argmin(scores, axis=-1)
     if lam is None:
         return best
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    if not lam >= 0:
+        raise ValidationError("lambda must be >= 0 and not NaN")
     spread = scores.max(axis=-1) - scores.min(axis=-1)
     return np.where(spread > lam, best, -1)
 
@@ -364,6 +364,8 @@ def null_threshold(
     kind: DetectorKind, lam: Optional[float], m: int, n: int, k: int
 ) -> Optional[float]:
     """The lambda a kind decides with: None for argmin kinds, else lam or the default."""
+    if lam is not None and not lam >= 0:
+        raise ValidationError("lambda must be >= 0 and not NaN")
     if DetectorKind(kind) not in NULL_AWARE_KINDS:
         return None
     return default_lambda(m, n, k) if lam is None else lam

@@ -3,12 +3,13 @@
 Closed forms cover the known-law settings.  The fully universal settings
 require two kinds of optimization:
 
-* a nonconvex program over an M-fold product of simplices with a
-  difference-of-divergences constraint, solved from several starts by
-  SLSQP in per-row softmax coordinates with analytic gradients; each
-  start's end point is re-checked against the constraint in probability
-  space, and the best feasible one is kept (certified for K=2, M=3 by an
-  exhaustive grid oracle);
+* a nonconvex pair program with a difference-of-divergences constraint,
+  which over M coordinates reduces to a weighted program over at most
+  2T + 1 simplices whatever M is (one row per class of equal rows),
+  solved from several starts by SLSQP in per-row softmax coordinates with
+  analytic gradients; each start's end point is re-checked against the
+  constraint in probability space, and the best feasible one is kept
+  (certified for K=2, M=3 by an exhaustive grid oracle);
 * a convex minimization of a Bhattacharyya objective over a relative
   entropy ball, solved by Frank-Wolfe: the linear subproblem over the
   ball is a one-dimensional exponential tilt whose parameter is a root
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,12 +119,7 @@ def exponent_multi_known(mus: Sequence[Pmf], pi: Pmf) -> ExponentResult:
         raise ValidationError("need at least two outlier laws")
     for mu in mus:
         _check_model(mu, pi)
-    best = min(
-        chernoff_pair_product(mus[i], mus[j], pi)
-        for i in range(len(mus))
-        for j in range(len(mus))
-        if i < j
-    )
+    best = min(chernoff_pair_product(a, b, pi) for a, b in combinations(mus, 2))
     return ExponentResult(best, "one_dim_search")
 
 
@@ -142,80 +138,71 @@ def exponent_multi_typ_known(mus: Sequence[Pmf], pi: Pmf) -> ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-def _mix_term(q: np.ndarray, outside: np.ndarray) -> float:
-    """sum over i outside S of D(q_i || mean of outside rows)."""
-    mix = q[outside].mean(axis=0)
-    return float(rel_entr(q[outside], mix[None, :]).sum())
+def _dispersion(q: np.ndarray, w: np.ndarray, outside: np.ndarray) -> float:
+    """sum over rows r of an outside set of w_r D(q_r || their w-weighted mean)."""
+    w_out = w[outside, None]
+    mix = (w_out * q[outside]).sum(axis=0) / w_out.sum()
+    return float((w_out * rel_entr(q[outside], mix[None, :])).sum())
 
 
-def _program_value(q: np.ndarray, refs: np.ndarray) -> float:
-    return float(rel_entr(q, refs).sum())
-
-
-def _constraint(q: np.ndarray, out_s: np.ndarray, out_sp: np.ndarray) -> float:
-    return _mix_term(q, out_s) - _mix_term(q, out_sp)
-
-
-def _grad_mix_term(log_q: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Gradient of _mix_term in q, from log q: log(q_i / mix) on the outside rows."""
+def _grad_dispersion(log_q: np.ndarray, w: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Gradient of _dispersion in q, from log q: w_r log(q_r / mix) on the outside rows."""
     g = np.zeros_like(log_q)
-    log_mix = np.logaddexp.reduce(log_q[outside], axis=0) - math.log(outside.size)
-    g[outside] = log_q[outside] - log_mix[None, :]
+    w_out = w[outside, None]
+    # the mixture stays in log space: a linear-space mix underflows on far starts
+    log_mix = np.logaddexp.reduce(log_q[outside] + np.log(w_out), axis=0) - math.log(w_out.sum())
+    g[outside] = w_out * (log_q[outside] - log_mix[None, :])
     return g
 
 
 def _solve_pair_program(
-    refs: np.ndarray,
-    s: tuple[int, ...],
-    s_prime: tuple[int, ...],
-    mus_by_coord: np.ndarray,
-    pi: np.ndarray,
-    opts: SolverOptions,
+    laws: np.ndarray, counts: np.ndarray, pooled: int, pi: np.ndarray,
+    key: tuple[int, ...], opts: SolverOptions,
 ) -> tuple[float, float, int, np.ndarray]:
-    """Inner exponent program for one ordered pair of outlier sets.
+    """The pair program of a truth S and a rival S', d = |S \\ S'|, on weighted rows.
 
-    Minimizes sum_i D(q_i || refs_i) subject to the outside-S dispersion
-    being at least the outside-S' dispersion.  Each start runs one SLSQP
-    solve over the logits z of q = softmax(z) row by row; a start counts
+    Over M rows it minimizes sum_i D(q_i || ref_i) subject to the dispersion
+    outside S being at least that outside S'.  Rows in both S and S' sit at
+    their laws at no cost.  Rows of S \\ S' are outside S' only, so by convexity
+    and the concavity of entropy those of one law pool into one row; rows
+    outside S and S' are outside both, where only their mean counts, so
+    they pool too.  The rows are one per distinct law of S \\ S' (weights
+    ``counts``), the d rows of S' \\ S and the pool (reference pi, weights 1
+    and ``pooled``); a row of weight w counts as w equal rows.  Each start
+    runs one SLSQP solve over the row logits z of q = softmax(z) and counts
     only if its end point violates the constraint by at most
-    FEASIBILITY_TOL.  Returns (value, gap, iterations, minimizer) of the
-    best such start.
+    FEASIBILITY_TOL.  Returns (value, gap, iterations, rows) of the best.
     """
     from scipy.optimize import minimize
 
-    m, k = refs.shape
-    out_s = np.array([i for i in range(m) if i not in s])
-    out_sp = np.array([i for i in range(m) if i not in s_prime])
+    n, k = laws.shape
+    d = int(counts.sum())
+    rows = n + d + 1
+    refs = np.vstack([laws, np.tile(pi, (d + 1, 1))])
+    w = np.array([*counts, *[1] * d, pooled], dtype=float)
+    out_s = np.arange(n, rows)
+    out_sp = np.array([*range(n), rows - 1])
+    # the law of S \ S' that each row of S' \ S swaps with
+    partners = np.repeat(np.arange(n), counts)
 
-    # strictly feasible anchor: typical everywhere except the coordinates
-    # entering S' anew, which keeps the S'-side dispersion at zero
-    anchor = np.tile(pi, (m, 1))
-    for i in s_prime:
-        if i not in s:
-            anchor[i] = mus_by_coord[i]
+    # strictly feasible anchor: typical everywhere except the rows of S' \ S,
+    # at their partners' laws, which keeps the S'-side dispersion at zero
+    anchor = np.vstack([np.tile(pi, (n, 1)), laws[partners], pi])
 
-    # boundary start: pair the swapped coordinates at geometric midpoints
-    boundary = np.tile(pi, (m, 1))
-    enter = [i for i in s if i not in s_prime]
-    leave = [i for i in s_prime if i not in s]
-    for i in s:
-        boundary[i] = mus_by_coord[i]
-    for i, j in zip(enter, leave):
-        gm = np.sqrt(mus_by_coord[i] * pi)
-        gm = gm / gm.sum()
-        boundary[i] = gm
-        boundary[j] = gm
+    # boundary start: each swapped pair at the geometric midpoint of its law and pi
+    gm = np.sqrt(laws * pi)
+    gm = gm / gm.sum(axis=1, keepdims=True)
+    boundary = np.vstack([gm, gm[partners], pi])
 
-    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, len(s), *s, *s_prime)))
-    starts = [refs.copy(), anchor.copy(), boundary]
-    for _ in range(opts.restarts):
-        starts.append(rng.dirichlet(np.ones(k), size=m))
+    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, *key)))
+    starts = [refs, anchor, boundary]
+    starts += [rng.dirichlet(np.ones(k), size=rows) for _ in range(opts.restarts)]
 
     log_refs = np.log(refs)
 
     def unpack(z):
         # log q as a log-softmax: log(softmax(z)) underflows to -inf on far starts
-        z = z.reshape(m, k)
+        z = z.reshape(rows, k)
         log_q = z - np.logaddexp.reduce(z, axis=1, keepdims=True)
         return np.exp(log_q), log_q
 
@@ -225,16 +212,19 @@ def _solve_pair_program(
 
     def objective(z):
         q, log_q = unpack(z)
-        return float((q * (log_q - log_refs)).sum()), through_softmax(q, log_q - log_refs + 1.0)
+        return (float((w[:, None] * q * (log_q - log_refs)).sum()),
+                through_softmax(q, w[:, None] * (log_q - log_refs + 1.0)))
 
-    def dispersion_gap(z):
-        return _constraint(unpack(z)[0], out_s, out_sp)
+    def dispersion_gap(q):
+        return _dispersion(q, w, out_s) - _dispersion(q, w, out_sp)
 
     def dispersion_gap_grad(z):
         q, log_q = unpack(z)
-        return through_softmax(q, _grad_mix_term(log_q, out_s) - _grad_mix_term(log_q, out_sp))
+        return through_softmax(
+            q, _grad_dispersion(log_q, w, out_s) - _grad_dispersion(log_q, w, out_sp))
 
-    constraint = {"type": "ineq", "fun": dispersion_gap, "jac": dispersion_gap_grad}
+    constraint = {"type": "ineq", "fun": lambda z: dispersion_gap(unpack(z)[0]),
+                  "jac": dispersion_gap_grad}
     best_val, best_gap, best_q = math.inf, math.inf, None
     total_iters = 0
     for q0 in starts:
@@ -243,10 +233,10 @@ def _solve_pair_program(
         total_iters += res.nit
         # the certificate is checked on the pmfs themselves, not on SLSQP's report
         q = unpack(res.x)[0]
-        gap = max(0.0, -_constraint(q, out_s, out_sp))
+        gap = max(0.0, -dispersion_gap(q))
         if gap > FEASIBILITY_TOL:
             continue
-        val = _program_value(q, refs)
+        val = float((w[:, None] * rel_entr(q, refs)).sum())
         if val < best_val:
             best_val, best_gap, best_q = val, gap, q
     if best_q is None:
@@ -254,34 +244,33 @@ def _solve_pair_program(
     return best_val, best_gap, total_iters, best_q
 
 
+def _minimizer(table: np.ndarray, rows: np.ndarray) -> tuple[Pmf, ...]:
+    """The M pmfs of a minimizer whose coordinate i is table row rows[i]."""
+    pmfs = [Pmf.normalize(row) for row in table]
+    return tuple(pmfs[r] for r in rows)
+
+
 def exponent_univ_single(
     mu: Pmf, pi: Pmf, m: int, opts: Optional[SolverOptions] = None
 ) -> ExponentResult:
     """Exponent achieved by the fully universal single-outlier test.
 
-    Solved as the constrained program over M pmfs; the returned value is
-    an upper bound on the true minimum (global optimality is certified
-    only for K=2, via the grid oracle).
+    The pair program for S = {0} and S' = {1}: three rows, whatever M is
+    (mu's row, the rival's row and M - 2 pooled rows).  The minimizer
+    lists q_0, q_1 and M - 2 copies of the pooled row.  The value is an
+    upper bound on the true minimum (global optimality is certified only
+    for K=2, via the grid oracle).
     """
     _check_model(mu, pi)
     if m < 3:
         raise ValidationError("need M >= 3")
     opts = opts or SolverOptions()
-    refs = np.tile(pi.probs, (m, 1))
-    refs[0] = mu.probs
-    mus_by_coord = np.tile(mu.probs, (m, 1))
     val, gap, iters, q = _solve_pair_program(
-        refs, (0,), (1,), mus_by_coord, np.asarray(pi.probs), opts
+        mu.probs[None, :], np.array([1]), m - 2, np.asarray(pi.probs), (1, 0, 1), opts
     )
-    cap = 2.0 * bhattacharyya(mu, pi)
-    val = min(val, cap)
-    return ExponentResult(
-        max(val, 0.0),
-        "multistart_slsqp",
-        iterations=iters,
-        feasibility_gap=gap,
-        minimizer=tuple(Pmf.normalize(row) for row in q),
-    )
+    val = min(val, 2.0 * bhattacharyya(mu, pi))
+    return ExponentResult(max(val, 0.0), "multistart_slsqp", iterations=iters, feasibility_gap=gap,
+                          minimizer=_minimizer(q, np.minimum(np.arange(m), 2)))
 
 
 def exponent_univ_multi(
@@ -289,8 +278,14 @@ def exponent_univ_multi(
 ) -> ExponentResult:
     """Exponent achieved by the fully universal fixed-size multi-outlier test.
 
-    Outer minimum over ordered pairs of distinct size-T outlier sets of
-    the inner pair program.
+    The minimum of the pair program over ordered pairs of distinct size-T
+    outlier sets.  A pair enters it only through d = |S \\ S'|, the laws of
+    S \\ S' and M - T - d, so the minimum runs over d = 1..T and the distinct
+    multisets of d coordinate laws (equal laws have equal probabilities):
+    T programs when all laws are equal.  The minimizer is laid out for one
+    pair: S \\ S' holds the first coordinates of each law of the multiset,
+    S' \\ S the next d coordinates, S and S' share the next T - d, at their
+    own laws, and every other coordinate holds the pool.
     """
     mus = list(mus)
     m = len(mus)
@@ -299,30 +294,34 @@ def exponent_univ_multi(
     for mu in mus:
         _check_model(mu, pi)
     opts = opts or SolverOptions()
-    pi_arr = np.asarray(pi.probs)
-    mus_by_coord = np.stack([mu.probs for mu in mus])
-    best_val, best_gap, best_q = math.inf, math.inf, None
-    total_iters = 0
-    subsets = list(combinations(range(m), t))
-    for s in subsets:
-        refs = np.tile(pi_arr, (m, 1))
-        for i in s:
-            refs[i] = mus_by_coord[i]
-        for sp in subsets:
-            if sp == s:
+    coords_of: dict[bytes, list[int]] = {}
+    for i, mu in enumerate(mus):
+        coords_of.setdefault(mu.probs.tobytes(), []).append(i)
+    classes = list(coords_of.values())
+    best, total_iters = None, 0
+    for d in range(1, t + 1):
+        for pick in combinations_with_replacement(range(len(classes)), d):
+            law_ids, counts = np.unique(pick, return_counts=True)
+            if any(c > len(classes[j]) for j, c in zip(law_ids, counts)):
                 continue
-            val, gap, iters, q = _solve_pair_program(refs, s, sp, mus_by_coord, pi_arr, opts)
+            a = [i for j, c in zip(law_ids, counts) for i in classes[j][:c]]
+            # S' \ S, then the coordinates S and S' share
+            rest = [i for i in range(t + d) if i not in a][:t]
+            laws = np.stack([mus[classes[j][0]].probs for j in law_ids])
+            val, gap, iters, q = _solve_pair_program(
+                laws, counts, m - t - d, np.asarray(pi.probs), (d, *a, *rest[:d]), opts
+            )
             total_iters += iters
-            if val < best_val:
-                best_val, best_gap, best_q = val, gap, q
-    assert best_q is not None
-    return ExponentResult(
-        max(best_val, 0.0),
-        "multistart_slsqp",
-        iterations=total_iters,
-        feasibility_gap=best_gap,
-        minimizer=tuple(Pmf.normalize(row) for row in best_q),
-    )
+            if best is None or val < best[0]:
+                best = (val, gap, q, a, rest, counts)
+    val, gap, q, a, rest, counts = best
+    # table rows: the laws of S \ S', S' \ S, the coordinates S and S' share, the pool
+    table = np.vstack([q[:-1], *(mus[i].probs for i in rest[len(a):]), q[-1]])
+    rows = np.full(m, counts.size + t)
+    rows[a] = np.repeat(np.arange(counts.size), counts)
+    rows[rest] = np.arange(counts.size, counts.size + t)
+    return ExponentResult(max(val, 0.0), "multistart_slsqp", iterations=total_iters,
+                          feasibility_gap=gap, minimizer=_minimizer(table, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +472,8 @@ def min_over_kl_ball(mus: Sequence[Pmf] | Pmf, ball: KlBallSpec) -> ExponentResu
         if val < best_val:
             best_val, best_q = val, q
     assert best_q is not None
-    return ExponentResult(
-        max(best_val, 0.0),
-        "kl_ball_convex",
-        iterations=iters,
-        feasibility_gap=worst_gap,
-        minimizer=(Pmf.normalize(best_q),),
-    )
+    return ExponentResult(max(best_val, 0.0), "kl_ball_convex", iterations=iters,
+                          feasibility_gap=worst_gap, minimizer=(Pmf.normalize(best_q),))
 
 
 def typical_floor_log(pi: Pmf) -> float:

@@ -172,8 +172,8 @@ def tuple_decisions(
     stats = scorer.row_stats(table.counts, table.n)
     keys = _pooled_keys(scorer, table, stats.ent)
     slack = _key_slack(m, table.n, table.k)
-    if lam is not None and lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    if lam is not None and not lam >= 0:
+        raise ValidationError("lambda must be >= 0 and not NaN")
     for start in range(0, total, chunk):
         cols = _tuple_columns(n_types, m, start, min(start + chunk, total))
         if keys is None:

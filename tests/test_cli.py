@@ -375,6 +375,31 @@ class TestNegativeSeedsAndRestarts:
         assert code == 2 and out == "" and "error" in err
 
 
+class TestBadLambda:
+    """A NaN, infinite or negative --lam exits 2 for every kind, null-aware or not."""
+
+    @pytest.mark.parametrize("command,kind,lam", [
+        ("detect", "null-single", "nan"),
+        ("detect", "null-single", "inf"),
+        ("detect", "univ-single", "-5"),
+        ("oracle", "null-single", "nan"),
+        ("oracle", "univ-single", "nan"),
+        ("simulate", "null-single", "nan"),
+        ("simulate", "univ-single", "-inf"),
+    ])
+    def test_exit_2_with_empty_stdout(self, capsys, tmp_path, command, kind, lam):
+        path = tmp_path / "obs.csv"
+        path.write_text("0,1\n1,0\n0,1\n")
+        argv = {
+            "detect": ["detect", "--file", str(path)],
+            "oracle": ["oracle", "--m", "3", "--k", "2", "--n-grid", "4",
+                       "--mus", "0.3,0.7", "--pi", "0.7,0.3"],
+            "simulate": TestSimulateStream.ARGS,
+        }[command]
+        code, out, err = run(capsys, *argv, "--kind", kind, f"--lam={lam}")
+        assert code == 2 and out == "" and "lambda" in err
+
+
 class TestEntryPoint:
     """`python -m outlier_testing` pins BLAS to one thread; the library does not."""
 

@@ -19,6 +19,7 @@ from outlier_testing.detectors import (
     Subset,
     decide,
     default_lambda,
+    null_threshold,
     outlier_set,
     run_detector,
     score_table,
@@ -305,6 +306,19 @@ class TestNullAware:
         table = ScoreTable(((Coordinate(1), 0.0),))
         with pytest.raises(ValidationError):
             decide(table, lam=-1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf])
+    def test_nan_and_negative_lambda_rejected_for_every_kind(self, lam):
+        table = ScoreTable(((Coordinate(1), 0.0),))
+        with pytest.raises(ValidationError):
+            decide(table, lam=lam)
+        for kind in (DetectorKind.NULL_SINGLE, DetectorKind.UNIV_SINGLE):
+            with pytest.raises(ValidationError):
+                null_threshold(kind, lam, 3, 10, 2)
+
+    def test_infinite_lambda_decides_null(self):
+        table = ScoreTable(((Coordinate(1), 0.9), (Coordinate(2), 0.1)))
+        assert decide(table, lam=math.inf) is NULL
 
 
 MISFITS = [

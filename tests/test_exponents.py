@@ -1,4 +1,6 @@
 """Exponent formulas, the nonconvex pair programs, and KL-ball bounds."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.special import rel_entr
@@ -7,8 +9,6 @@ from outlier_testing.errors import ValidationError
 from outlier_testing.exponents import (
     KlBallSpec,
     SolverOptions,
-    _constraint,
-    _program_value,
     _tilt_to_radius,
     exponent_both_known,
     exponent_multi_known,
@@ -41,7 +41,73 @@ CLOSE_PAIRS = [
     (Pmf(np.array([0.48, 0.52])), Pmf(np.array([0.5, 0.5]))),
 ]
 
+K3_PAIR = (Pmf(np.array([0.2, 0.3, 0.5])), Pmf(np.array([0.5, 0.3, 0.2])))
+
 FAST_OPTS = SolverOptions(restarts=4)
+
+# exponent_univ_single as the former solver gave it, which ran the pair
+# program over all M rows: one row per pair of PAIRS, CLOSE_PAIRS and
+# K3_PAIR, at M = PINNED_MS with 4 restarts
+PINNED_MS = (3, 4, 5, 6, 8, 10, 20)
+PINNED_SINGLE = [
+    [0.05739111536522061, 0.08616835205391679, 0.10357043011000822, 0.11523678150498032,
+     0.12989513887144416, 0.1387302288379509, 0.15648761671902622],
+    [0.03122094846636196, 0.046853698388726966, 0.05627413249969096, 0.06257402956067847,
+     0.07047167180321504, 0.07522235700876466, 0.0847500805914088],
+    [0.013566476985951287, 0.020353704771748776, 0.024433826797236068, 0.027157657010275407,
+     0.030566792323835662, 0.032614579609022, 0.03671516600299698],
+    [0.0005691441908883283, 0.0008537206188885434, 0.001024316586423447, 0.0011379630011605826,
+     0.0012799119082287248, 0.0013650178553075822, 0.0015350753526130623],
+    [0.00013340351565565688, 0.00020010564436735712, 0.00024012874891111372,
+     0.00026681177777438097, 0.00030016675024873655, 0.0003201803987713421, 0.000360209248405588],
+    [0.04617165198189706, 0.0693126517210177, 0.0832807855788428, 0.09263239741877938,
+     0.10436761988872681, 0.11143304092403719, 0.12561696364944053],
+]
+# the same for CLOSE_PAIRS with 20 restarts, at M = 3, 4, 6, 10
+PINNED_CLOSE_20 = [
+    [0.0005691441908376154, 0.0008537206187322378, 0.0011379630011605826, 0.0013650178549649444],
+    [0.00013340351565547474, 0.0002001056443551967, 0.00026681177777438097,
+     0.00032018039871156484],
+]
+# coordinate laws and pi for univ-multi at M=5, T=2
+MULTI_LAWS = {
+    "identical": ([(0.3, 0.7)] * 5, (0.7, 0.3)),
+    "distinct_k2": ([(0.3, 0.7), (0.25, 0.75), (0.2, 0.8), (0.35, 0.65), (0.15, 0.85)],
+                    (0.7, 0.3)),
+    "distinct_k3": ([(0.2, 0.3, 0.5), (0.1, 0.3, 0.6), (0.25, 0.25, 0.5), (0.2, 0.2, 0.6),
+                     (0.15, 0.35, 0.5)], (0.5, 0.3, 0.2)),
+}
+# exponent_univ_multi as the former solver gave it, which solved an M-row
+# pair program for every ordered pair of outlier sets, by restarts
+PINNED_MULTI = {
+    ("identical", 1): 0.06899279460339752,
+    ("identical", 20): 0.06899279460292693,
+    ("distinct_k2", 1): 0.061325240310197385,
+    ("distinct_k2", 4): 0.06132524031001352,
+    ("distinct_k3", 1): 0.0523561362912188,
+    ("distinct_k3", 4): 0.0523561362912188,
+}
+
+
+def _multi_laws(name):
+    mus, pi = MULTI_LAWS[name]
+    return [Pmf(np.array(mu)) for mu in mus], Pmf(np.array(pi))
+
+
+def _mix_term(q, outside):
+    """sum over rows i of an outside set of D(q_i || mean of those rows)."""
+    mix = q[outside].mean(axis=0)
+    return float(rel_entr(q[outside], mix[None, :]).sum())
+
+
+def _program_value(q, refs):
+    """The pair program's objective over all M rows."""
+    return float(rel_entr(q, refs).sum())
+
+
+def _constraint(q, out_s, out_sp):
+    """The pair program's constraint over all M rows: feasible where >= 0."""
+    return _mix_term(q, out_s) - _mix_term(q, out_sp)
 
 
 def _binary_kl(x, ref):
@@ -180,6 +246,95 @@ class TestUnivMulti:
         mu, pi = PAIRS[0]
         with pytest.raises(ValidationError):
             exponent_univ_multi([mu] * 5, pi, t=1)
+
+    def test_identical_laws_approach_two_b(self):
+        # the paper's limiting exponent of the universal fixed-size test: for
+        # identical outliers it rises with M towards 2B(mu, pi)
+        mu, pi = PAIRS[0]
+        opts = SolverOptions(restarts=2)
+        vals = [exponent_univ_multi([mu] * m, pi, 2, opts).value for m in (20, 100, 1000)]
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vals[-1] <= TWO_B[0] + 1e-10
+        assert vals[-1] >= 0.99 * TWO_B[0]
+
+
+class TestPinnedValues:
+    """The reduced program returns the former M-row solver's values."""
+
+    @pytest.mark.parametrize("row", range(len(PINNED_SINGLE)))
+    def test_univ_single(self, row):
+        mu, pi = [*PAIRS, *CLOSE_PAIRS, K3_PAIR][row]
+        for m, want in zip(PINNED_MS, PINNED_SINGLE[row]):
+            assert exponent_univ_single(mu, pi, m, FAST_OPTS).value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("row", range(len(CLOSE_PAIRS)))
+    def test_univ_single_close_laws(self, row):
+        mu, pi = CLOSE_PAIRS[row]
+        opts = SolverOptions(restarts=20)
+        for m, want in zip((3, 4, 6, 10), PINNED_CLOSE_20[row]):
+            assert exponent_univ_single(mu, pi, m, opts).value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("name,restarts", sorted(PINNED_MULTI))
+    def test_univ_multi(self, name, restarts):
+        mus, pi = _multi_laws(name)
+        res = exponent_univ_multi(mus, pi, 2, SolverOptions(restarts=restarts))
+        assert res.value == pytest.approx(PINNED_MULTI[name, restarts], abs=1e-9)
+
+
+def _full_program(minimizer, mus, pi, s, s_prime):
+    """(constraint, cost) of a minimizer in the M-row pair program for S and S'."""
+    m = len(mus)
+    q = np.stack([row.probs for row in minimizer])
+    refs = np.stack([mus[i].probs if i in s else pi.probs for i in range(m)])
+    out_s = np.array([i for i in range(m) if i not in s])
+    out_sp = np.array([i for i in range(m) if i not in s_prime])
+    return _constraint(q, out_s, out_sp), _program_value(q, refs)
+
+
+class TestReduction:
+    """The reduced program's minimizer, expanded to M rows, solves the full program."""
+
+    @pytest.mark.parametrize("m", [3, 4, 10, 20])
+    def test_univ_single_minimizer(self, m):
+        for mu, pi in (PAIRS[0], CLOSE_PAIRS[0], K3_PAIR):
+            res = exponent_univ_single(mu, pi, m, FAST_OPTS)
+            assert len(res.minimizer) == m
+            gap, cost = _full_program(res.minimizer, [mu] * m, pi, (0,), (1,))
+            assert gap >= -1e-8
+            assert cost == pytest.approx(res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("name,m", [(name, 5) for name in sorted(MULTI_LAWS)]
+                             + [("identical", 20)])
+    def test_univ_multi_minimizer(self, name, m):
+        mus, pi = _multi_laws(name)
+        if m > len(mus):  # the identical laws on more coordinates
+            mus = mus[:1] * m
+        res = exponent_univ_multi(mus, pi, 2, FAST_OPTS)
+        assert len(res.minimizer) == m
+        # the pair of one documented layout takes the minimizer as a
+        # feasible point of cost `value`: S \ S' = A, S' \ S the next d
+        # coordinates, then the T - d coordinates S and S' share
+        points = []
+        for d in (1, 2):
+            for a in combinations(range(m), d):
+                rest = [i for i in range(m) if i not in a][:2]
+                s, s_prime = set(a) | set(rest[d:]), set(rest)
+                points.append(_full_program(res.minimizer, mus, pi, s, s_prime))
+        assert any(gap >= -1e-8 and abs(cost - res.value) <= 1e-9 for gap, cost in points)
+
+    @pytest.mark.parametrize("m,t", [(5, 2), (7, 3), (20, 2), (20, 3)])
+    def test_multi_at_most_single_at_m_minus_t_plus_1(self, m, t):
+        # the d = 1 program is univ-single's at M - T + 1
+        mu, pi = PAIRS[0]
+        multi = exponent_univ_multi([mu] * m, pi, t, FAST_OPTS).value
+        single = exponent_univ_single(mu, pi, m - t + 1, FAST_OPTS).value
+        assert multi <= single + 1e-9
+        if (m, t) == (5, 2):
+            # the full swap d = T binds at small M
+            assert multi < single - 1e-3
+        if (m, t) == (20, 2):
+            # and d = 1 at larger M
+            assert multi == pytest.approx(single, abs=1e-9)
 
 
 class TestKlBall:
