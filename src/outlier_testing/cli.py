@@ -177,27 +177,19 @@ DEFAULT_FIGURE_PAIRS = (
 
 
 def cmd_figure(args) -> int:
-    if args.pairs:
-        pairs = []
-        for spec in args.pairs.split(";"):
-            parts = spec.split(":")
-            require(len(parts) == 2, f"pair {spec!r} must be mu:pi")
-            pairs.append((parts[0], parts[1]))
-    else:
-        pairs = list(DEFAULT_FIGURE_PAIRS)
+    pairs = [s.split(":") for s in args.pairs.split(";")] if args.pairs else DEFAULT_FIGURE_PAIRS
+    for pair in pairs:
+        require(len(pair) == 2, f"pair {':'.join(pair)!r} must be mu:pi")
     require(3 <= args.m_min <= args.m_max, "need 3 <= m-min <= m-max")
     # rows are printed only once every pair has succeeded, so a failing run
     # leaves stdout empty
-    rows = ["pair,mu,pi,m,lower_bound,two_b"]
+    rows, ms = ["pair,mu,pi,m,lower_bound,two_b"], np.arange(args.m_min, args.m_max + 1)
     for idx, (mu_text, pi_text) in enumerate(pairs, start=1):
         mu, pi = _parse_pmf(mu_text), _parse_pmf(pi_text)
         two_b = 2.0 * bhattacharyya(mu, pi)
-        for m in range(args.m_min, args.m_max + 1):
-            bound = thm_single_lower_bound(mu, pi, m)
-            rows.append(",".join([
-                str(idx), mu_text.replace(",", " "), pi_text.replace(",", " "),
-                str(m), _fmt(bound.value), _fmt(two_b),
-            ]))
+        for m, bound in zip(ms, thm_single_lower_bound(mu, pi, ms)):
+            rows.append(",".join([str(idx), mu_text.replace(",", " "), pi_text.replace(",", " "),
+                                  str(m), _fmt(bound.value), _fmt(two_b)]))
     print("\n".join(rows))
     return 0
 

@@ -10,20 +10,20 @@ require two kinds of optimization:
   analytic gradients; each start's end point is re-checked against the
   constraint in probability space, and the best feasible one is kept
   (certified for K=2, M=3 by an exhaustive grid oracle);
-* a convex minimization of a Bhattacharyya objective over a relative
-  entropy ball, solved by Frank-Wolfe: the linear subproblem over the
-  ball is a one-dimensional exponential tilt whose parameter is a root
-  found by Brent's method, the exact step length is a root of the
-  objective's derivative along the segment (or the full step), and the
-  strong convexity of the ball yields fast convergence of the duality gap.
+* a convex minimization of a Bhattacharyya objective over relative
+  entropy balls, solved by Frank-Wolfe for a batch of balls at once: the
+  linear subproblem over a ball is a one-dimensional exponential tilt,
+  and the exact step length a root of the objective's derivative along
+  the segment (or the full step), both found by bracketed Newton steps;
+  the strong convexity of the ball yields fast convergence of the gap.
 
 The single-outlier lower bound pairs that ball with a penalized closed
 form, evaluated on a fixed grid, whose gap to the both-known optimum
 shrinks like 1/M.
 
-`scipy.optimize` is imported inside the three functions that call it, so
-that importing this module (as the CLI does for every subcommand) does not
-load the optimizer; only the subcommands that solve pay for it.
+`scipy.optimize` is imported inside the pair-program solve, so that
+importing this module (as the CLI does for every subcommand) does not
+load the optimizer; only the subcommands that run it pay for it.
 """
 from __future__ import annotations
 
@@ -35,13 +35,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .errors import SolverError, ValidationError
-from .simplex import Pmf, bhattacharyya, chernoff_pair_product, kl
+from .errors import SolverError, ValidationError, require
+from .simplex import FULL_SUPPORT_MIN, Pmf, bhattacharyya, chernoff_pair_product
 
 FEASIBILITY_TOL = 1e-8
 FW_GAP_TOL = 1e-8
 FW_MAX_ITERS = 50000
 PENALTY_GRID = 1024  # cells of the TV-radius grid in the penalized closed form
+PENALTY_BLOCK = 2 ** 14  # (M, grid, K) cells of the penalized closed form per block
+NEWTON_TOL = 1e-7  # Newton stops after a step this small relative to its iterate
+THETA_MAX = 2.0 ** 40  # tilt at which an out-of-reach radius takes the vertex
 SLSQP_OPTIONS = {"ftol": 1e-12, "maxiter": 500}
 
 
@@ -93,7 +96,7 @@ def _check_model(mu: Pmf, pi: Pmf) -> None:
         raise ValidationError("mu and pi live on different alphabets")
     if not (mu.full_support() and pi.full_support()):
         raise ValidationError("laws must have full support")
-    if np.allclose(mu.probs, pi.probs, atol=1e-15):
+    if (np.abs(mu.probs - pi.probs) <= 1e-15 + 1e-5 * np.abs(pi.probs)).all():
         raise ValidationError("mu must differ from pi")
 
 
@@ -170,8 +173,8 @@ def _solve_pair_program(
     ``counts``), the d rows of S' \\ S and the pool (reference pi, weights 1
     and ``pooled``); a row of weight w counts as w equal rows.  Each start
     runs one SLSQP solve over the row logits z of q = softmax(z) and counts
-    only if its end point violates the constraint by at most
-    FEASIBILITY_TOL.  Returns (value, gap, iterations, rows) of the best.
+    only if its end point, polished onto the constraint, violates it by at
+    most FEASIBILITY_TOL.  Returns (value, gap, iterations, rows) of the best.
     """
     from scipy.optimize import minimize
 
@@ -231,8 +234,13 @@ def _solve_pair_program(
         res = minimize(objective, np.log(q0).ravel(), jac=True, method="SLSQP",
                        constraints=constraint, options=SLSQP_OPTIONS)
         total_iters += res.nit
+        # one Newton step along the constraint's gradient polishes an end outside it
+        z, excess = res.x, dispersion_gap(unpack(res.x)[0])
+        if excess < 0.0:
+            grad = dispersion_gap_grad(z)
+            z = z - excess * grad / (grad * grad).sum()
         # the certificate is checked on the pmfs themselves, not on SLSQP's report
-        q = unpack(res.x)[0]
+        q = unpack(z)[0]
         gap = max(0.0, -dispersion_gap(q))
         if gap > FEASIBILITY_TOL:
             continue
@@ -371,109 +379,131 @@ def grid_exponent_univ_single(mu: Pmf, pi: Pmf, steps: int = 400) -> ExponentRes
 
 
 # ---------------------------------------------------------------------------
-# Convex minimization over a relative entropy ball (Frank-Wolfe)
+# Convex minimization over relative entropy balls (Frank-Wolfe), row by row
 # ---------------------------------------------------------------------------
 
 
-def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius: float) -> np.ndarray:
-    """The exponential tilt of the center along -direction hitting the ball boundary.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton(fun, t: np.ndarray, hi, *data: np.ndarray) -> np.ndarray:
+    """Per row, the root of an increasing function by Newton steps kept in a bracket.
 
-    Returns argmin of <direction, x> over D(x||center) <= radius.  With the
-    direction shifted to d >= 0, min d = 0, the tilt x_theta = center
-    exp(-theta d)/Z(theta) has Z <= 1 and D(x_theta||center) =
-    -theta <d, x_theta> - ln Z(theta), both from one pass over the weights.
+    ``fun(t, *data)`` gives each row's value and Newton step at t as (rows, 1)
+    columns.  The bracket starts as [0, hi]; a step leaving it (or NaN) gives
+    way to the smaller of its midpoint and 2t.  A row leaves the batch once
+    its step is at most NEWTON_TOL t, so its root does not depend on the others.
     """
-    from scipy.optimize import brentq
+    lo, hi, out, rows = np.zeros(t.shape), np.full(t.shape, hi), np.empty_like(t), np.arange(t.size)
+    while True:
+        f, step = fun(t, *data)
+        np.copyto(lo, t, where=f < 0.0)
+        np.copyto(hi, t, where=f >= 0.0)
+        new = t + step
+        ok = (new >= lo) & (new <= hi)
+        if np.count_nonzero(ok) < len(ok):
+            new = np.where(ok, new, np.minimum(0.5 * (lo + hi), 2.0 * t))
+        done = (np.abs(new - t) <= NEWTON_TOL * t).ravel()
+        n_done = np.count_nonzero(done)
+        if n_done == len(done):
+            out[rows] = new
+            return out
+        if n_done:
+            out[rows[done]], keep = new[done], ~done
+            rows, lo, hi, new, *data = (a[keep] for a in (rows, lo, hi, new, *data))
+        t = new
 
-    center = np.exp(log_center)
-    d = direction - direction.min()
-    if not d.any():
-        # every point of the ball is a minimizer
-        return center / center.sum()
 
-    def point(theta: float) -> tuple[np.ndarray, float]:
-        w = center * np.exp(-theta * d)
-        z = w.sum()
+def _tilt_to_radius(log_center: np.ndarray, direction: np.ndarray, radius, tau=None) -> np.ndarray:
+    """argmin <direction, x> over D(x||center) <= radius, per row of (rows, K) directions.
+
+    With d = direction - min direction, the tilt x = center exp(-theta d)/Z
+    has D(theta) = -theta <d, x> - ln Z, dD/dtheta = theta Var_x(d) and D ~
+    (theta sd)^2/2 near 0 (sd: of d under the center).  Newton on sqrt(D) -
+    sqrt(radius) starts at theta sd = sqrt(2 radius) or at the column ``tau``
+    of a previous call's theta sd, which it overwrites (at K=2 the tilt
+    depends on theta sd alone).  Out of reach by THETA_MAX, it stops there.
+    """
+    def excess(theta, log_c, d, r):
+        # D(theta) - r and the Newton step of sqrt(D) - sqrt(r)
+        w = np.exp(log_c - theta * d)
+        z = w.sum(axis=-1, keepdims=True)
         x = w / z
-        return x, -theta * float(d @ x) - math.log(z)
+        mean = (x * d).sum(axis=-1, keepdims=True)
+        div = -theta * mean - np.log(z)
+        root = np.sqrt(div)
+        var = (x * (d - mean) ** 2).sum(axis=-1, keepdims=True)
+        return div - r, 2.0 * root * (np.sqrt(r) - root) / (theta * var)
 
-    def excess(theta: float) -> float:
-        return point(theta)[1] - radius
+    d = np.atleast_2d(direction) - np.min(direction, axis=-1, keepdims=True)
+    log_c, r = np.atleast_2d(log_center), np.reshape(radius, (-1, 1))
+    c = np.exp(log_c)
+    sd = np.sqrt((c * (d - (c * d).sum(axis=-1, keepdims=True)) ** 2).sum(axis=-1, keepdims=True))
+    tau = np.sqrt(2.0 * r) if tau is None else tau
+    theta = _newton(excess, np.minimum(tau / (sd + 1e-300), THETA_MAX), THETA_MAX, log_c, d, r)
+    tau[:] = theta * sd
+    w = np.exp(log_c - theta * d)
+    return (w / w.sum(axis=-1, keepdims=True)).reshape(np.shape(direction))
 
-    hi = 1.0
-    while excess(hi) < 0.0:
-        if hi > 1e12:
-            return point(hi)[0]
-        hi *= 2.0
-    return point(brentq(excess, 0.0, hi, xtol=1e-15))[0]
 
+def _ball_minima(mu: np.ndarray, center: np.ndarray, radius: np.ndarray):
+    """Per row r, min 2B(mu_r, q) over D(q||center) <= radius_r by Frank-Wolfe.
 
-def _fw_min_bhattacharyya(
-    mu: np.ndarray, center: np.ndarray, radius: float
-) -> tuple[float, int, float, np.ndarray]:
-    """Minimize 2B(mu, q) over the KL ball around center via Frank-Wolfe.
-
-    Along a step q + g d the sum S(g) = sum sqrt(mu (q + g d)) is concave, so
-    the exact step is 1 when S'(1) >= 0 and otherwise the root of S' in
-    [0, 1], where S'(0) > 0 whenever the duality gap is positive.
+    mu is one pmf or one per row; a row whose mu lies in its ball has value 0
+    at q = mu, the others step from the center toward the tilt along the
+    gradient.  S(g) = sum sqrt(mu (q + g d)) is concave, so the exact step is 1
+    if S'(1) >= 0, else the root of S' in [0, 1], by Newton with S'' from g = 1.
+    Rows leave once their gap is at most FW_GAP_TOL.  Returns per row value,
+    iterations, gap (>= 0) and q.
     """
-    from scipy.optimize import brentq
+    def slope(g, q, d, ad, reach):
+        # -2 S'(g) and the Newton step on S'.  The floor keeps S', S'' finite; no
+        # step goes halfway to where q + g d reaches 0 and S' is singular
+        v = np.maximum(q + g * d, 1e-200)
+        t = ad / np.sqrt(v)
+        s = t.sum(axis=-1, keepdims=True)
+        step = 2.0 * s / (t * d / v).sum(axis=-1, keepdims=True)
+        near = (v * reach).min(axis=-1, keepdims=True)
+        return -s, np.where(np.abs(step) <= near, step, np.nan)
 
-    log_center = np.log(center)
-    sqrt_mu = np.sqrt(mu)
-    q = center.copy()
-    gap = math.inf
+    n = radius.size
+    mu = np.zeros((n, 1)) + mu
+    value, gaps, iters, qs = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int), mu.copy()
+    rows = np.nonzero((rel_entr(mu, center).sum(-1) > radius) | (mu < FULL_SUPPORT_MIN).any(-1))[0]
+    q = np.zeros((rows.size, 1)) + center
+    log_c, sqrt_mu, radius = np.log(q), np.sqrt(mu[rows]), radius[rows, None]
+    tau = np.sqrt(2.0 * radius)
     for it in range(1, FW_MAX_ITERS + 1):
+        if not rows.size:
+            return value, iters, np.maximum(gaps, 0.0), qs
         sqrt_q = np.sqrt(q)
-        s = float(sqrt_mu @ sqrt_q)
+        s = (sqrt_mu * sqrt_q).sum(axis=-1, keepdims=True)
         grad = -sqrt_mu / np.maximum(sqrt_q, 1e-150) / s
-        x = _tilt_to_radius(log_center, grad, radius)
-        gap = float(grad @ (q - x))
-        if gap <= FW_GAP_TOL:
-            return -2.0 * math.log(s), it, gap, q
-        d = x - q
-
-        def slope(g: float) -> float:
-            # 2 S'(g); the floor keeps it finite where the tilt has zero mass
-            return float(sqrt_mu @ (d / np.sqrt(np.maximum(q + g * d, 1e-300))))
-
-        step = 1.0 if slope(1.0) >= 0.0 else brentq(slope, 0.0, 1.0, xtol=1e-12)
-        q = q + step * d
-    raise SolverError(f"Frank-Wolfe did not reach duality gap {FW_GAP_TOL} (gap={gap:.3e})")
+        x = _tilt_to_radius(log_c, grad, radius, tau)
+        gap = (grad * (q - x)).sum(axis=-1)
+        done = gap <= FW_GAP_TOL
+        if np.count_nonzero(done):
+            at, keep = rows[done], ~done
+            value[at], gaps[at], iters[at], qs[at] = -2 * np.log(s[done, 0]), gap[done], it, q[done]
+            rows, log_c, sqrt_mu, radius, tau, q, x = (
+                a[keep] for a in (rows, log_c, sqrt_mu, radius, tau, q, x))
+        if rows.size:
+            d = x - q
+            q = q + _newton(slope, np.ones_like(radius), 1.0, q, d, sqrt_mu * d, 0.5 / abs(d)) * d
+    raise SolverError(f"Frank-Wolfe did not reach duality gap {FW_GAP_TOL} (gap={gap.max():.3e})")
 
 
 def min_over_kl_ball(mus: Sequence[Pmf] | Pmf, ball: KlBallSpec) -> ExponentResult:
-    """Minimize min_i 2B(mu_i, q) over the relative entropy ball.
-
-    Each branch of the pointwise minimum is convex and solved on its own;
-    the reported value is the smallest branch optimum.
-    """
-    if isinstance(mus, Pmf):
-        mus = [mus]
-    mus = list(mus)
-    if not mus:
-        raise ValidationError("need at least one objective pmf")
-    center = np.asarray(ball.center.probs)
-    best_val, best_q, iters, worst_gap = math.inf, None, 0, 0.0
-    for mu in mus:
-        if mu.size != ball.center.size:
-            raise ValidationError("objective and ball center alphabets differ")
-        if ball.radius == 0.0:
-            val, it, gap, q = 2.0 * bhattacharyya(mu, ball.center), 0, 0.0, center
-        elif mu.full_support() and kl(mu, ball.center) <= ball.radius:
-            # the unconstrained minimizer q = mu lies inside the ball
-            val, it, gap, q = 0.0, 0, 0.0, np.asarray(mu.probs)
-        else:
-            val, it, gap, q = _fw_min_bhattacharyya(
-                np.asarray(mu.probs), center, ball.radius
-            )
-        iters += it
-        worst_gap = max(worst_gap, gap)
-        if val < best_val:
-            best_val, best_q = val, q
-    assert best_q is not None
-    return ExponentResult(max(best_val, 0.0), "kl_ball_convex", iterations=iters,
-                          feasibility_gap=worst_gap, minimizer=(Pmf.normalize(best_q),))
+    """Minimize min_i 2B(mu_i, q) over the relative entropy ball: the convex
+    branches are one batch of rows, and the value is the smallest optimum."""
+    mus = [mus] if isinstance(mus, Pmf) else list(mus)
+    require(len(mus) > 0, "need at least one objective pmf")
+    require(all(mu.size == ball.center.size for mu in mus),
+            "objective and ball center alphabets differ")
+    value, iters, gap, q = _ball_minima(np.stack([mu.probs for mu in mus]), ball.center.probs,
+                                        np.full(len(mus), float(ball.radius)))
+    best = int(np.argmin(value))
+    return ExponentResult(max(float(value[best]), 0.0), "kl_ball_convex",
+                          iterations=int(iters.sum()), feasibility_gap=float(gap.max()),
+                          minimizer=(Pmf.normalize(q[best]),))
 
 
 def typical_floor_log(pi: Pmf) -> float:
@@ -483,36 +513,46 @@ def typical_floor_log(pi: Pmf) -> float:
     return float(-np.log(pi.probs.min()))
 
 
-def _penalized_single_bound(mu: Pmf, pi: Pmf, m: int) -> float:
-    """The penalized closed form of thm_single_lower_bound.
+def _penalized_single_bound(
+    mu: np.ndarray, pi: np.ndarray, bhat: float, ms: np.ndarray
+) -> np.ndarray:
+    """The penalized closed form of thm_single_lower_bound, for each M of ms.
 
     The minimum over t in [0, t_max], t_max = sqrt(B/(M-2)), is taken on a
     fixed grid of u = t/t_max: each cell pays the penalty at its left end
     and the bracket, which is nonincreasing in t, at its right end, so the
     grid value never exceeds the exact minimum.  At fixed u the penalty
     2(M-2)t^2 = 2B u^2 does not depend on M and the bracket grows with M,
-    so the value is nondecreasing in M.
+    so the value is nondecreasing in M.  Blocks of M bound the temporaries.
     """
-    bhat = bhattacharyya(mu, pi)
-    mu_p, pi_p = np.asarray(mu.probs), np.asarray(pi.probs)
-    g = -np.sqrt(mu_p / pi_p) / np.sqrt(mu_p * pi_p).sum()
+    g = -np.sqrt(mu / pi) / np.sqrt(mu * pi).sum()
+    spread, pi_min = g.max() - g.min(), pi.min()
     u = np.linspace(0.0, 1.0, PENALTY_GRID + 1)
-    t = u[1:] * math.sqrt(bhat / (m - 2))
-    # past t = pi_min the reference change is unbounded and the bracket is 0
-    t = t[t < pi_p.min()]
-    c = (np.minimum(mu_p + math.sqrt(bhat), 1.0) / (pi_p - t[:, None])).max(axis=1) - 1.0
-    bracket = np.zeros(PENALTY_GRID)
-    bracket[: t.size] = np.maximum(
-        0.0, 2.0 * bhat - np.ptp(g) * t + np.log1p(-t / pi_p.min()) - c / (m - 1)
-    )
-    return min(2.0 * bhat, float((2.0 * bhat * u[:-1] ** 2 + bracket).min()))
+    penalty = 2.0 * bhat * u[:-1] ** 2
+    # letters lead, so the max over them is an elementwise maximum of cells
+    top, pi_k = np.minimum(mu + math.sqrt(bhat), 1.0)[:, None, None], pi[:, None, None]
+    out = np.empty(ms.size)
+    block = max(1, PENALTY_BLOCK // (PENALTY_GRID * pi.size))
+    for start in range(0, ms.size, block):
+        m = ms[start:start + block, None]
+        t = u[1:] * np.sqrt(bhat / (m - 2))
+        # past t = pi_min the reference change is unbounded and the bracket is 0
+        reach = t < pi_min
+        t = np.where(reach, t, 0.0)
+        c = (top / (pi_k - t)).max(axis=0) - 1.0
+        bracket = np.where(reach, np.maximum(
+            0.0, 2.0 * bhat - spread * t + np.log1p(-t / pi_min) - c / (m - 1)), 0.0)
+        out[start:start + block] = (penalty + bracket).min(axis=-1)
+    return np.minimum(2.0 * bhat, out)
 
 
-def thm_single_lower_bound(mu: Pmf, pi: Pmf, m: int) -> ExponentResult:
+def thm_single_lower_bound(mu: Pmf, pi: Pmf, m):
     """Lower bound on the universal single-outlier exponent for given M.
 
-    The larger of two lower bounds, each within [0, 2B] and nondecreasing
-    in M; ``solver`` names the one that gave the value.
+    ``m`` is one M, or an array of M giving a list of results, solved as one
+    batch in which no result depends on the other M.  Each is the larger of
+    two lower bounds, each within [0, 2B] and nondecreasing in M; ``solver``
+    names the one that gave the value.
 
     * ``kl_ball_convex``: the minimum of 2B(mu, q) over the KL ball
       D(q||pi) <= r, r = (2B + ln 1/pi_min)/(M-1), taken as the Frank-Wolfe
@@ -542,15 +582,18 @@ def thm_single_lower_bound(mu: Pmf, pi: Pmf, m: int) -> ExponentResult:
     gap to 2B is O(1/M).
     """
     _check_model(mu, pi)
-    if m < 3:
-        raise ValidationError("need M >= 3")
-    radius = (2.0 * bhattacharyya(mu, pi) + typical_floor_log(pi)) / (m - 1)
-    ball = min_over_kl_ball(mu, KlBallSpec(pi, radius))
-    ball_value = max(ball.value - ball.feasibility_gap, 0.0)
-    closed = _penalized_single_bound(mu, pi, m)
-    if closed > ball_value:
-        return ExponentResult(closed, "penalized_closed_form", iterations=ball.iterations)
-    return replace(ball, value=ball_value)
+    ms = np.atleast_1d(m)
+    require(ms.min() >= 3, "need M >= 3")
+    bhat = bhattacharyya(mu, pi)
+    radius = (2.0 * bhat + typical_floor_log(pi)) / (ms - 1)
+    value, iters, gap, q = _ball_minima(mu.probs, pi.probs, radius)
+    ball = np.maximum(np.maximum(value, 0.0) - gap, 0.0)
+    closed = _penalized_single_bound(mu.probs, pi.probs, bhat, ms)
+    out = [ExponentResult(float(c), "penalized_closed_form", iterations=int(it)) if c > b else
+           ExponentResult(float(b), "kl_ball_convex", iterations=int(it), feasibility_gap=float(g),
+                          minimizer=(Pmf.normalize(row),))
+           for c, b, it, g, row in zip(closed, ball, iters, gap, q)]
+    return out if np.ndim(m) else out[0]
 
 
 def thm_multi_lower_bound(mus: Sequence[Pmf], pi: Pmf, t: int, m: int) -> ExponentResult:
@@ -561,13 +604,8 @@ def thm_multi_lower_bound(mus: Sequence[Pmf], pi: Pmf, t: int, m: int) -> Expone
     that it certifies the ball minimum from below.
     """
     mus = list(mus)
-    if len(mus) < 2:
-        raise ValidationError("need at least two outlier laws")
-    if not 1 < t < m / 2:
-        raise ValidationError(f"need 1 < T < M/2, got T={t}, M={m}")
-    for mu in mus:
-        _check_model(mu, pi)
-    pair_min = exponent_multi_known(mus, pi).value
+    require(1 < t < m / 2, f"need 1 < T < M/2, got T={t}, M={m}")
+    pair_min = exponent_multi_known(mus, pi).value  # checks the laws too
     radius = (pair_min + t * typical_floor_log(pi)) / (m - t)
     ball = min_over_kl_ball(mus, KlBallSpec(pi, radius))
     return replace(ball, value=max(ball.value - ball.feasibility_gap, 0.0))

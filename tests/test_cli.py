@@ -119,6 +119,16 @@ class TestFigureCommand:
             assert all(r[1] <= r[2] + 1e-9 for r in rows)
             assert len({r[2] for r in rows}) == 1  # two_b constant per pair
 
+    def test_rows_equal_single_bounds(self, capsys):
+        # one batched solve per pair prints each M's own `bound --m M` value
+        _, out, _ = run(capsys, "figure", "--m-min", "3", "--m-max", "70", "--pairs",
+                        "0.3,0.7:0.7,0.3;0.2,0.3,0.5:0.5,0.3,0.2")
+        for line in out.strip().splitlines()[1:]:
+            _, mu, pi, m, lb, _ = line.split(",")
+            code, single, _ = run(capsys, "bound", "--mu", mu.replace(" ", ","), "--pi",
+                                  pi.replace(" ", ","), "--m", m)
+            assert code == 0 and lb == "%.12g" % json.loads(single)["value"]
+
 
 class TestDetectCommand:
     def test_hand_example(self, capsys, tmp_path):
@@ -451,6 +461,9 @@ class TestEntryPoint:
              "--mus", "0.3,0.7", "--pi", "0.7,0.3"],
             TestSimulateStream.ARGS,
             ["detect", "--file", str(path), "--kind", "univ-single"],
+            ["bound", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "50"],
+            ["figure", "--m-min", "3", "--m-max", "12"],
+            ["bound", "--mus", "0.3,0.7;0.2,0.8", "--pi", "0.7,0.3", "--t", "2", "--m", "8"],
             ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3",
              "--m", "3", "--restarts", "0"],
         ]
@@ -464,9 +477,31 @@ class TestEntryPoint:
             "    loaded.append('scipy.optimize' in sys.modules)\n"
             "print(json.dumps(loaded))\n"
         )
-        # after the import, oracle, simulate and detect; then the solver loads it
+        # after the import, oracle, simulate, detect and the Frank-Wolfe
+        # bounds (single bound, figure); then the Chernoff search of the
+        # multi bound loads it
         assert json.loads(self.python(["-c", probe]).splitlines()[-1]) == [
-            False, False, False, False, True]
+            False, False, False, False, False, False, True, True]
+
+    def test_univ_single_restarts_agree(self):
+        # under the entry point's one BLAS thread, one of 20 starts ends 1.6e-9
+        # outside the constraint, 1.5e-9 below the feasible minimum; polished
+        # onto the constraint it gives the 4-start value
+        argv = ["-m", "outlier_testing", "exponent", "--kind", "univ-single", "--mu", "0.356,0.644",
+                "--pi", "0.317,0.683", "--m", "20", "--restarts"]
+        four, twenty = (json.loads(self.python([*argv, n])) for n in ("4", "20"))
+        assert abs(four["value"] - twenty["value"]) <= 1e-12
+        assert max(four["feasibility_gap"], twenty["feasibility_gap"]) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "50"],
+        ["figure", "--m-min", "3", "--m-max", "12"],
+    ])
+    def test_bounds_do_not_depend_on_blas_threads(self, argv):
+        # the Frank-Wolfe bound sums rows with numpy and makes no BLAS call
+        one, two = (self.python(["-m", "outlier_testing", *argv], OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one == two and one
 
     def test_module_run_prints_as_main(self, capsys):
         argv = ["exponent", "--kind", "both-known", "--mu", "0.3,0.7", "--pi", "0.7,0.3"]

@@ -157,6 +157,17 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             exponent_both_known(mu, mu)
 
+    def test_equal_laws_up_to_relative_1e5(self):
+        # np.allclose's test: |mu - pi| <= 1e-15 + 1e-5 |pi| in every letter
+        pi = Pmf(np.array([0.5, 0.5]))
+        within = Pmf(np.array([0.5 + 4.9e-6, 0.5 - 4.9e-6]))
+        apart = Pmf(np.array([0.5 + 5e-5, 0.5 - 5e-5]))
+        for check in (exponent_both_known, lambda mu, pi: thm_single_lower_bound(mu, pi, 10)):
+            with pytest.raises(ValidationError):
+                check(within, pi)
+            assert check(apart, pi).value >= 0.0
+        assert exponent_both_known(apart, pi).value > 0.0
+
     def test_multi_known_is_min_pairwise_product_chernoff(self):
         mus = [PAIRS[0][0], PAIRS[1][0], PAIRS[2][0]]
         pi = PAIRS[0][1]
@@ -378,6 +389,7 @@ class TestKlBall:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_tilt_hits_radius(self, k):
         rng = np.random.default_rng(k)
+        centers, directions, radii, tilts = [], [], [], []
         for _ in range(20):
             center = rng.dirichlet(np.ones(k))
             direction = rng.normal(size=k)
@@ -386,6 +398,14 @@ class TestKlBall:
             radius = rng.uniform(0.01, 0.99) * vertex_div
             x = _tilt_to_radius(np.log(center), direction, radius)
             assert abs(rel_entr(x, center).sum() - radius) <= 1e-12 * radius
+            for stack, item in zip((centers, directions, radii, tilts), (center, direction, radius, x)):
+                stack.append(item)
+        # the same balls stacked as the rows of one batch give the same bits
+        rows = _tilt_to_radius(np.log(centers), np.array(directions), np.array(radii))
+        assert rows.shape == (20, k)
+        assert (rows == np.array(tilts)).all()
+        radii = np.array(radii)
+        assert (np.abs(rel_entr(rows, centers).sum(axis=1) - radii) <= 1e-12 * radii).all()
 
     @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.9])
     def test_binary_ball_solved_in_one_step(self, fraction):
@@ -395,6 +415,17 @@ class TestKlBall:
             res = min_over_kl_ball(mu, KlBallSpec(pi, fraction * kl(mu, pi)))
             assert res.iterations == 2
             assert res.feasibility_gap <= 1e-12
+
+    def test_step_stops_short_of_an_empty_letter(self, monkeypatch):
+        # near the edge of these balls the tilt leaves a letter of mu's support
+        # almost no mass, so S' is singular at the full step and the exact
+        # step lies inside (a full step there sends Frank-Wolfe round a cycle);
+        # values as the per-M solver (Brent's method) gave them
+        monkeypatch.setattr("outlier_testing.exponents.FW_MAX_ITERS", 100)
+        mu, pi = Pmf(np.array([0.01, 0.01, 0.98])), Pmf(np.array([0.98, 0.01, 0.01]))
+        for fraction, want in ((0.9, 0.024129424333774383), (0.99, 0.0004262839963942929)):
+            res = min_over_kl_ball(mu, KlBallSpec(pi, fraction * kl(mu, pi)))
+            assert res.value == pytest.approx(want, abs=1e-9)
 
     def test_constant_direction_returns_center(self):
         # every point of the ball minimizes a constant linear objective
@@ -410,6 +441,95 @@ class TestKlBall:
     def test_typical_floor_log(self):
         _, pi = PAIRS[0]
         assert typical_floor_log(pi) == pytest.approx(-np.log(0.3), abs=1e-12)
+
+
+# thm_single_lower_bound of each pair of PAIRS on the bound ladder of the
+# exponent-solvers benchmark, and thm_multi_lower_bound of MULTI_BOUND_SETS at
+# T=2, M = 5, 8, 12, 20, as the per-M solver gave them (one scalar
+# Frank-Wolfe solve per M, with Brent's method in the tilt and line search)
+BOUND_LADDER = (3, 4, 5, 6, 8, 10, 13, 17, 22, 30, 40, 55, 75, 100, 140, 200, 300, 450, 700,
+                1000, 1600, 2500, 4000, 6500, 9000, 13785)
+PINNED_SINGLE_BOUNDS = [
+    [0.0, 0.0, 0.0, 0.0017922468222302812, 0.010246923831249461, 0.019210082105943712,
+     0.030874818465826404, 0.04314977628122896, 0.05475865906705113, 0.06808107773334059,
+     0.0795993519776018, 0.09129079580147725, 0.10768110639473279, 0.1253559877979686,
+     0.13993156424885464, 0.15054179488474834, 0.15861557072202617, 0.16391589277336055,
+     0.167663754584737, 0.16967529546792293, 0.17142911464071028, 0.17247923848059943,
+     0.1731788867122495, 0.1736276918829453, 0.17382744338300546, 0.17400807260682521],
+    [0.0, 0.0, 0.0, 0.0, 0.00037545904213781594, 0.0028889583863542416, 0.007711906521696659,
+     0.013722275273583048, 0.019927363462269206, 0.027461272910321934, 0.03423073991104169,
+     0.0412846585855595, 0.051203945489781855, 0.0625124448716248, 0.0719059989498365,
+     0.07878040725240285, 0.08403108157290401, 0.08748689732482146, 0.08993459633195548,
+     0.09124966366799424, 0.09239695451432785, 0.09308418387648526, 0.09354219133516418,
+     0.09383599035573106, 0.09396672837727824, 0.09408494446942921],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.8393946529943523e-06, 0.0008239585491531116,
+     0.002580471186013379, 0.005378062967748815, 0.008284745695661467, 0.011586644586005189,
+     0.014726149002853415, 0.02072784471327062, 0.026643218712778464, 0.03098392391027544,
+     0.0343056143036877, 0.03649466817409733, 0.038046393395471376, 0.03888046501282122,
+     0.039608312894415944, 0.040044344004935055, 0.04033492022186037, 0.04052128738368669,
+     0.04060421158288639, 0.040679173316801216],
+]
+MULTI_BOUND_SETS = [
+    ([(0.3, 0.7), (0.2, 0.8)], (0.7, 0.3)),
+    ([(0.3, 0.7), (0.35, 0.65)], (0.7, 0.3)),
+    ([(0.2, 0.3, 0.5), (0.3, 0.2, 0.5)], (0.5, 0.3, 0.2)),
+]
+PINNED_MULTI_BOUNDS = [
+    [0.0, 0.0, 0.0025463587031625628, 0.020872890102920316],
+    [0.0, 0.0, 7.845322825167221e-06, 0.009032095719127631],
+    [0.0, 0.0, 0.0, 0.0008243462676179259],
+]
+
+
+class TestBatchedBounds:
+    """One Frank-Wolfe batch for many M or many branches gives each one's own value."""
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_rows_equal_batch_of_one(self, pair):
+        mu, pi = PAIRS[pair]
+        ms = np.array(sorted({*range(3, 61), *BOUND_LADDER}))
+        batch = thm_single_lower_bound(mu, pi, ms)
+        assert len(batch) == ms.size
+        for m, res in zip(ms, batch):
+            one = thm_single_lower_bound(mu, pi, int(m))
+            assert res == one
+            # a binary ball certifies in two iterations (none when mu lies inside it)
+            assert res.iterations in (0, 2) and res.feasibility_gap <= 1e-12
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_ladder_equals_per_m_solver(self, pair):
+        mu, pi = PAIRS[pair]
+        got = [res.value for res in thm_single_lower_bound(mu, pi, np.array(BOUND_LADDER))]
+        np.testing.assert_allclose(got, PINNED_SINGLE_BOUNDS[pair], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("row", range(len(MULTI_BOUND_SETS)))
+    def test_multi_equals_per_branch_solver(self, row):
+        mus, pi = MULTI_BOUND_SETS[row]
+        mus, pi = [Pmf(np.array(mu)) for mu in mus], Pmf(np.array(pi))
+        got = [thm_multi_lower_bound(mus, pi, 2, m).value for m in (5, 8, 12, 20)]
+        np.testing.assert_allclose(got, PINNED_MULTI_BOUNDS[row], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_branches_equal_single_branch_calls(self, fraction):
+        for mus, pi in MULTI_BOUND_SETS + [([(0.1, 0.2, 0.7), (0.3, 0.3, 0.4), (0.2, 0.3, 0.5)],
+                                            (0.5, 0.3, 0.2))]:
+            mus, pi = [Pmf(np.array(mu)) for mu in mus], Pmf(np.array(pi))
+            ball = KlBallSpec(pi, fraction * min(kl(mu, pi) for mu in mus))
+            res = min_over_kl_ball(mus, ball)
+            singles = [min_over_kl_ball(mu, ball) for mu in mus]
+            best = min(singles, key=lambda one: one.value)
+            assert res.value == best.value
+            assert res.minimizer == best.minimizer
+            assert res.iterations == sum(one.iterations for one in singles)
+            assert res.feasibility_gap == max(one.feasibility_gap for one in singles)
+
+    def test_penalty_blocks_give_the_same_bits(self, monkeypatch):
+        # blocks of three M give the bits of the default blocks
+        mu, pi = PAIRS[0]
+        ms = np.arange(3, 400)
+        whole = [res.value for res in thm_single_lower_bound(mu, pi, ms)]
+        monkeypatch.setattr("outlier_testing.exponents.PENALTY_BLOCK", 3 * 2 * 1024)
+        assert [res.value for res in thm_single_lower_bound(mu, pi, ms)] == whole
 
 
 class TestLowerBounds:
