@@ -11,17 +11,17 @@ typ-single, mu-only, and typ-multi at T=2) factor over coordinates: when a
 floating-point certificate shows that the kernel orders tuples as the keys
 do, the error is a sum over key values of products of per-coordinate masses
 (`_ranked_errors`), in O(M x distinct keys) per truth.  Every other
-case enumerates the type tuples in chunks, fully vectorized, and decides
-every tuple exactly as the detector run on a matrix with those types
-does.  Known-law kinds are scored by the detectors' kernel from each
-type's row statistics, computed once and gathered per tuple.  The
-universal kinds decide from pooled-count keys: the kernel's score up to a
-shared term, read from entropy tables of pooled integer counts
-(`_pooled_keys`).  A rounding certificate (`_key_slack`) shows that keys
-farther apart than a slack rank as the kernel's scores do; tuples whose
-best two keys, or whose key spread and lambda, lie within it go to the
-kernel, so ties are the kernel's too.  Probabilities accumulate in log
-space.  A full-sequence brute force (all K^(Mn) raw sequences, each run
+case enumerates the type tuples in chunks and decides every tuple exactly
+as the detector run on a matrix with those types does.  A chunk is a run
+of radix blocks (a few leading types, times every type of the others),
+and keys are broadcast over them (`_block_keys`) with no per-tuple
+indices: known-law kinds get the kernel's scores, universal kinds the
+kernel's score up to a shared term, read from entropy tables of pooled
+integer counts.  A rounding certificate (`_key_slack`) shows that pooled
+keys farther apart than a slack rank as the scores do; tuples whose best
+two keys, or whose key spread and lambda, lie within it (known-law kinds:
+whose best scores tie) go to the kernel, so ties are the kernel's too.
+Probabilities accumulate in log space.  A full-sequence brute force (all K^(Mn) raw sequences, each run
 through `run_detector`) cross-checks both routes and the type-class
 weights at tiny sizes.
 """
@@ -42,7 +42,6 @@ from .detectors import (
     HypothesisId,
     ObservationMatrix,
     Scorer,
-    _member_sums,
     decide_batch,
     null_threshold,
     outlier_set,
@@ -154,39 +153,60 @@ def tuple_decisions(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Decide every ordered M-tuple of types, in radix order, a chunk at a time.
 
-    Yields (type indices (b, M), decided score columns (b,), -1 for NULL).
-    Row statistics are computed once per type and gathered by index, so
-    known-law kinds never build a (b, M, K) tensor.  ``lam`` is the
-    null-aware threshold, None for argmin kinds.
-
-    The universal kinds decide from pooled-count keys (`_pooled_keys`):
-    each key is the kernel's score up to a term every hypothesis shares,
-    read from entropy tables of pooled integer counts, with no logarithm
-    and no (b, M, K) tensor.  A tuple whose best two keys lie within the
-    slack of `_key_slack`, or (null-aware kinds) whose key spread lies
-    within it of lam, is decided by the kernel instead, so every decision,
-    ties included, is the kernel's.
+    Yields (type indices (b, M), decided score columns (b,), -1 for NULL):
+    `_block_decisions` with every tuple's indices spelled out.  ``lam`` is
+    the null-aware threshold, None for argmin kinds.
     """
-    m, n_types = scorer.m, table.size
-    total = n_types**m
     stats = scorer.row_stats(table.counts, table.n)
-    keys = _pooled_keys(scorer, table, stats.ent)
-    slack = _key_slack(m, table.n, table.k)
+    for c, (_, _, decision) in enumerate(_block_decisions(scorer, table, stats, lam, chunk)):
+        yield _type_indices(c * chunk + np.arange(decision.size), table.size, scorer.m), decision
+
+
+def _type_indices(flat: np.ndarray, n_types: int, m: int) -> np.ndarray:
+    """Type indices (b, m), C-ordered like count rows, of the tuples at radix positions ``flat``."""
+    return flat[:, None] // n_types ** np.arange(m - 1, -1, -1, dtype=np.int64) % n_types
+
+
+def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional[float],
+                     chunk: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Decide every tuple of types, a chunk at a time, on radix blocks.
+
+    In radix order a block of T^tail consecutive tuples shares its first
+    M - tail coordinates (its head); tail < M is the largest with
+    T^(tail+1) <= chunk / 8.  A chunk starts ``lo`` tuples into the blocks
+    of heads ``head_idx`` (rows, M - tail); each yield is (head_idx, lo,
+    decided columns (b,), -1 for NULL).  ``stats`` are the kernel's
+    statistics of every type.  Only the tuples `_key_decisions` marks near,
+    or every tuple when `_block_keys` has none, get type indices and go to
+    the kernel.  Known-law keys are the kernel's scores, so their slack is
+    0: only exact ties go.
+    """
     if lam is not None and not lam >= 0:
         raise ValidationError("lambda must be >= 0 and not NaN")
+    m, n_types = scorer.m, table.size
+    tail = 0
+    while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
+        tail += 1
+    block = n_types**tail
+    keys = _block_keys(scorer, table, stats, tail)
+    slack = 0.0 if stats.key is not None else _key_slack(m, table.n, table.k)
+
+    def kernel(flat):
+        return decide_batch(scorer.combine(stats.take(_type_indices(flat, n_types, m))), lam)
+
+    total = n_types**m
     for start in range(0, total, chunk):
-        cols = _tuple_columns(n_types, m, start, min(start + chunk, total))
+        stop = min(start + chunk, total)
+        heads = np.arange(start // block, (stop - 1) // block + 1, dtype=np.int64)
+        head_idx = _type_indices(heads, n_types, m - tail)
+        lo = start - heads[0] * block
         if keys is None:
-            # C-ordered like a detector's own count rows: numpy's summation
-            # order, and so the kernel's bits, can follow the memory layout
-            tidx = np.ascontiguousarray(cols.T)
-            yield tidx, decide_batch(scorer.combine(stats.take(tidx)), lam)
-            continue
-        decision, near = _key_decisions(keys(cols), slack, lam)
-        if near.any():
-            near_idx = np.ascontiguousarray(cols[:, near].T)
-            decision[near] = decide_batch(scorer.combine(stats.take(near_idx)), lam)
-        yield cols.T, decision
+            decision = kernel(np.arange(start, stop, dtype=np.int64))
+        else:
+            decision, near = _key_decisions(keys(head_idx)[:, lo:lo + stop - start], slack, lam)
+            if near.any():
+                decision[near] = kernel(start + np.flatnonzero(near))
+        yield head_idx, lo, decision
 
 
 def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float]):
@@ -208,51 +228,77 @@ def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float]):
     return decision, near
 
 
-def _tuple_columns(n_types: int, m: int, start: int, stop: int) -> np.ndarray:
-    """Type indices (M, b) of tuples start..stop-1 in radix order, without division.
+def _add_left(terms: list):
+    """The sum of ``terms``, added left to right with broadcasting."""
+    return sum(terms[1:], terms[0])
 
-    Coordinate j holds runs of n_types**(M-1-j) equal indices that cycle
-    through 0..n_types-1, so each row is a repeat (or, for the last
-    coordinate, a tile) of a short arange.
+
+def _row_sum(terms: list):
+    """numpy's ``a.sum(axis=-1)`` of a row a = terms, with broadcasting.
+
+    n < 8 floats add left to right.  For 8 <= n <= 128 (past any enumeration)
+    term i goes to running sum i mod 8 up to n - n % 8; the eight sums add
+    as a tree, then the rest left to right.
     """
-    width = stop - start
-    out = np.empty((m, width), dtype=np.int64)
-    for j in range(m - 1):
-        run = n_types ** (m - 1 - j)
-        first = start // run
-        heads = np.arange(first, (stop - 1) // run + 1, dtype=np.int64) % n_types
-        skip = start - first * run
-        out[j] = np.repeat(heads, run)[skip:skip + width]
-    skip = start % n_types
-    out[m - 1] = np.tile(np.arange(n_types), (skip + width) // n_types + 1)[skip:skip + width]
-    return out
+    if len(terms) < 8:
+        return _add_left(terms)
+    full = len(terms) - len(terms) % 8
+    r = [_add_left(terms[i:full:8]) for i in range(8)]
+    return sum(terms[full:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray]):
-    """Per-tuple keys of a universal kind, or None to score with the kernel.
+def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
+    """Keys of the tuples in radix blocks, or None to score every tuple with the kernel.
 
-    A pool of s coordinates with n samples each has integer counts c
-    summing to n s, and the kernel's mixture of the pool is c / (n s).
-    With per-type codes sum_k c_k B^k over the first K-1 counts, B = n (M-1)
-    + 1, a pool's code is the integer sum of its members' codes (codes are
+    ``keys(head_idx)`` gives keys (H, rows x T^tail) of the blocks of heads
+    ``head_idx`` (rows, M - tail).  Per-type arrays are laid over the block
+    (rows, T, ..., T): a head coordinate's values are gathered per head, a
+    tail coordinate's are the array along its own axis, so a sum over some
+    coordinates varies only along their axes.  No tuple's indices are formed.
+
+    Known-law kinds get the kernel's scores bit for bit: members'
+    `RowStats.key` summed in index order, plus the row's d_pi sum in
+    numpy's order (`_row_sum`).  Universal kinds get pooled-count keys.  A
+    pool of s coordinates with n samples each has integer counts c summing
+    to n s, and the kernel's mixture of the pool is c / (n s).  With
+    per-type codes sum_k c_k B^k over the first K-1 counts, B = n (M-1) +
+    1, a pool's code is the integer sum of its members' codes (codes are
     linear, and no pooled count reaches B), and ``tab[s][code]`` holds
-    s H(c / (n s)), built once per pool size from ``enumerate_types(n s, K)``.
-    Against the kernel's dispersions these keys drop sum_j H(gamma_j),
-    which every hypothesis shares:
+    s H(c / (n s)), built once per pool size from ``enumerate_types(n s,
+    K)``.  Against the kernel's dispersions these keys drop sum_j
+    H(gamma_j), which every hypothesis shares:
 
     * univ-single, null-single, univ-multi: tab[M-|S|][Sigma - c_S] + sum_{j in S} H(gamma_j)
-    * identical-univ, null-identical: tab[|S|][c_S] + tab[M-|S|][Sigma - c_S]
+    * identical-univ, null-identical: tab[M-|S|][Sigma - c_S] + tab[|S|][c_S]
 
-    Each key is a few gathers and adds per hypothesis.  ``keys(cols)``
-    maps type indices (M, b) to keys (H, b), written in place one size at
-    a time: the pool terms of every size first, then (non-identical
-    kinds) the member entropy sums, so the gathered codes are freed before
-    the entropies are gathered.  Returns None for known-law kinds and when
-    a table would pass ROUTE_MAX_TERMS entries.
+    Sigma - c_S sums the codes outside S, so its table term is gathered on
+    a grid with S's axes collapsed; the member terms vary along S's axes
+    alone.  Members add in index order, then the table term.  Returns None
+    when a table would pass ROUTE_MAX_TERMS entries.
     """
-    if ent is None:
-        return None
-    m, n, k = scorer.m, table.n, table.k
+    m, n, k, grid = scorer.m, table.n, table.k, (table.size,) * tail
+    members = [cols for group in scorer.family.members for cols in group.tolist()]
+
+    def on_block(a: np.ndarray, head_idx: np.ndarray) -> list[np.ndarray]:
+        """Per-type values a (T,) of every coordinate, shaped to broadcast over the block."""
+        heads = [a[idx].reshape((-1,) + (1,) * tail) for idx in head_idx.T]
+        return heads + [a.reshape((-1,) + (1,) * (m - 1 - j)) for j in range(m - tail, m)]
+
+    if stats.key is not None:
+        def keys(head_idx: np.ndarray) -> np.ndarray:
+            out = np.empty((len(members), len(head_idx)) + grid)
+            key = on_block(stats.key, head_idx)
+            rows = None if stats.d_pi is None else _row_sum(on_block(stats.d_pi, head_idx))
+            for score, cols in zip(out, members):
+                own = _add_left([key[j] for j in cols])
+                if rows is None:
+                    score[...] = own
+                else:
+                    np.add(own, rows, out=score)
+            return out.reshape(len(members), -1)
+
+        return keys
+
     identical = scorer.identical
     base = n * (m - 1) + 1
     sizes = scorer.family.sizes
@@ -268,30 +314,15 @@ def _pooled_keys(scorer: Scorer, table: TypeClassTable, ent: Optional[np.ndarray
         tab[s] = np.zeros(lengths[s])
         tab[s][pooled[:, :-1] @ powers] = s * entr(pooled / (n * s)).sum(axis=1)
 
-    ends = np.cumsum([len(members) for members in scorer.family.members])
-
-    def keys(cols: np.ndarray) -> np.ndarray:
-        """Keys (H, b) of the tuples with type indices ``cols`` (M, b)."""
-        out = np.empty((ends[-1], cols.shape[1]))
-        codes = code[cols]
-        whole = codes.sum(axis=0)
-        for members, key in zip(scorer.family.members, np.split(out, ends[:-1])):
-            t = members.shape[1]
-            c_in = _member_sums(codes, members, axis=0)
-            inside = tab[t][c_in] if identical else None
-            np.subtract(whole, c_in, out=c_in)
-            # every pool code is in range: "clip" only skips take's buffer
-            tab[m - t].take(c_in, out=key, mode="clip")
-            if identical:
-                key += inside
-            del c_in, inside
-        if identical:
-            return out
-        del codes, whole
-        ents = ent[cols]
-        for members, key in zip(scorer.family.members, np.split(out, ends[:-1])):
-            key += _member_sums(ents, members, axis=0)
-        return out
+    def keys(head_idx: np.ndarray) -> np.ndarray:
+        out = np.empty((len(members), len(head_idx)) + grid)
+        codes = on_block(code, head_idx)
+        ents = None if identical else on_block(stats.ent, head_idx)
+        for key, cols in zip(out, members):
+            outside = tab[m - len(cols)][_add_left([codes[j] for j in range(m) if j not in cols])]
+            inside = _add_left([(codes if identical else ents)[j] for j in cols])
+            np.add(outside, tab[len(cols)][inside] if identical else inside, out=key)
+        return out.reshape(len(members), -1)
 
     return keys
 
@@ -368,7 +399,8 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
             "generating laws must be pmfs on the K-letter alphabet")
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
-    ranking = _ranking(scorer, scorer.row_stats(table.counts, n)) if per_coordinate else None
+    stats = scorer.row_stats(table.counts, n)
+    ranking = _ranking(scorer, stats) if per_coordinate else None
     if ranking is None and table.size**m > cap:
         raise EnumerationCapError(f"{table.size**m} type tuples exceeds cap {cap}")
 
@@ -386,7 +418,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
         log_errs = _ranked_errors(*ranking, log_rows, law_idx, family.members[0][truth_cols])
     else:
         route = "enumeration"
-        log_errs = _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols)
+        log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)
     return {truth: ErrorProbability(min(math.exp(e), 1.0), e, route)
             for truth, e in zip(truths, log_errs)}
 
@@ -396,32 +428,18 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_errors(scorer, table, lam, log_rows, law_idx, truth_cols) -> list[float]:
+def _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols) -> list[float]:
     """Log error of each truth: log-sum-exp of wrong-decision tuple weights, chunk by chunk.
 
-    Chunks hold DEFAULT_CHUNK tuples.  Tuples come in radix order, so a
-    block of n_types**tail consecutive tuples shares its leading
-    coordinates.  A tuple's log weight is built as the left-to-right sum
-    over coordinates of its types' log probabilities: the head of each
-    block is gathered once, and the tail coordinates are added by
-    broadcasting.  numpy sums fewer than 8 terms left to right too, so for
-    M <= 7 these are the bits of ``w[arange(M), tidx].sum(axis=1)``.
+    Chunks of DEFAULT_CHUNK tuples are decided on radix blocks (`_block_decisions`).
+    A tuple's log weight sums its types' log probabilities left to right at
+    every M, broadcast over each block like its keys.
     """
-    m, n_types, chunk = scorer.m, table.size, DEFAULT_CHUNK
-    tail = 0
-    while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
-        tail += 1
-    block = n_types**tail
-    head_radix = n_types ** np.arange(m - tail - 1, -1, -1, dtype=np.int64)
     pieces: list[list[float]] = [[] for _ in truth_cols]
-    for c, (_, decision) in enumerate(tuple_decisions(scorer, table, lam, chunk)):
-        start = c * chunk
-        heads = np.arange(start // block, (start + decision.size - 1) // block + 1, dtype=np.int64)
-        head_idx = (heads[:, None] // head_radix) % n_types
-        lo = start - heads[0] * block
+    for head_idx, lo, decision in _block_decisions(scorer, table, stats, lam, DEFAULT_CHUNK):
         for rows, col, acc in zip(law_idx, truth_cols, pieces):
             wrong = decision != col
-            if np.any(wrong):
+            if wrong.any():
                 weights = _tuple_log_weights(log_rows[rows], head_idx)[lo:lo + decision.size]
                 acc.append(_log_sum_exp(weights[wrong]))
     return [float(_log_sum_exp(np.array(acc))) if acc else -math.inf for acc in pieces]

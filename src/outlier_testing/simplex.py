@@ -38,7 +38,7 @@ class Pmf:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValidationError(f"pmf must be a vector of length >= 2, got shape {p.shape}")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if not 0 <= p.min() <= p.max() < math.inf:  # False on a NaN too
             raise ValidationError("pmf entries must be finite and nonnegative")
         if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"pmf entries sum to {p.sum()!r}, not 1 within {NORMALIZATION_TOL}")
@@ -51,7 +51,7 @@ class Pmf:
         """Build a Pmf from nonnegative weights, dividing by their sum."""
         w = np.asarray(weights, dtype=float)
         s = w.sum()
-        if not np.isfinite(s) or s <= 0 or np.any(w < 0):
+        if not (0 < s < math.inf and w.min() >= 0):  # False on a NaN too
             raise ValidationError("weights must be nonnegative with a positive sum")
         return cls(w / s)
 

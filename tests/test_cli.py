@@ -235,19 +235,19 @@ class TestOracleCommand:
 
     def test_decides_once_per_n(self, capsys, monkeypatch):
         calls = []
-        original = oracle.tuple_decisions
+        original = oracle._block_decisions
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        monkeypatch.setattr(oracle, "_block_decisions", counting)
         code, _, _ = run(capsys, *self.UNIV_ARGS)
         assert code == 0 and len(calls) == 6
 
     def test_per_coordinate_route_ignores_tuple_cap(self, capsys, monkeypatch):
         calls, routes = [], set()
-        original, max_error = oracle.tuple_decisions, cli.max_error
+        original, max_error = oracle._block_decisions, cli.max_error
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -258,7 +258,7 @@ class TestOracleCommand:
             routes.update(e.route for e in per.values())
             return worst, per
 
-        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        monkeypatch.setattr(oracle, "_block_decisions", counting)
         monkeypatch.setattr(cli, "max_error", recording)
         code, out, _ = run(capsys, *self.ARGS, "--cap", "100")
         assert code == 0 and len(out.strip().splitlines()) == 7

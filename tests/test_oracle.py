@@ -1,5 +1,6 @@
 """Exact error oracle: type tables, probabilities, brute-force agreement."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ from outlier_testing.simplex import Pmf, TypeVector
 MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
 FAM3 = HypothesisFamily.single_outlier(3)
+
+
+def radix_indices(flat, n_types, m):
+    """Type indices (b, m) of the m-tuples at radix-order positions ``flat``."""
+    return np.stack(np.unravel_index(flat, (n_types,) * m), axis=1)
 
 
 class TestTypeEnumeration:
@@ -286,6 +292,126 @@ class TestPooledKeys:
         assert kernel.route == keyed.route == "enumeration"
 
 
+class TestBlockRoute:
+    """Chunks are decided on radix blocks by broadcasting, as the kernel decides each tuple."""
+
+    MU3, PI3 = TestRouteAgreement.MU3, TestRouteAgreement.PI3
+    KNOWN = [  # known-law kinds that enumerate; typ-multi at M >= 8 sums d_pi pairwise
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(8, 3), 2, 2),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(9, 3), 2, 2),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(9, 3), 2, 1),
+        (DetectorKind.ML_SINGLE, FAM3, 3, 9),
+        (DetectorKind.MU_ONLY, HypothesisFamily.single_outlier(4), 3, 3),
+    ]
+
+    def laws(self, k):
+        return (MU, PI) if k == 2 else (self.MU3, self.PI3)
+
+    def check_every_tuple(self, kind, fam, k, n, chunk, lam=None):
+        mu, pi = self.laws(k)
+        table = enumerate_types(n, k)
+        scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
+        lam = null_threshold(kind, lam, fam.m, n, k)
+        stats = scorer.row_stats(table.counts, n)
+        seen = 0
+        for tidx, cols in tuple_decisions(scorer, table, lam, chunk=chunk):
+            assert np.array_equal(tidx, radix_indices(seen + np.arange(len(cols)), table.size,
+                                                      fam.m))
+            want = decide_batch(scorer.combine(stats.take(tidx)), lam)
+            assert np.array_equal(cols, want), f"{kind.value}: tuples {seen}.."
+            seen += len(cols)
+        assert seen == table.size**fam.m
+
+    @pytest.mark.parametrize("kind,fam,k,n", KNOWN,
+                             ids=[f"{c[0].value}-M{c[1].m}-K{c[2]}-n{c[3]}" for c in KNOWN])
+    def test_known_law_kinds_decide_as_the_kernel(self, kind, fam, k, n):
+        self.check_every_tuple(kind, fam, k, n, oracle.DEFAULT_CHUNK)
+
+    @pytest.mark.parametrize("kind,fam,k,n", KNOWN,
+                             ids=[f"{c[0].value}-M{c[1].m}-K{c[2]}-n{c[3]}" for c in KNOWN])
+    def test_known_law_keys_are_the_kernel_scores(self, kind, fam, k, n):
+        mu, pi = self.laws(k)
+        table = enumerate_types(n, k)
+        scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
+        stats = scorer.row_stats(table.counts, n)
+        tail = fam.m - 2
+        heads = oracle._type_indices(np.arange(table.size**2), table.size, 2)
+        keys = oracle._block_keys(scorer, table, stats, tail)(heads)
+        tidx = radix_indices(np.arange(table.size**fam.m), table.size, fam.m)
+        want = scorer.combine(stats.take(tidx))
+        assert keys.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_row_sum_is_numpys(self, m):
+        rng = np.random.default_rng(m)
+        rows = rng.random((50, m)) * 10.0 ** rng.uniform(-3, 3, (50, m))
+        got = oracle._row_sum([rows[:, j] for j in range(m)])
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
+
+    # chunk 777 holds 77.7 blocks of 10 tuples; at lam 0.5, null-single decides
+    # 75% of the tuples non-NULL
+    CUT = [
+        (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(4), 3, 3, None),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(4, True), 3, 3, 0.5),
+        (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(4), 3, 3, None),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), 2, 9, None),
+    ]
+    UNIVERSAL_CUT = [c for c in CUT if c[0] is not DetectorKind.ML_SINGLE]
+
+    @pytest.mark.parametrize("kind,fam,k,n,lam", CUT, ids=[c[0].value for c in CUT])
+    def test_chunk_cutting_blocks(self, kind, fam, k, n, lam):
+        self.check_every_tuple(kind, fam, k, n, 777, lam)
+
+    @pytest.mark.parametrize("kind,fam,k,n,lam", UNIVERSAL_CUT,
+                             ids=[c[0].value for c in UNIVERSAL_CUT])
+    def test_kernel_fallback(self, monkeypatch, kind, fam, k, n, lam):
+        monkeypatch.setattr(oracle, "ROUTE_MAX_TERMS", 0)
+        monkeypatch.setattr(oracle, "_key_decisions", None)  # no tuple may be keyed
+        self.check_every_tuple(kind, fam, k, n, 777, lam)
+        self.check_every_tuple(kind, fam, k, n, oracle.DEFAULT_CHUNK, lam)
+
+    def test_rejects_bad_lambda_before_building_tables(self, monkeypatch):
+        scorer = Scorer(DetectorKind.NULL_SINGLE,
+                        HypothesisFamily.single_outlier(3, include_null=True), 2)
+        built = []
+        monkeypatch.setattr(oracle, "_block_keys", lambda *args: built.append(args))
+        for lam in (math.nan, -1.0):
+            with pytest.raises(ValidationError, match="lambda"):
+                next(tuple_decisions(scorer, enumerate_types(4, 2), lam))
+        assert built == []
+
+    # per-truth log_prob hex of max_error, recorded before the block route
+    PINNED = [
+        (DetectorKind.UNIV_SINGLE, FAM3, 80, 2,
+         ["-0x1.811c6b39c4f87p+2", "-0x1.80f5fb4e8341fp+2", "-0x1.80cfa27d51a30p+2"]),
+        (DetectorKind.ML_SINGLE, FAM3, 9, 3,
+         ["-0x1.4a8697976455ap+1", "-0x1.26f98aa1d3e2ep+1", "-0x1.0d980f3c26c98p+1"]),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), 5, 2,
+         ["-0x1.4fb0e516df540p-2"] + ["-0x1.4d2bcfd0a87e0p-2"] * 4
+         + ["-0x1.8a226ca5d0ea0p-2"] * 3 + ["-0x1.8a226ca5d0eb0p-2"]
+         + ["-0x1.8a226ca5d0ea0p-2"] * 6),
+    ]
+
+    @pytest.mark.parametrize("kind,fam,n,k,hexes", PINNED, ids=[c[0].value for c in PINNED])
+    def test_max_error_bits_unchanged(self, kind, fam, n, k, hexes):
+        _, per = max_error(kind, fam, n, k, *self.laws(k))
+        assert {e.route for e in per.values()} == {"enumeration"}
+        assert [e.log_prob.hex() for e in per.values()] == hexes
+
+    def test_peak_memory(self):
+        # tracemalloc peak of one call: 22.7 MB on radix blocks, 38.3 MB with
+        # per-tuple index columns and gathers
+        args = (DetectorKind.UNIV_SINGLE, FAM3, 80, 2, MU, PI)
+        max_error(*args)  # fill the family's cached members
+        tracemalloc.start()
+        try:
+            max_error(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28e6
+
+
 class TestPerCoordinateRoute:
     """Known-law kinds rank one per-type key; the route equals the enumeration."""
 
@@ -446,13 +572,13 @@ class TestOnePass:
 
     def test_decides_once_per_call(self, monkeypatch):
         calls = []
-        original = oracle.tuple_decisions
+        original = oracle._block_decisions
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "tuple_decisions", counting)
+        monkeypatch.setattr(oracle, "_block_decisions", counting)
         monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
         fam = HypothesisFamily.sized(5, [1, 2])
         _, per = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI)

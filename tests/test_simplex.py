@@ -99,6 +99,24 @@ class TestPmf:
         with pytest.raises(ValidationError):
             Pmf(np.array([-0.1, 1.1]))
 
+    ENTRIES = "pmf entries must be finite and nonnegative"
+    WEIGHTS = "weights must be nonnegative with a positive sum"
+
+    @pytest.mark.parametrize("build,vector,message", [
+        (Pmf, [-0.1, 1.1], ENTRIES),
+        (Pmf, [math.nan, 1.0], ENTRIES),
+        (Pmf, [math.inf, 0.0], ENTRIES),
+        (Pmf, [0.0, 0.0], "pmf entries sum to .*0.0.*, not 1 within"),
+        (Pmf.normalize, [-1.0, 3.0], WEIGHTS),
+        (Pmf.normalize, [math.nan, 1.0], WEIGHTS),
+        (Pmf.normalize, [math.inf, 1.0], WEIGHTS),
+        (Pmf.normalize, [0.0, 0.0], WEIGHTS),
+        (Pmf.normalize, [], WEIGHTS),
+    ])
+    def test_rejection_messages(self, build, vector, message):
+        with pytest.raises(ValidationError, match=message):
+            build(np.array(vector))
+
     def test_rejects_scalar_alphabet(self):
         with pytest.raises(ValidationError):
             Pmf(np.array([1.0]))
