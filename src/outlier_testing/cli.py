@@ -198,6 +198,7 @@ def cmd_detect(args) -> int:
     kind = DetectorKind(args.kind)
     if args.binary:
         obs = ObservationMatrix.from_binary(args.file)
+        require(args.k in (None, obs.k), f"--k {args.k} differs from the file's K={obs.k}")
     else:
         obs = ObservationMatrix.from_csv(args.file, k=args.k)
     mu = _parse_pmf(args.mu) if args.mu else None
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--binary", action="store_true", help="file is the packed binary format")
     p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
-    p.add_argument("--k", type=int, help="alphabet size override for CSV input")
+    p.add_argument("--k", type=int, help="alphabet size (CSV override; must match a binary header)")
     add_laws(p, with_mus=False)
     p.add_argument("--t", type=int)
     p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")

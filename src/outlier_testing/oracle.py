@@ -15,15 +15,15 @@ case enumerates the type tuples in chunks and decides every tuple exactly
 as the detector run on a matrix with those types does.  A chunk is a run
 of radix blocks (a few leading types, times every type of the others),
 and keys are broadcast over them (`_block_keys`) with no per-tuple
-indices: known-law kinds get the kernel's scores, universal kinds the
-kernel's score up to a shared term, read from entropy tables of pooled
-integer counts.  A rounding certificate (`_key_slack`) shows that pooled
-keys farther apart than a slack rank as the scores do; tuples whose best
-two keys, or whose key spread and lambda, lie within it (known-law kinds:
-whose best scores tie) go to the kernel, so ties are the kernel's too.
-Probabilities accumulate in log space.  A full-sequence brute force (all K^(Mn) raw sequences, each run
-through `run_detector`) cross-checks both routes and the type-class
-weights at tiny sizes.
+indices: each is the kernel's score up to a term every hypothesis shares,
+for known-law kinds the members' key sums, for universal kinds read from
+entropy tables of pooled integer counts.  Rounding certificates
+(`_sum_slack`, `_key_slack`) show that keys farther apart than a slack
+rank as the scores do; tuples whose best two keys, or whose key spread
+and lambda, lie within it go to the kernel, so ties are the kernel's too.
+Probabilities accumulate in log space.  A full-sequence brute force (all
+K^(Mn) raw sequences, each run through `run_detector`) cross-checks both
+routes and the type-class weights at tiny sizes.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
+KEY_BUDGET = 1 << 22  # keys (H x tuples) in one chunk: 32 MB, about twice that at peak
 
 LawSpec = Union[Pmf, Sequence[Pmf], None]
 
@@ -158,8 +159,10 @@ def tuple_decisions(
     the null-aware threshold, None for argmin kinds.
     """
     stats = scorer.row_stats(table.counts, table.n)
-    for c, (_, _, decision) in enumerate(_block_decisions(scorer, table, stats, lam, chunk)):
-        yield _type_indices(c * chunk + np.arange(decision.size), table.size, scorer.m), decision
+    start = 0
+    for _, _, decision in _block_decisions(scorer, table, stats, lam, chunk):
+        yield _type_indices(start + np.arange(decision.size), table.size, scorer.m), decision
+        start += decision.size
 
 
 def _type_indices(flat: np.ndarray, n_types: int, m: int) -> np.ndarray:
@@ -171,25 +174,26 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
                      chunk: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
     """Decide every tuple of types, a chunk at a time, on radix blocks.
 
-    In radix order a block of T^tail consecutive tuples shares its first
-    M - tail coordinates (its head); tail < M is the largest with
-    T^(tail+1) <= chunk / 8.  A chunk starts ``lo`` tuples into the blocks
-    of heads ``head_idx`` (rows, M - tail); each yield is (head_idx, lo,
-    decided columns (b,), -1 for NULL).  ``stats`` are the kernel's
-    statistics of every type.  Only the tuples `_key_decisions` marks near,
-    or every tuple when `_block_keys` has none, get type indices and go to
-    the kernel.  Known-law keys are the kernel's scores, so their slack is
-    0: only exact ties go.
+    A chunk holds ``chunk`` tuples, or fewer when H keys per tuple would
+    pass KEY_BUDGET.  In radix order a block of T^tail consecutive tuples
+    shares its first M - tail coordinates (its head); tail < M is the
+    largest with T^(tail+1) <= chunk / 8.  A chunk starts ``lo`` tuples
+    into the blocks of heads ``head_idx`` (rows, M - tail); each yield is
+    (head_idx, lo, decided columns (b,), -1 for NULL).  ``stats`` are the
+    kernel's statistics of every type.  Only the tuples `_key_decisions`
+    marks near, or every tuple when `_block_keys` has none, get type
+    indices and go to the kernel.
     """
     if lam is not None and not lam >= 0:
         raise ValidationError("lambda must be >= 0 and not NaN")
     m, n_types = scorer.m, table.size
+    chunk = max(1, min(chunk, KEY_BUDGET // sum(map(len, scorer.family.members))))
     tail = 0
     while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
         tail += 1
     block = n_types**tail
     keys = _block_keys(scorer, table, stats, tail)
-    slack = 0.0 if stats.key is not None else _key_slack(m, table.n, table.k)
+    slack = _sum_slack(scorer, stats) if stats.key is not None else _key_slack(m, table.n, table.k)
 
     def kernel(flat):
         return decide_batch(scorer.combine(stats.take(_type_indices(flat, n_types, m))), lam)
@@ -233,20 +237,6 @@ def _add_left(terms: list):
     return sum(terms[1:], terms[0])
 
 
-def _row_sum(terms: list):
-    """numpy's ``a.sum(axis=-1)`` of a row a = terms, with broadcasting.
-
-    n < 8 floats add left to right.  For 8 <= n <= 128 (past any enumeration)
-    term i goes to running sum i mod 8 up to n - n % 8; the eight sums add
-    as a tree, then the rest left to right.
-    """
-    if len(terms) < 8:
-        return _add_left(terms)
-    full = len(terms) - len(terms) % 8
-    r = [_add_left(terms[i:full:8]) for i in range(8)]
-    return sum(terms[full:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-
-
 def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
     """Keys of the tuples in radix blocks, or None to score every tuple with the kernel.
 
@@ -256,11 +246,11 @@ def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
     tail coordinate's are the array along its own axis, so a sum over some
     coordinates varies only along their axes.  No tuple's indices are formed.
 
-    Known-law kinds get the kernel's scores bit for bit: members'
-    `RowStats.key` summed in index order, plus the row's d_pi sum in
-    numpy's order (`_row_sum`).  Universal kinds get pooled-count keys.  A
-    pool of s coordinates with n samples each has integer counts c summing
-    to n s, and the kernel's mixture of the pool is c / (n s).  With
+    Known-law kinds get each member's sum of `RowStats.key` in index
+    order, bit for bit the kernel's score before it adds the row's d_pi
+    sum, which every hypothesis shares.  Universal kinds get pooled-count
+    keys.  A pool of s coordinates with n samples each has integer counts
+    c summing to n s, and the kernel's mixture of the pool is c / (n s).  With
     per-type codes sum_k c_k B^k over the first K-1 counts, B = n (M-1) +
     1, a pool's code is the integer sum of its members' codes (codes are
     linear, and no pooled count reaches B), and ``tab[s][code]`` holds
@@ -288,13 +278,8 @@ def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
         def keys(head_idx: np.ndarray) -> np.ndarray:
             out = np.empty((len(members), len(head_idx)) + grid)
             key = on_block(stats.key, head_idx)
-            rows = None if stats.d_pi is None else _row_sum(on_block(stats.d_pi, head_idx))
             for score, cols in zip(out, members):
-                own = _add_left([key[j] for j in cols])
-                if rows is None:
-                    score[...] = own
-                else:
-                    np.add(own, rows, out=score)
+                score[...] = _add_left([key[j] for j in cols])
             return out.reshape(len(members), -1)
 
         return keys
@@ -325,6 +310,24 @@ def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
         return out.reshape(len(members), -1)
 
     return keys
+
+
+def _sum_slack(scorer: Scorer, stats) -> float:
+    """How far apart known-law key sums must be for the kernel to order them alike.
+
+    The kernel scores S as fl(a_S + R): a_S is its members' `RowStats.key`
+    summed in index order, R the row's float d_pi sum, which every column
+    shares.  Rounding is monotone, so adding R never reverses sums a < b;
+    it merges them only if b - a <= u (|a + R| + |b + R|), u = eps/2.  With
+    T the largest member size, |a| <= T max|key| (1 + T u) and |R| <= M max
+    d_pi (1 + M u), so that is about eps (T max|key| + M max d_pi).  Four
+    times it also covers rounding the comparison.  mu-only holds no pi:
+    its scores are the sums, and its slack is 0.
+    """
+    if stats.d_pi is None:
+        return 0.0
+    key = np.abs(stats.key).max()
+    return 4 * np.finfo(float).eps * (max(scorer.family.sizes) * key + scorer.m * stats.d_pi.max())
 
 
 def _key_slack(m: int, n: int, k: int) -> float:
@@ -381,13 +384,12 @@ def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
 
 
 def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
-            cap=DEFAULT_TUPLE_CAP, per_coordinate=True) -> dict[HypothesisId, ErrorProbability]:
+            cap=DEFAULT_TUPLE_CAP) -> dict[HypothesisId, ErrorProbability]:
     """Exact error of each truth, by the per-coordinate route when it is certified.
 
     Otherwise one pass over the type tuples serves every truth: a tuple's
     decision does not depend on the truth, only its weight does, so every
     chunk is scored and decided once and then weighted per truth.
-    ``per_coordinate=False`` forces the enumeration.
     """
     m = family.m
     if mu is None and isinstance(mus, Pmf):
@@ -400,7 +402,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
     stats = scorer.row_stats(table.counts, n)
-    ranking = _ranking(scorer, stats) if per_coordinate else None
+    ranking = _ranking(scorer, stats)
     if ranking is None and table.size**m > cap:
         raise EnumerationCapError(f"{table.size**m} type tuples exceeds cap {cap}")
 
@@ -480,28 +482,23 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     None for the enumeration: universal kinds hold no key.
 
     Certificate that the kernel decides as the keys do, tie for tie.  The
-    kernel turns keys into scores with at most two more roundings, each off
-    by at most u = eps/2 of its result: fl(key_i + S) at T=1 and
-    fl(fl(key_a + key_b) + S) at T=2, where S is the row's float sum of
-    d_pi, so |S| <= M max d_pi (1 + M u).  mu-only holds no pi, so its
-    score is the key itself, with no rounding.  Rounding is monotone, so
-    equal keys (at T=2, equal key pairs) score bit-equal and a better key
-    never scores worse.  Only comparisons with the winner matter.  If g is
-    the smallest gap between distinct keys, every other coordinate (at T=2,
-    every pair but the top two) has a key (key sum) at least g worse,
-    because such a pair holds a key at least g worse than its rank
-    counterpart.  The roundings move two such scores by at most eps
-    (4 max|key| + |S|) together, so they stay strictly in order when g
-    exceeds that; the route asks g > 4 eps (max|key| + M max d_pi), which
-    implies it.  Keys that tie in exact arithmetic but come out an ulp
-    apart fail it.  T >= 3 never takes the route: the kernel adds members
-    in index order, so subsets holding the same keys can score an ulp apart.
+    kernel scores a member by its key (at T=2, fl(key_a + key_b)) plus the
+    row's d_pi sum, with monotone roundings, so equal keys (at T=2, equal
+    key pairs) score bit-equal and a better key never scores worse.  Only
+    comparisons with the winner matter.  If g is the smallest gap between
+    distinct keys, every other coordinate (at T=2, every pair but the top
+    two) has a key (key sum) at least g worse, because such a pair holds a
+    key at least g worse than its rank counterpart; at T=2 the float pair
+    sums are off by at most eps max|key| each.  The route asks g >
+    `_sum_slack`, so those scores stay strictly in order.  Keys that tie in
+    exact arithmetic but come out an ulp apart fail it.  T >= 3 never takes
+    the route: the kernel adds members in index order, so subsets holding
+    the same keys can score an ulp apart.
     """
     key, t_size = stats.key, scorer.family.sizes[0]
     if key is None or t_size > 2:
         return None
-    slack = 0.0 if stats.d_pi is None else (
-        4 * np.finfo(float).eps * (np.abs(key).max() + scorer.m * stats.d_pi.max()))
+    slack = _sum_slack(scorer, stats)
     order = np.argsort(key, kind="stable")
     ranked = key[order]
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])

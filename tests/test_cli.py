@@ -10,7 +10,7 @@ import pytest
 
 from outlier_testing import cli, oracle
 from outlier_testing.cli import main
-from outlier_testing.detectors import DetectorKind, HypothesisFamily
+from outlier_testing.detectors import DetectorKind, HypothesisFamily, ObservationMatrix
 from outlier_testing.oracle import exact_error
 
 
@@ -204,6 +204,16 @@ class TestDetectCommand:
         path.write_text("not,numbers\nat,all\n")
         code, _, _ = run(capsys, "detect", "--file", str(path), "--kind", "univ-single")
         assert code == 2
+
+    def test_binary_k_must_match_the_header(self, capsys, tmp_path):
+        path = tmp_path / "obs.bin"
+        ObservationMatrix(np.array([[0, 1], [0, 0], [1, 1]]), 2).to_binary(path)
+        argv = ["detect", "--binary", "--file", str(path), "--kind", "univ-single"]
+        code, out, err = run(capsys, *argv, "--k", "5")
+        assert code == 2 and out == "" and "K=2" in err
+        for extra in ([], ["--k", "2"]):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0 and json.loads(out)["k"] == 2
 
 
 class TestOracleCommand:

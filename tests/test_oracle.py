@@ -296,10 +296,11 @@ class TestBlockRoute:
     """Chunks are decided on radix blocks by broadcasting, as the kernel decides each tuple."""
 
     MU3, PI3 = TestRouteAgreement.MU3, TestRouteAgreement.PI3
-    KNOWN = [  # known-law kinds that enumerate; typ-multi at M >= 8 sums d_pi pairwise
+    KNOWN = [  # known-law kinds that enumerate
         (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(8, 3), 2, 2),
         (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(9, 3), 2, 2),
         (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(9, 3), 2, 1),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(11, 5), 2, 1),  # 462 members
         (DetectorKind.ML_SINGLE, FAM3, 3, 9),
         (DetectorKind.MU_ONLY, HypothesisFamily.single_outlier(4), 3, 3),
     ]
@@ -329,24 +330,21 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("kind,fam,k,n", KNOWN,
                              ids=[f"{c[0].value}-M{c[1].m}-K{c[2]}-n{c[3]}" for c in KNOWN])
-    def test_known_law_keys_are_the_kernel_scores(self, kind, fam, k, n):
+    def test_kernel_ties_are_near(self, kind, fam, k, n):
+        # every tuple whose two best kernel scores are bit-equal lies within the
+        # slack, and every tuple decided by its key sums is decided as the kernel does
         mu, pi = self.laws(k)
         table = enumerate_types(n, k)
         scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
         stats = scorer.row_stats(table.counts, n)
-        tail = fam.m - 2
         heads = oracle._type_indices(np.arange(table.size**2), table.size, 2)
-        keys = oracle._block_keys(scorer, table, stats, tail)(heads)
-        tidx = radix_indices(np.arange(table.size**fam.m), table.size, fam.m)
-        want = scorer.combine(stats.take(tidx))
-        assert keys.T.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("m", range(2, 41))
-    def test_row_sum_is_numpys(self, m):
-        rng = np.random.default_rng(m)
-        rows = rng.random((50, m)) * 10.0 ** rng.uniform(-3, 3, (50, m))
-        got = oracle._row_sum([rows[:, j] for j in range(m)])
-        assert got.tobytes() == rows.sum(axis=1).tobytes()
+        keys = oracle._block_keys(scorer, table, stats, fam.m - 2)(heads)
+        decision, near = oracle._key_decisions(keys, oracle._sum_slack(scorer, stats), None)
+        scores = scorer.combine(stats.take(radix_indices(np.arange(table.size**fam.m),
+                                                         table.size, fam.m)))
+        best = np.partition(scores, 1, axis=1)
+        assert near[best[:, 0] == best[:, 1]].all()
+        assert np.array_equal(decision[~near], decide_batch(scores)[~near])
 
     # chunk 777 holds 77.7 blocks of 10 tuples; at lam 0.5, null-single decides
     # 75% of the tuples non-NULL
@@ -411,6 +409,29 @@ class TestBlockRoute:
             tracemalloc.stop()
         assert peak < 28e6
 
+    def test_key_budget_caps_chunks(self, monkeypatch):
+        kind, fam, k, n = self.KNOWN[3]  # 2,048 tuples of 462 keys each
+        monkeypatch.setattr(oracle, "KEY_BUDGET", 100 * 462)
+        mu, pi = self.laws(k)
+        scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
+        sizes = [len(cols) for _, cols in tuple_decisions(scorer, enumerate_types(n, k))]
+        assert sizes == [100] * 20 + [48]
+        self.check_every_tuple(kind, fam, k, n, oracle.DEFAULT_CHUNK)
+
+    def test_peak_memory_within_key_budget(self):
+        # typ-multi M=14, T=4 holds 1,001 keys per tuple: tracemalloc peak 75 MB
+        # in chunks of KEY_BUDGET keys, 279 MB with all 16,384 tuples in one chunk
+        args = (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(14, 4), Subset((1, 2, 3, 4)),
+                1, 2, MU, PI)
+        exact_error(*args)  # fill the family's cached members
+        tracemalloc.start()
+        try:
+            exact_error(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+
 
 class TestPerCoordinateRoute:
     """Known-law kinds rank one per-type key; the route equals the enumeration."""
@@ -458,14 +479,15 @@ class TestPerCoordinateRoute:
     )
 
     @pytest.mark.parametrize("kind,m,k,ns,mus,extra", VALUE_GRID)
-    def test_equals_enumeration(self, kind, m, k, ns, mus, extra):
+    def test_equals_enumeration(self, monkeypatch, kind, m, k, ns, mus, extra):
         mu, pi = self.laws(k)
         mus = mu if mus is None else mus
         fam = HypothesisFamily.fixed_size(m, 2) if extra else HypothesisFamily.single_outlier(m)
         for n in ns:
             route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
-            enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu,
-                                  per_coordinate=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_ranking", lambda *args: None)
+                enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             for truth in fam.hypotheses:
                 got, want = route[truth], enum[truth]
                 assert (got.route, want.route) == ("per-coordinate", "enumeration")
