@@ -215,8 +215,8 @@ def cmd_detect(args) -> int:
         "n": obs.n,
         "k": obs.k,
         "decision": str(decision),
-        "scores": [[str(h), float(v)] for h, v in table.entries],
-        "spread": float(table.spread()),
+        "scores": [[str(h), v] for h, v in zip(table.hypotheses, table.scores.tolist())],
+        "spread": table.spread(),
     }
     if lam is not None:
         record["lambda"] = lam

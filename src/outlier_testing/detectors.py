@@ -180,17 +180,22 @@ class HypothesisFamily:
 
 #: the largest alphabet the one-byte-per-symbol binary format can hold
 BINARY_MAX_K = 256
+#: the most cells of the dense (M, K) count table an observation matrix may ask for
+MAX_COUNT_CELLS = 1 << 24
 
 
 class ObservationMatrix:
     """M coordinates by n samples of integer symbols in {0..K-1}.
 
+    Symbols are whole numbers of any numeric dtype, checked on that dtype.
     ``counts`` holds the (M, K) symbol counts of the rows, which is all a
-    detector reads.
+    detector reads; ``data`` is built from a copy of the input on first read.
     """
 
     def __init__(self, data, k: int):
-        a = np.asarray(data, dtype=np.int64)
+        a = np.asarray(data)
+        if a.dtype.kind not in "biuf":
+            raise ValidationError(f"observation symbols must be numbers, got dtype {a.dtype}")
         if a.ndim != 2:
             raise ValidationError("observation data must be a 2-D array")
         m, n = a.shape
@@ -200,24 +205,33 @@ class ObservationMatrix:
             raise ValidationError("need at least one sample per coordinate")
         if k < 2:
             raise ValidationError("alphabet size K must be >= 2")
+        if m * k > MAX_COUNT_CELLS:
+            raise ValidationError(f"M={m}, K={k} needs an (M, K) count table of {m * k} cells, "
+                                  f"more than {MAX_COUNT_CELLS}")
+        if a.dtype.kind == "f" and not (a == np.trunc(a)).all():
+            raise ValidationError("symbols must be whole numbers")
         if a.min() < 0 or a.max() >= k:
             raise ValidationError(f"symbols must lie in 0..{k - 1}")
-        a = a.copy()
+        self._symbols, self.k = a.copy(), k  # in the input dtype: `data` widens it when read
+        # the one widening copy: each symbol's flat (row, symbol) cell, for one bincount
+        cells = np.add(a, k * np.arange(m)[:, None], dtype=np.int64, casting="unsafe")
+        self.counts = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
+        self.counts.setflags(write=False)
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """The (M, n) symbols, read-only int64."""
+        a = self._symbols.astype(np.int64)
         a.setflags(write=False)
-        self.data = a
-        self.k = k
-        counts = np.bincount((a + k * np.arange(m)[:, None]).ravel(), minlength=m * k)
-        counts = counts.reshape(m, k)
-        counts.setflags(write=False)
-        self.counts = counts
+        return a
 
     @property
     def m(self) -> int:
-        return self.data.shape[0]
+        return self._symbols.shape[0]
 
     @property
     def n(self) -> int:
-        return self.data.shape[1]
+        return self._symbols.shape[1]
 
     @property
     def row_pmfs(self) -> tuple[Pmf, ...]:
@@ -227,7 +241,7 @@ class ObservationMatrix:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, self.data, fmt="%d", delimiter=",")
+        np.savetxt(path, self._symbols, fmt="%d", delimiter=",")
 
     @classmethod
     def from_csv(cls, path, k: Optional[int] = None) -> "ObservationMatrix":
@@ -252,7 +266,7 @@ class ObservationMatrix:
         with open(path, "wb") as fh:
             fh.write(self._BIN_MAGIC)
             fh.write(struct.pack("<III", self.m, self.n, self.k))
-            fh.write(self.data.astype(np.uint8).tobytes())
+            fh.write(self._symbols.astype(np.uint8).tobytes())
 
     @classmethod
     def from_binary(cls, path) -> "ObservationMatrix":
@@ -269,7 +283,7 @@ class ObservationMatrix:
         body = np.frombuffer(blob[16:], dtype=np.uint8)
         if body.size != m * n:
             raise ValidationError("observation binary payload has wrong length")
-        return cls(body.reshape(m, n).astype(np.int64), k)
+        return cls(body.reshape(m, n), k)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +291,25 @@ class ObservationMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Per-hypothesis test statistics, in family order (smaller is better)."""
+    """Per-hypothesis test statistics in family order (smaller is better), read-only float64."""
 
-    entries: tuple[tuple[HypothesisId, float], ...]
+    hypotheses: tuple[HypothesisId, ...]
+    scores: np.ndarray
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValidationError("empty score table")
-        for _, v in self.entries:
-            if not math.isfinite(v):
-                raise ValidationError("scores must be finite")
+        s = np.array(self.scores, dtype=np.float64)
+        if s.ndim != 1 or not len(s) or len(s) != len(self.hypotheses):
+            raise ValidationError("a score table needs one score per hypothesis, and one at least")
+        if not np.isfinite(s).all():
+            raise ValidationError("scores must be finite")
+        s.setflags(write=False)
+        object.__setattr__(self, "scores", s)
 
     @property
-    def scores(self) -> np.ndarray:
-        return np.array([v for _, v in self.entries])
-
-    @property
-    def hypotheses(self) -> tuple[HypothesisId, ...]:
-        return tuple(h for h, _ in self.entries)
+    def entries(self) -> tuple[tuple[HypothesisId, float], ...]:
+        return tuple(zip(self.hypotheses, self.scores.tolist()))
 
     def spread(self) -> float:
         s = self.scores
@@ -310,7 +323,7 @@ def decide_batch(scores: np.ndarray, lam: Optional[float] = None) -> np.ndarray:
     threshold ``lam`` (the null-aware rule), a row whose spread (largest
     minus smallest score) does not exceed lam decides NULL.
     """
-    best = np.argmin(scores, axis=-1)
+    best = scores.argmin(axis=-1)
     if lam is None:
         return best
     if not lam >= 0:
@@ -325,7 +338,7 @@ def decide(table: ScoreTable, lam: Optional[float] = None) -> HypothesisId:
     With ``lam``, NULL unless the score spread exceeds lam.
     """
     col = int(decide_batch(table.scores, lam))
-    return NULL if col < 0 else table.entries[col][0]
+    return NULL if col < 0 else table.hypotheses[col]
 
 
 def default_lambda(m: int, n: int, k: int) -> float:
@@ -550,13 +563,12 @@ def score_table(
     """
     kind = DetectorKind(kind)
     if family is None:
-        require(kind not in _MULTI_KINDS | _IDENTICAL_KINDS,
-                f"{kind.value} needs a hypothesis family")
+        if kind in _MULTI_KINDS | _IDENTICAL_KINDS:  # the message is built only on failure
+            raise ValidationError(f"{kind.value} needs a hypothesis family")
         family = HypothesisFamily.single_outlier(obs.m, kind is DetectorKind.NULL_SINGLE)
     require(family.m == obs.m, "family and observations disagree on M")
     scorer = Scorer(kind, family, obs.k, mu=mu, pi=pi)
-    row = scorer.scores(obs.counts[None], obs.n)[0]
-    return ScoreTable(tuple(zip(scorer.hypotheses, row.tolist())))
+    return ScoreTable(scorer.hypotheses, scorer.scores(obs.counts[None], obs.n)[0])
 
 
 def run_detector(

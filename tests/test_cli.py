@@ -1,8 +1,10 @@
 """Command-line interface: output schemas, exit codes, determinism."""
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +216,59 @@ class TestDetectCommand:
         for extra in ([], ["--k", "2"]):
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0 and json.loads(out)["k"] == 2
+
+
+    @pytest.mark.parametrize("argv", [[], ["--k", "1000000000"]], ids=["inferred", "given"])
+    def test_oversized_alphabet_exits_2_before_allocating(self, capsys, tmp_path, argv):
+        # K = 10^9 + 1 (inferred from the largest symbol) or 10^9 would ask
+        # for a count table of M*K cells
+        path = tmp_path / "obs.csv"
+        path.write_text("0,1\n1,0\n0,999999999\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "detect", "--file", str(path), "--kind", "univ-single",
+                                 *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "M=3" in err and ("K=1000000000" in err or "K=1000000001" in err)
+        assert peak < 5 << 20
+
+    # SHA-256 of `detect` stdout on the files of `_pinned_file`, recorded from
+    # the scorer that built the score table from (hypothesis, score) tuples
+    PINNED = {
+        (200, "ml-single"): "04e399b029721b1bb85ee22cc2dd209cd6cadd045c150390984b2b6b4dfbcff0",
+        (200, "typ-single"): "d3a93faf63364e47b7bd0021f05ba4158692e265990c0958bec960aa61fa7e6b",
+        (200, "mu-only"): "ba449d441a1da5a171da7eb4cde944784da538c06a30d88b15a451c55e93cd8d",
+        (200, "univ-single"): "6fa1fea6a61d681b5b662d30004226b8d8da6db7787c9a9e7894925fc7bf66fb",
+        (200, "null-single"): "f4b04bc40936c31d1a742fd7c4354cab1daa40fd1cc0174a011c329bf3eb836f",
+        (12, "typ-multi"): "68dd16f4ca4b45ce881ef344f5e45afa5bb2ecf9710fff695a1496d1e9d5577a",
+        (12, "univ-multi"): "d03d96756aec12557f518d1642f8cba9a711e43bbecafc9e1a9ffb8590cf13b4",
+        (8, "identical-univ"): "221baadca90f987e74b10b898cc1573b348f258c8d0b7c9e5ac514f4a6dadd39",
+    }
+    PINNED_OUTLIERS = {200: 1, 12: 3, 8: 2}
+
+    @staticmethod
+    def _pinned_file(tmp_path, m, n_out, fmt):
+        """n=100 binary symbols per row: 1 with probability 0.7 in n_out planted rows, else 0.3."""
+        rng = np.random.default_rng([m, n_out])
+        p = np.full(m, 0.3)
+        p[rng.choice(m, size=n_out, replace=False)] = 0.7
+        obs = ObservationMatrix((rng.random((m, 100)) < p[:, None]).astype(np.int64), 2)
+        path = tmp_path / f"m{m}.{fmt}"
+        obs.to_binary(path) if fmt == "bin" else obs.to_csv(path)
+        return ["--file", str(path), *(["--binary"] if fmt == "bin" else ["--k", "2"])]
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("m,kind", list(PINNED), ids=[f"{k}-M{m}" for m, k in PINNED])
+    def test_record_bytes_are_pinned(self, capsys, tmp_path, fmt, m, kind):
+        extra = {12: ["--t", "3"], 8: ["--sizes", "1,2,3"]}.get(m, [])
+        file_argv = self._pinned_file(tmp_path, m, self.PINNED_OUTLIERS[m], fmt)
+        code, out, _ = run(capsys, "detect", *file_argv, "--kind", kind,
+                           "--mu", "0.3,0.7", "--pi", "0.7,0.3", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[m, kind]
 
 
 class TestOracleCommand:

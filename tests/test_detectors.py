@@ -188,6 +188,67 @@ class TestObservationMatrix:
         for row, c in zip(data, o.counts):
             assert np.array_equal(c, np.bincount(row, minlength=5))
 
+    def test_binary_counts_are_row_bincounts(self, tmp_path):
+        data = np.random.default_rng(5).integers(0, 256, size=(7, 300)).astype(np.uint8)
+        path = tmp_path / "obs.bin"
+        ObservationMatrix(data, 256).to_binary(path)
+        o = ObservationMatrix.from_binary(path)
+        assert o.counts.shape == (7, 256) and o.counts.dtype == np.int64
+        for row, c in zip(data, o.counts):
+            assert np.array_equal(c, np.bincount(row, minlength=256))
+        assert o.data.dtype == np.int64 and np.array_equal(o.data, data)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64, np.float32,
+                                       np.float64, np.bool_])
+    def test_any_numeric_dtype_of_whole_numbers(self, dtype, tmp_path):
+        data = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1]])
+        o = ObservationMatrix(data.astype(dtype), 2)
+        assert o.data.dtype == np.int64 and np.array_equal(o.data, data)
+        assert np.array_equal(o.counts, [[1, 2], [2, 1], [2, 1]])
+        o.to_csv(tmp_path / "obs.csv")
+        o.to_binary(tmp_path / "obs.bin")
+        assert (tmp_path / "obs.csv").read_text() == "0,1,1\n1,0,0\n0,0,1\n"
+        assert np.array_equal(ObservationMatrix.from_binary(tmp_path / "obs.bin").data, data)
+
+    @pytest.mark.parametrize("data", [
+        [[0.5, 1.7], [1, 0], [0, 1]],  # fractions were truncated to [[0, 1], ...]
+        [[0, 1], [1, np.nan], [0, 1]],
+        [[0, 1], [1, np.inf], [0, 1]],
+        [[0, 1], [1, -np.inf], [0, 1]],
+    ])
+    def test_rejects_symbols_that_are_not_whole_numbers(self, data):
+        with pytest.raises(ValidationError):
+            ObservationMatrix(data, 2)
+
+    @pytest.mark.parametrize("data", [
+        [["0", "1"], ["1", "0"], ["0", "1"]],
+        [["a", "b"], ["b", "a"], ["a", "b"]],
+        np.array([[0, 1], [1, 0], [0, None]], dtype=object),
+        np.array([[0, 1j], [1, 0], [0, 1]]),
+    ])
+    def test_rejects_non_numeric_arrays(self, data):
+        with pytest.raises(ValidationError, match="numbers"):
+            ObservationMatrix(data, 2)
+
+    def test_data_is_a_read_only_copy(self):
+        data = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.uint8)
+        o = ObservationMatrix(data, 2)
+        data[0, 0] = 1
+        assert o.data[0, 0] == 0 and o.counts[0, 0] == 1
+        with pytest.raises(ValueError):
+            o.data[0, 0] = 1
+        with pytest.raises(ValueError):
+            o.counts[0, 0] = 2
+
+    def test_rejects_count_tables_beyond_the_cap(self, monkeypatch):
+        k = detectors.MAX_COUNT_CELLS // 3 + 1
+        with pytest.raises(ValidationError, match=f"M=3, K={k}"):
+            ObservationMatrix(np.zeros((3, 2), dtype=np.int64), k)
+        monkeypatch.setattr(detectors, "MAX_COUNT_CELLS", 12)
+        assert ObservationMatrix(np.zeros((3, 2), dtype=np.int64), 4).counts.shape == (3, 4)
+        with pytest.raises(ValidationError, match="M=3, K=5"):
+            ObservationMatrix(np.zeros((3, 2), dtype=np.int64), 5)
+
 
 class TestSingleOutlierScores:
     def test_ml_hand_example(self):
@@ -291,11 +352,11 @@ class TestNullAware:
         )
 
     def test_below_threshold_returns_null(self):
-        table = ScoreTable(((Coordinate(1), 0.10), (Coordinate(2), 0.11)))
+        table = ScoreTable((Coordinate(1), Coordinate(2)), [0.10, 0.11])
         assert decide(table, lam=0.5) is NULL
 
     def test_above_threshold_picks_argmin(self):
-        table = ScoreTable(((Coordinate(1), 0.9), (Coordinate(2), 0.1)))
+        table = ScoreTable((Coordinate(1), Coordinate(2)), [0.9, 0.1])
         assert decide(table, lam=0.5) == Coordinate(2)
 
     def test_run_detector_null_single(self):
@@ -303,13 +364,13 @@ class TestNullAware:
         assert run_detector(DetectorKind.NULL_SINGLE, o, lam=100.0) is NULL
 
     def test_negative_lambda_rejected(self):
-        table = ScoreTable(((Coordinate(1), 0.0),))
+        table = ScoreTable((Coordinate(1),), [0.0])
         with pytest.raises(ValidationError):
             decide(table, lam=-1.0)
 
     @pytest.mark.parametrize("lam", [math.nan, -1.0, -math.inf])
     def test_nan_and_negative_lambda_rejected_for_every_kind(self, lam):
-        table = ScoreTable(((Coordinate(1), 0.0),))
+        table = ScoreTable((Coordinate(1),), [0.0])
         with pytest.raises(ValidationError):
             decide(table, lam=lam)
         for kind in (DetectorKind.NULL_SINGLE, DetectorKind.UNIV_SINGLE):
@@ -317,8 +378,42 @@ class TestNullAware:
                 null_threshold(kind, lam, 3, 10, 2)
 
     def test_infinite_lambda_decides_null(self):
-        table = ScoreTable(((Coordinate(1), 0.9), (Coordinate(2), 0.1)))
+        table = ScoreTable((Coordinate(1), Coordinate(2)), [0.9, 0.1])
         assert decide(table, lam=math.inf) is NULL
+
+
+class TestScoreTable:
+    HYPS = (Coordinate(1), Coordinate(2), Coordinate(3))
+
+    def test_scores_are_a_read_only_float64_copy(self):
+        given = np.array([0.3, 0.1, 0.2])
+        table = ScoreTable(self.HYPS, given)
+        given[1] = 5.0
+        assert table.scores.dtype == np.float64 and table.scores.tolist() == [0.3, 0.1, 0.2]
+        with pytest.raises(ValueError):
+            table.scores[0] = 0.0
+        assert table.entries == tuple(zip(self.HYPS, [0.3, 0.1, 0.2]))
+        assert table.spread() == 0.3 - 0.1 and decide(table) == Coordinate(2)
+
+    def test_kernel_row_is_read_only(self):
+        table = score_table(DetectorKind.UNIV_SINGLE, obs([[0, 1], [0, 0], [1, 1]]))
+        assert not table.scores.flags.writeable and table.hypotheses == self.HYPS
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_scores_that_are_not_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ScoreTable(self.HYPS, [0.1, bad, 0.2])
+
+    def test_rejects_empty_and_mismatched_tables(self):
+        for hyps, scores in (((), []), (self.HYPS, [0.1, 0.2]), (self.HYPS, [0.1, 0.2, 0.3, 0.4]),
+                             (self.HYPS, [[0.1, 0.2, 0.3]])):
+            with pytest.raises(ValidationError, match="one score per hypothesis, and one at least"):
+                ScoreTable(hyps, scores)
+
+    def test_equal_scores_go_to_the_earliest_hypothesis(self):
+        assert decide(ScoreTable(self.HYPS, [0.2, 0.1, 0.1])) == Coordinate(2)
+        assert decide(ScoreTable(self.HYPS, [0.1, 0.1, 0.1])) == Coordinate(1)
+        assert decide(ScoreTable(self.HYPS, [0.1, 0.1, 0.1]), lam=0.0) is NULL
 
 
 MISFITS = [
