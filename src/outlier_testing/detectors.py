@@ -409,7 +409,9 @@ def _entropies(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return -xlogy(p, p, out=out).sum(axis=-1)
 
 
-def _check_law(law: Pmf, k: int, name: str) -> np.ndarray:
+def _check_law(law: Optional[Pmf], k: int, name: str, kind: DetectorKind) -> np.ndarray:
+    if law is None:
+        raise ValidationError(f"{kind.value} needs {name}")
     if law.size != k:
         raise ValidationError(f"{name} has alphabet size {law.size}, observations have K={k}")
     if not law.full_support():
@@ -472,17 +474,15 @@ class Scorer:
         pi: Optional[Pmf] = None,
     ):
         kind = DetectorKind(kind)
-        require(kind not in _MU_KINDS or mu is not None, f"{kind.value} needs mu")
-        require(kind not in _PI_KINDS or pi is not None, f"{kind.value} needs pi")
-        self.mu = _check_law(mu, k, "mu") if kind in _MU_KINDS else None
-        self.pi = _check_law(pi, k, "pi") if kind in _PI_KINDS else None
-        require(kind in NULL_AWARE_KINDS or not family.include_null,
+        self.mu = _check_law(mu, k, "mu", kind) if kind in _MU_KINDS else None
+        self.pi = _check_law(pi, k, "pi", kind) if kind in _PI_KINDS else None
+        if family.include_null and kind not in NULL_AWARE_KINDS:
+            raise ValidationError(
                 f"{kind.value} never decides the null hypothesis; drop it from the family")
-        if kind in _MULTI_KINDS:
-            require(len(family.sizes) == 1 and family.sizes[0] > 1,
-                    f"{kind.value} needs a family of one outlier-set size T > 1")
-        elif kind not in _IDENTICAL_KINDS:
-            require(family.sizes == (1,), f"{kind.value} needs a family of single coordinates")
+        if kind in _MULTI_KINDS and (len(family.sizes) != 1 or family.sizes[0] < 2):
+            raise ValidationError(f"{kind.value} needs a family of one outlier-set size T > 1")
+        if kind not in _MULTI_KINDS and kind not in _IDENTICAL_KINDS and family.sizes != (1,):
+            raise ValidationError(f"{kind.value} needs a family of single coordinates")
         self.kind = kind
         self.family = family
         self.m = family.m

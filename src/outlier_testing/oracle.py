@@ -7,20 +7,21 @@ This replaces asymptotic claims with ground-truth finite-n numbers.
 
 Two routes compute it, and each result names the one it took.  Known-law
 kinds that rank the kernel's per-type `RowStats.key` (ml-single,
-typ-single, mu-only, and typ-multi at T=2) factor over coordinates: when a
-floating-point certificate shows that the kernel orders tuples as the keys
-do, the error is a sum over key values of products of per-coordinate masses
-(`_ranked_errors`), in O(M x distinct keys) per truth.  Every other
-case enumerates the type tuples in chunks and decides every tuple exactly
-as the detector run on a matrix with those types does.  A chunk is a run
-of radix blocks (a few leading types, times every type of the others),
-and keys are broadcast over them (`_block_keys`) with no per-tuple
+typ-single, mu-only, and typ-multi at T=2) decide the T coordinates of best
+key when a floating-point certificate shows that the kernel does too.  The
+error is then one order-statistics sum over the last decided coordinate and
+its key of binomial and Poisson-binomial counts of the coordinates ranked
+before it (`_order_errors`), in O(M T^2 x distinct keys) per truth.  Every
+other case enumerates the type tuples in chunks and decides every tuple
+exactly as the detector run on a matrix with those types does.  A chunk is
+a run of radix blocks (a few leading types, times every type of the
+others), and keys are broadcast over them (`_block_keys`) with no per-tuple
 indices: each is the kernel's score up to a term every hypothesis shares,
 for known-law kinds the members' key sums, for universal kinds read from
 entropy tables of pooled integer counts.  Rounding certificates
-(`_sum_slack`, `_key_slack`) show that keys farther apart than a slack
-rank as the scores do; tuples whose best two keys, or whose key spread
-and lambda, lie within it go to the kernel, so ties are the kernel's too.
+(`_sum_slack`, `_key_slack`) show that keys farther apart than a slack rank
+as the scores do; tuples whose best two keys, or whose key spread and
+lambda, lie within it go to the kernel, so ties are the kernel's too.
 Probabilities accumulate in log space.  A full-sequence brute force (all
 K^(Mn) raw sequences, each run through `run_detector`) cross-checks both
 routes and the type-class weights at tiny sizes.
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import entr, gammaln
+from scipy.special import comb, entr, gammaln
 
 from .detectors import (
     NULL,
@@ -417,7 +419,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
     if ranking is not None:
         route = "per-coordinate"
-        log_errs = _ranked_errors(*ranking, log_rows, law_idx, family.members[0][truth_cols])
+        log_errs = _order_errors(*ranking, log_rows, law_idx, family.members[0][truth_cols])
     else:
         route = "enumeration"
         log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)
@@ -466,8 +468,8 @@ def _tuple_log_weights(w: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
 # Per-coordinate route
 # ---------------------------------------------------------------------------
 
-#: the per-coordinate route holds about a dozen (M, distinct keys) float
-#: arrays (some 200 MB at this limit); above it the oracle enumerates instead
+#: the per-coordinate route holds about a dozen (M, distinct keys) float arrays
+#: (100 MB at T=1, 230 MB at T=2 at this limit); above it the oracle enumerates
 ROUTE_MAX_TERMS = 1 << 21
 
 
@@ -509,90 +511,58 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     return order, starts, t_size
 
 
-def _ranked_errors(order, starts, t_size, log_rows, law_idx, truth_members) -> list[float]:
-    """Log error of each truth from per-coordinate key laws, summed over wrong decisions.
-
-    For decision D and its worst member w (by key, then index), D wins iff
-    every other member ranks before w and every other coordinate after it.
-    Given w's key value v, those are independent per-coordinate events:
-    key better than v (or equal, for a lower index) inside D, key worse than
-    v (or equal, for a higher index) outside D.  So log P(D) is a
-    logsumexp over v of sums of per-coordinate log masses.
-    ``truth_members`` (truths, T) holds each truth's zero-based coordinates.
-    """
-    ninf = np.full((len(log_rows), 1), -np.inf)
-    at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
-    at_or_better = np.logaddexp.accumulate(at, axis=1)
-    at_or_worse = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
-    better = np.hstack([ninf, at_or_better[:, :-1]])
-    worse = np.hstack([at_or_worse[:, 1:], ninf])
-    if t_size == 2:
-        return _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truth_members)
-
-    out = []
-    for rows, (col,) in zip(law_idx, truth_members):
-        a, w, we = (x[rows] for x in (at, worse, at_or_worse))
-        # before[i]: coordinates j < i all worse; after[i]: j > i all worse or equal
-        before = np.zeros_like(w)
-        np.cumsum(w[:-1], axis=0, out=before[1:])
-        after = np.zeros_like(we)
-        after[:-1] = np.cumsum(we[:0:-1], axis=0)[::-1]
-        log_dec = _log_sum_exp(a + before + after)
-        out.append(float(_log_sum_exp(np.delete(log_dec, col))))
-    return out
-
-
-#: elements of each (truths, 2, keys) array `_pair_errors` holds at once
+#: elements of each (t, truths, M, keys) array `_order_errors` holds at once
 SCAN_BLOCK = 1 << 16
 
 
-def _pair_errors(at, better, at_or_better, worse, at_or_worse, law_idx, truths) -> list[float]:
-    """Log error of each truth {t1 < t2} of a T=2 family, in one scan over the coordinates.
+def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[float]:
+    """Log error of each truth whose decision D is the first t coordinates in (key, index) order.
 
-    The arguments are `_ranked_errors`' (law row, key value) arrays, the law
-    row of each truth's coordinates (H, M), and the truths' pairs (H, 2).
-    Pair {i < j} wins with key value v when j is its worst member (i at v
-    or better, every other coordinate before j worse than v, every one
-    after j worse or equal) or when i is (j strictly better than v, every
-    other coordinate before i worse, every one after i worse or equal).
-    Its log mass is a sum along the coordinates, so every pair's is a path
-    through one left-to-right scan whose log states per (truth, v) are:
-
-    * lead: every coordinate so far worse than v, no member chosen;
-    * open (term j-worst, term i-worst): first member i chosen, its
-      followers worse (resp. worse or equal), split by whether i = t1;
-    * done: both members chosen, every coordinate since j worse or equal.
-
-    Pairs that open at t1 cannot close at t2, so done sums every pair but
-    the truth, and the error is its logsumexp over v.  Each step costs
-    O(truths x keys): no (M, M) array is formed.  Truths run in batches of
-    SCAN_BLOCK / (2 x keys).
+    ``order``/``starts`` rank the types by key (`_ranking`), ``law_idx`` (H, M)
+    holds each truth's law row per coordinate, ``truth_members`` (H, t) its
+    members S, zero-based.  j comes before (v, w) when key_j < v, or key_j = v
+    and j < w; D ends at w with key v when exactly t - 1 others do, and D != S
+    unless w is in S and no non-member does.  Given (v, w) those counts are
+    independent: binomial for the non-members (i.i.d. pi) below w and above
+    it, Poisson-binomial for the members.  So log P(D != S) is a logsumexp
+    over (w, v) of log P(key_w = v) plus a log convolution of the counts, cut
+    at t - 1: nothing is subtracted.
     """
-    stay_rows = np.stack([worse, at_or_worse], axis=1)  # (law rows, 2, keys)
-    enter_rows = np.stack([at_or_better, at], axis=1)
-    leave_rows = np.stack([at, better], axis=1)
-    m, v = law_idx.shape[1], at.shape[1]
-    batch = max(1, SCAN_BLOCK // (2 * v))
-    out = []
+    at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
+    le = np.logaddexp.accumulate(at, axis=1)
+    ge = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
+    ninf = np.full((len(at), 1), -np.inf)
+    lt, gt = np.hstack([ninf, le[:, :-1]]), np.hstack([ge[:, 1:], ninf])
+    m = law_idx.shape[1]
+    coords, i = np.arange(m), np.arange(t)[:, None, None]
+
+    def binomial(count, p, q):
+        """log P(X = i), i < t, of X ~ Bin(count, P), from p = log P and q = log (1 - P)."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf, 0 x -inf is 0
+            return (np.log(comb(count, i)) + np.where(i > 0, i * p, 0.0)
+                    + np.where(count > i, (count - i) * q, 0.0))
+
+    def convolve(x, y):
+        """log P(X + Y = s), s < t, of independent X and Y, from their log pmfs."""
+        return [reduce(np.logaddexp, [x[c] + y[s - c] for c in range(s + 1) if s - c < len(y)])
+                for s in range(t)]
+
+    # log P(s non-members before (v, w)), s < t, by how many of them lie below (above) w
+    pi = law_idx[0, next(j for j in coords if j not in truth_members[0])]  # pi's law row
+    below, above = (binomial(coords[:, None], p[pi], q[pi]) for p, q in ((le, gt), (lt, ge)))
+    # a member's (log P(not before), log P(before)) when above w, at w and below w
+    member = (np.stack([ge, np.zeros_like(ge), gt]), np.stack([lt, np.full_like(lt, -np.inf), le]))
+    out, batch = [], max(1, SCAN_BLOCK // (t * m * at.shape[1]))
     for lo in range(0, len(law_idx), batch):
-        rows, (t1, t2) = law_idx[lo:lo + batch], truths[lo:lo + batch].T
-        h = len(rows)
-        lead = np.zeros((h, 1, v))
-        open_other = np.full((h, 2, v), -np.inf)
-        open_first = open_other.copy()
-        done = np.full((h, v), -np.inf)
-        for c in range(m):
-            r = rows[:, c]
-            closing = np.where((t2 == c)[:, None, None], open_other,
-                               np.logaddexp(open_other, open_first))
-            done = np.logaddexp(done + at_or_worse[r],
-                                np.logaddexp.reduce(closing + leave_rows[r], axis=1))
-            start = lead + enter_rows[r]
-            first = (t1 == c)[:, None, None]
-            open_other = np.logaddexp(open_other + stay_rows[r], np.where(first, -np.inf, start))
-            open_first = np.logaddexp(open_first + stay_rows[r], np.where(first, start, -np.inf))
-            lead = lead + worse[r][:, None]
-        out.extend(_log_sum_exp(done).tolist())
+        rows, members = law_idx[lo:lo + batch], truth_members[lo:lo + batch]
+        outside = ~(members[..., None] == coords).any(axis=1)
+        a = np.cumsum(outside, axis=1) - outside
+        y = convolve(below[:, a], above[:, m - t - outside - a])
+        y[0] = np.where(outside[..., None], y[0], -np.inf)  # w in S: a non-member must come before
+        for j, r in zip(members.T, np.take_along_axis(rows, members, 1).T):
+            side = np.sign(coords - j[:, None]) + 1
+            y = convolve(y, [tab[side, r[:, None]] for tab in member[:t]])
+        out.extend(_log_sum_exp((y[-1] + at[rows]).reshape(len(rows), -1)).tolist())
     return out
 
 

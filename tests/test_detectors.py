@@ -434,6 +434,28 @@ def test_family_must_fit_kind(kind, fam, truth):
         estimate_error(cfg, truth, 4)
 
 
+SCORER_FAULTS = [
+    (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(3), None, PI, "ml-single needs mu"),
+    (DetectorKind.MU_ONLY, HypothesisFamily.single_outlier(3), None, None, "mu-only needs mu"),
+    (DetectorKind.TYP_SINGLE, HypothesisFamily.single_outlier(3), MU, None, "typ-single needs pi"),
+    (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), MU, None, "typ-multi needs pi"),
+    (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), None, None,
+     "univ-single never decides the null hypothesis; drop it from the family"),
+    (DetectorKind.TYP_MULTI, HypothesisFamily.single_outlier(5), MU, PI,
+     "typ-multi needs a family of one outlier-set size T > 1"),
+    (DetectorKind.ML_SINGLE, HypothesisFamily.fixed_size(5, 2), MU, PI,
+     "ml-single needs a family of single coordinates"),
+]
+
+
+@pytest.mark.parametrize("kind,fam,mu,pi,message", SCORER_FAULTS,
+                         ids=[c[-1] for c in SCORER_FAULTS])
+def test_scorer_fault_messages(kind, fam, mu, pi, message):
+    with pytest.raises(ValidationError) as err:
+        Scorer(kind, fam, 2, mu=mu, pi=pi)
+    assert str(err.value) == message
+
+
 class TestDispatch:
     def test_missing_params(self):
         o = obs([[0, 1], [0, 0], [0, 0]])

@@ -439,6 +439,7 @@ class TestPerCoordinateRoute:
     MU3 = Pmf(np.array([0.2, 0.3, 0.5]))
     PI3 = Pmf(np.array([0.55, 0.3, 0.15]))  # with MU3, keys are certified at these n
     MIXED = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.31, 0.32, 0.31, 0.30)]  # criterion 6
+    MIXED8 = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.34, 0.28, 0.31, 0.36, 0.30, 0.33, 0.29)]
     SINGLE = (DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE, DetectorKind.MU_ONLY)
     DECISION_GRID = (
         [(kind, m, 2, n, {}) for kind in SINGLE for m, n in ((3, 12), (4, 8), (5, 5))]
@@ -476,6 +477,10 @@ class TestPerCoordinateRoute:
         + [(kind, m, 2, (3, 6), MU, {}) for kind in SINGLE for m in (4, 5)]
         + [(kind, 3, 3, (2, 5, 8), None, {}) for kind in SINGLE]
         + [(DetectorKind.TYP_MULTI, 5, 2, (2, 5, 8), mus, {"t": 2}) for mus in (MU, MIXED)]
+        # members on distinct law rows, and typ-multi past M=5 and at K=3
+        + [(kind, 5, 2, (3, 6), mus, {}) for kind, mus in zip(SINGLE, [MIXED] * 3)]
+        + [(DetectorKind.TYP_MULTI, 7, 3, (2,), None, {"t": 2}),
+           (DetectorKind.TYP_MULTI, 8, 2, (2, 3), MIXED8, {"t": 2})]
     )
 
     @pytest.mark.parametrize("kind,m,k,ns,mus,extra", VALUE_GRID)
@@ -493,6 +498,21 @@ class TestPerCoordinateRoute:
                 assert (got.route, want.route) == ("per-coordinate", "enumeration")
                 assert got.prob == pytest.approx(want.prob, rel=1e-12, abs=0), (n, truth)
                 assert got.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0), (n, truth)
+
+    @pytest.mark.parametrize("kind,fam,mus", [
+        (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(9), MU),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(8, 2), MIXED8),
+    ], ids=["ml-single-M9", "typ-multi-M8"])
+    def test_batches_of_one_truth_keep_the_bits(self, monkeypatch, kind, fam, mus):
+        n = 3
+        # by default every truth shares one batch: n + 1 types bound the distinct keys
+        assert oracle.SCAN_BLOCK // (fam.sizes[0] * fam.m * (n + 1)) >= len(fam.hypotheses)
+        _, batched = max_error(kind, fam, n, 2, mus, PI, mu=MU)
+        monkeypatch.setattr(oracle, "SCAN_BLOCK", 1)
+        _, alone = max_error(kind, fam, n, 2, mus, PI, mu=MU)
+        assert {e.route for e in alone.values()} == {"per-coordinate"}
+        assert [e.log_prob.hex() for e in alone.values()] == \
+            [e.log_prob.hex() for e in batched.values()]
 
     def test_max_error_routes_every_truth(self):
         worst, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
