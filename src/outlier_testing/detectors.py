@@ -184,6 +184,24 @@ BINARY_MAX_K = 256
 MAX_COUNT_CELLS = 1 << 24
 
 
+def _one_digit_rows(blob: bytes) -> Optional[np.ndarray]:
+    """The uint8 symbols of a file in the layout `to_csv` writes for K <= 10, else None.
+
+    There every row is "d,d,...,d\\n", one ASCII digit per field and the same
+    field count in every row, so the bytes reshape to (rows, 2 * fields):
+    digits in the even columns, ',' in the odd ones and '\\n' in the last.
+    """
+    width = blob.find(b"\n") + 1
+    if not width or len(blob) % width:
+        return None
+    b = np.frombuffer(blob, dtype=np.uint8).reshape(-1, width)
+    symbols = b[:, ::2] - np.uint8(ord("0"))  # any byte below '0', '\n' too, wraps above 9
+    seps = np.frombuffer(b"," * (width // 2 - 1) + b"\n", dtype=np.uint8)
+    if (symbols > 9).any() or (b[:, 1::2] != seps).any():
+        return None
+    return symbols
+
+
 class ObservationMatrix:
     """M coordinates by n samples of integer symbols in {0..K-1}.
 
@@ -245,10 +263,18 @@ class ObservationMatrix:
 
     @classmethod
     def from_csv(cls, path, k: Optional[int] = None) -> "ObservationMatrix":
+        """Comma-separated integers as `np.loadtxt` reads them; `to_csv`'s layout directly."""
         try:
-            a = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-        except (ValueError, OSError) as exc:
-            raise ValidationError(f"cannot read observation CSV: {exc}") from exc
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except (OSError, TypeError):  # np.loadtxt reports it, as it always has
+            blob = b""
+        a = _one_digit_rows(blob)
+        if a is None:
+            try:
+                a = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
+            except (ValueError, OSError) as exc:
+                raise ValidationError(f"cannot read observation CSV: {exc}") from exc
         if k is None:
             k = int(a.max()) + 1 if a.size else 0
             k = max(k, 2)

@@ -419,7 +419,8 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
     if ranking is not None:
         route = "per-coordinate"
-        log_errs = _order_errors(*ranking, log_rows, law_idx, family.members[0][truth_cols])
+        members = np.array([sorted(outlier_set(truth)) for truth in truths]) - 1
+        log_errs = _order_errors(*ranking, log_rows, law_idx, members)
     else:
         route = "enumeration"
         log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)

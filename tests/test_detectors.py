@@ -1,5 +1,9 @@
 """Decision rules: hand-checked examples, tie policy, families, I/O."""
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +252,93 @@ class TestObservationMatrix:
         assert ObservationMatrix(np.zeros((3, 2), dtype=np.int64), 4).counts.shape == (3, 4)
         with pytest.raises(ValidationError, match="M=3, K=5"):
             ObservationMatrix(np.zeros((3, 2), dtype=np.int64), 5)
+
+
+def loadtxt_reader(path, k=None):
+    """`from_csv` with `np.loadtxt` as its only reader, as it read every file before."""
+    try:
+        a = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
+    except (ValueError, OSError) as exc:
+        raise ValidationError(f"cannot read observation CSV: {exc}") from exc
+    return ObservationMatrix(a, k if k is not None else max(int(a.max()) + 1 if a.size else 0, 2))
+
+
+def outcome(read, path, k):
+    """What a reader makes of a file: (k, counts, data), or its ValidationError message."""
+    try:
+        o = read(path, k)
+    except ValidationError as exc:
+        return str(exc)
+    return o.k, o.counts.tolist(), o.data.tolist()
+
+
+@st.composite
+def small_matrices(draw):
+    m, n, k = draw(st.integers(3, 7)), draw(st.integers(1, 7)), draw(st.integers(2, 10))
+    cells = draw(st.lists(st.integers(0, k - 1), min_size=m * n, max_size=m * n))
+    return np.array(cells).reshape(m, n), k
+
+
+class TestCsvReader:
+    """`to_csv`'s one-digit layout is read without `np.loadtxt`, to the matrix it gives."""
+
+    NEAR_MISSES = {
+        "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+        "spaces": lambda b: re.sub(rb"(\d)", rb" \1 ", b),
+        "comment": lambda b: b"# written by hand\n" + b,
+        "blank-line": lambda b: b.replace(b"\n", b"\n\n", 1),
+        "no-final-newline": lambda b: b[:-1],
+        "two-digit-symbol": lambda b: b"1" + b,
+        "ragged-row": lambda b: b.replace(b"\n", b",0\n", 1),
+        "empty-field": lambda b: b"," + b[1:],  # same length as the layout
+        "leading-plus": lambda b: b"+" + b,
+        "utf8-bom": lambda b: b"\xef\xbb\xbf" + b,
+    }
+
+    @given(small_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_layout_reads_without_loadtxt(self, case):
+        data, k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obs.csv"
+            ObservationMatrix(data, k).to_csv(path)
+            for k_arg in (None, k):
+                want = outcome(loadtxt_reader, path, k_arg)
+                with mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt")):
+                    assert outcome(ObservationMatrix.from_csv, path, k_arg) == want
+                    assert ObservationMatrix.from_csv(path, k_arg)._symbols.dtype == np.uint8
+
+    @given(small_matrices(), st.sampled_from(sorted(NEAR_MISSES)))
+    @settings(max_examples=120, deadline=None)
+    def test_near_misses_read_as_before(self, case, miss):
+        data, k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obs.csv"
+            ObservationMatrix(data, k).to_csv(path)
+            path.write_bytes(self.NEAR_MISSES[miss](path.read_bytes()))
+            for k_arg in (None, k):
+                want = outcome(loadtxt_reader, path, k_arg)
+                with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+                    assert outcome(ObservationMatrix.from_csv, path, k_arg) == want
+                assert spy.called
+
+    @pytest.mark.parametrize("text,in_layout", [
+        (b"5\n", True),  # fewer than three rows: the constructor's error
+        (b"0,1\n1,0\n", True),
+        (b"1\n2\n3\n", True),
+        (b"0;1\n1;0\n0;1\n", False),  # digits where the layout has them
+        (b"0,0\n1\n1,1\n0\n", False),  # ragged rows that fill whole layout rows
+        (b"", False),
+        (b"\n0,1\n1,0\n0,1\n", False),  # a blank first line: rows one byte wide
+    ])
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_small_files(self, tmp_path, text, in_layout):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text)
+        want = outcome(loadtxt_reader, path, None)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            assert outcome(ObservationMatrix.from_csv, path, None) == want
+        assert spy.called != in_layout
 
 
 class TestSingleOutlierScores:

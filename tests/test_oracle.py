@@ -554,6 +554,18 @@ class TestPerCoordinateRoute:
         assert got.route == "per-coordinate"
         assert math.isfinite(got.log_prob) and 0 < got.prob < 1e-70
 
+    @pytest.mark.parametrize("truth,log_hex", [
+        (Subset((1, 2)), "-0x1.1cbd05d255830p-3"),
+        (Subset((7, 999)), "-0x1.20c5edee8ce00p-4"),
+    ])
+    def test_truth_members_without_the_family_table(self, truth, log_hex):
+        # the family's members would be C(1000, 2) = 499,500 pairs; values recorded
+        # from a version that looked the truth up in them
+        fam = HypothesisFamily.fixed_size(1000, 2)
+        got = exact_error(DetectorKind.TYP_MULTI, fam, truth, 10, 2, MU, PI)
+        assert got.route == "per-coordinate" and got.log_prob.hex() == log_hex
+        assert "members" not in fam.__dict__
+
     @pytest.mark.parametrize("kind", SINGLE)
     def test_validation_still_raised(self, kind):
         with pytest.raises(ValidationError):  # a generating law without full support
