@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -115,6 +116,9 @@ class HypothesisFamily:
     include_null: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.m, *self.sizes)):
+            raise ValidationError(f"M and the outlier-set sizes must be whole numbers, got "
+                                  f"M={self.m!r}, sizes {self.sizes!r}")
         sizes = tuple(sorted(set(self.sizes)))
         if not sizes or sizes[0] < 1 or sizes[-1] >= self.m / 2:
             raise ValidationError(

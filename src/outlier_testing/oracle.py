@@ -127,6 +127,7 @@ def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[
     sequence of M per-coordinate outlier laws, or None when the truth is
     the null hypothesis.
     """
+    require(pi is not None, "the typical law pi is required")
     if mus is not None and not isinstance(mus, Pmf):
         require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
     outliers = outlier_set(truth)
@@ -182,9 +183,10 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
     largest with T^(tail+1) <= chunk / 8.  A chunk starts ``lo`` tuples
     into the blocks of heads ``head_idx`` (rows, M - tail); each yield is
     (head_idx, lo, decided columns (b,), -1 for NULL).  ``stats`` are the
-    kernel's statistics of every type.  Only the tuples `_key_decisions`
-    marks near, or every tuple when `_block_keys` has none, get type
-    indices and go to the kernel.
+    kernel's statistics of every type.  Only near tuples get type indices
+    and go to the kernel (`_key_decisions`): those with a close key that is
+    not a bit-equal known-law minimum, or a key spread close to lam, and
+    every tuple when `_block_keys` has no keys.
     """
     if lam is not None and not lam >= 0:
         raise ValidationError("lambda must be >= 0 and not NaN")
@@ -195,10 +197,8 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
         tail += 1
     block = n_types**tail
     keys = _block_keys(scorer, table, stats, tail)
-    slack = _sum_slack(scorer, stats) if stats.key is not None else _key_slack(m, table.n, table.k)
-
-    def kernel(flat):
-        return decide_batch(scorer.combine(stats.take(_type_indices(flat, n_types, m))), lam)
+    exact = stats.key is not None
+    slack = _sum_slack(scorer, stats) if exact else _key_slack(m, table.n, table.k)
 
     total = n_types**m
     for start in range(0, total, chunk):
@@ -207,26 +207,30 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
         head_idx = _type_indices(heads, n_types, m - tail)
         lo = start - heads[0] * block
         if keys is None:
-            decision = kernel(np.arange(start, stop, dtype=np.int64))
+            decision, near = np.empty(stop - start, dtype=np.int64), np.ones(stop - start, bool)
         else:
-            decision, near = _key_decisions(keys(head_idx)[:, lo:lo + stop - start], slack, lam)
-            if near.any():
-                decision[near] = kernel(start + np.flatnonzero(near))
+            decision, near = _key_decisions(keys(head_idx)[:, lo:lo + stop - start], slack, lam,
+                                            exact)
+        if near.any():
+            idx = _type_indices(start + np.flatnonzero(near), n_types, m)
+            decision[near] = decide_batch(scorer.combine(stats.take(idx)), lam)
         yield head_idx, lo, decision
 
 
-def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float]):
+def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float], exact: bool):
     """Decisions (b,) from keys (H, b), and which of them the kernel must make instead.
 
-    Those are the tuples whose best two keys lie within ``slack`` of each
-    other or, with a threshold ``lam``, whose key spread lies within it of
-    lam.
+    Those are the tuples with two keys within ``slack`` of the smallest or,
+    with a threshold ``lam``, whose key spread lies within it of lam.
+    ``exact`` keys (known-law sums) that are bit-equal score bit-equal, so
+    there only a close key that differs from the smallest makes a tuple near.
     """
     low = key.min(axis=0)
     close = key <= low + slack
-    near = close.sum(axis=0) > 1
-    # where no other key is close, the column of the one close key
-    decision = (np.arange(len(key))[:, None] * close).sum(axis=0)
+    near = (close & (key != low)).any(axis=0) if exact else close.sum(axis=0) > 1
+    # the first close column, by a reduce over axis 0: the decision wherever not near
+    first = np.arange(len(key), 0, -1, dtype=np.int32)[:, None] * close
+    decision = len(key) - first.max(axis=0)
     if lam is not None:
         spread = key.max(axis=0) - low
         near |= np.abs(spread - lam) <= slack
@@ -239,26 +243,40 @@ def _add_left(terms: list):
     return sum(terms[1:], terms[0])
 
 
+def _on_block(values: Sequence[np.ndarray], head_idx: np.ndarray) -> list[np.ndarray]:
+    """Per-type arrays ``values`` (T,), one per coordinate, laid over radix blocks.
+
+    The blocks of heads ``head_idx`` (rows, p) span (rows, T, ..., T), with
+    M - p tail axes: a head coordinate's values are gathered per head, a
+    tail coordinate's are its array along its own axis.  So a sum over some
+    coordinates varies only along their axes, and no tuple's indices are
+    formed.
+    """
+    m, p = len(values), head_idx.shape[1]
+    heads = [a[idx].reshape((-1,) + (1,) * (m - p)) for a, idx in zip(values, head_idx.T)]
+    return heads + [values[j].reshape((-1,) + (1,) * (m - 1 - j)) for j in range(p, m)]
+
+
 def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
     """Keys of the tuples in radix blocks, or None to score every tuple with the kernel.
 
     ``keys(head_idx)`` gives keys (H, rows x T^tail) of the blocks of heads
-    ``head_idx`` (rows, M - tail).  Per-type arrays are laid over the block
-    (rows, T, ..., T): a head coordinate's values are gathered per head, a
-    tail coordinate's are the array along its own axis, so a sum over some
-    coordinates varies only along their axes.  No tuple's indices are formed.
+    ``head_idx`` (rows, M - tail), summed from per-type arrays `_on_block` lays.
 
     Known-law kinds get each member's sum of `RowStats.key` in index
     order, bit for bit the kernel's score before it adds the row's d_pi
-    sum, which every hypothesis shares.  Universal kinds get pooled-count
-    keys.  A pool of s coordinates with n samples each has integer counts
-    c summing to n s, and the kernel's mixture of the pool is c / (n s).  With
-    per-type codes sum_k c_k B^k over the first K-1 counts, B = n (M-1) +
-    1, a pool's code is the integer sum of its members' codes (codes are
-    linear, and no pooled count reaches B), and ``tab[s][code]`` holds
-    s H(c / (n s)), built once per pool size from ``enumerate_types(n s,
-    K)``.  Against the kernel's dispersions these keys drop sum_j
-    H(gamma_j), which every hypothesis shares:
+    sum, which every hypothesis shares: the kernel re-decides only tuples
+    with a close key that differs from the smallest.  Universal kinds get
+    pooled-count keys, which may tie where kernel scores do not, so it
+    re-decides every tuple with two close keys.  A pool of s coordinates
+    with n samples each has integer counts c summing to n s, and the
+    kernel's mixture of the pool is c / (n s).  With per-type codes sum_k
+    c_k B^k over the first K-1 counts, B = n (M-1) + 1, a pool's code is the
+    integer sum of its members' codes (codes are linear, and no pooled count
+    reaches B), and ``tab[s][code]`` holds s H(c / (n s)), built once per
+    pool size from ``enumerate_types(n s, K)``.  Against the kernel's
+    dispersions these keys drop sum_j H(gamma_j), which every hypothesis
+    shares:
 
     * univ-single, null-single, univ-multi: tab[M-|S|][Sigma - c_S] + sum_{j in S} H(gamma_j)
     * identical-univ, null-identical: tab[M-|S|][Sigma - c_S] + tab[|S|][c_S]
@@ -271,15 +289,10 @@ def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
     m, n, k, grid = scorer.m, table.n, table.k, (table.size,) * tail
     members = [cols for group in scorer.family.members for cols in group.tolist()]
 
-    def on_block(a: np.ndarray, head_idx: np.ndarray) -> list[np.ndarray]:
-        """Per-type values a (T,) of every coordinate, shaped to broadcast over the block."""
-        heads = [a[idx].reshape((-1,) + (1,) * tail) for idx in head_idx.T]
-        return heads + [a.reshape((-1,) + (1,) * (m - 1 - j)) for j in range(m - tail, m)]
-
     if stats.key is not None:
         def keys(head_idx: np.ndarray) -> np.ndarray:
             out = np.empty((len(members), len(head_idx)) + grid)
-            key = on_block(stats.key, head_idx)
+            key = _on_block([stats.key] * m, head_idx)
             for score, cols in zip(out, members):
                 score[...] = _add_left([key[j] for j in cols])
             return out.reshape(len(members), -1)
@@ -303,8 +316,8 @@ def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
 
     def keys(head_idx: np.ndarray) -> np.ndarray:
         out = np.empty((len(members), len(head_idx)) + grid)
-        codes = on_block(code, head_idx)
-        ents = None if identical else on_block(stats.ent, head_idx)
+        codes = _on_block([code] * m, head_idx)
+        ents = None if identical else _on_block([stats.ent] * m, head_idx)
         for key, cols in zip(out, members):
             outside = tab[m - len(cols)][_add_left([codes[j] for j in range(m) if j not in cols])]
             inside = _add_left([(codes if identical else ents)[j] for j in cols])
@@ -438,31 +451,16 @@ def _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)
 
     Chunks of DEFAULT_CHUNK tuples are decided on radix blocks (`_block_decisions`).
     A tuple's log weight sums its types' log probabilities left to right at
-    every M, broadcast over each block like its keys.
+    every M, laid over each block like its keys (`_on_block`).
     """
     pieces: list[list[float]] = [[] for _ in truth_cols]
     for head_idx, lo, decision in _block_decisions(scorer, table, stats, lam, DEFAULT_CHUNK):
         for rows, col, acc in zip(law_idx, truth_cols, pieces):
             wrong = decision != col
             if wrong.any():
-                weights = _tuple_log_weights(log_rows[rows], head_idx)[lo:lo + decision.size]
-                acc.append(_log_sum_exp(weights[wrong]))
+                weights = _add_left(_on_block(log_rows[rows], head_idx)).ravel()
+                acc.append(_log_sum_exp(weights[lo:lo + decision.size][wrong]))
     return [float(_log_sum_exp(np.array(acc))) if acc else -math.inf for acc in pieces]
-
-
-def _tuple_log_weights(w: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
-    """Sums w[0, t_0] + ... + w[M-1, t_(M-1)], left to right, in radix order.
-
-    Tuples run over the heads ``head_idx`` (rows, p), each followed by every
-    type of the last M-p coordinates.
-    """
-    p = head_idx.shape[1]
-    acc = w[0, head_idx[:, 0]]
-    for j in range(1, p):
-        acc = acc + w[j, head_idx[:, j]]
-    for j in range(p, len(w)):
-        acc = (acc[:, None] + w[j]).ravel()
-    return acc
 
 
 # ---------------------------------------------------------------------------

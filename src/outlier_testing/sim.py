@@ -49,17 +49,20 @@ class SimConfig:
     trials: int
     seed: int
     mus: LawSpec = None
-    pi: Optional[Pmf] = None
+    pi: Pmf = None  # required: None is rejected
     mu: Optional[Pmf] = None  # detector-side outlier law, when the kind uses one
     lam: Optional[float] = None  # None = the vanishing default threshold
 
     def __post_init__(self):
-        if self.trials < 100:
-            raise ValidationError("need at least 100 trials per point")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 100:
+            raise ValidationError("need a whole number of at least 100 trials per point")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ValidationError("n grid must hold positive sample sizes")
+        if not self.n_grid or any(not isinstance(n, numbers.Integral) or n < 1
+                                  for n in self.n_grid):
+            raise ValidationError("n grid must hold positive whole sample sizes")
+        if self.pi is None:
+            raise ValidationError("simulation needs the typical law pi")
         for law in self._all_laws():
             if law.size != self.k or not law.full_support():
                 raise ValidationError("laws must be full-support pmfs on the declared alphabet")
@@ -69,9 +72,7 @@ class SimConfig:
                                   f"M={self.family.m}")
 
     def _all_laws(self):
-        laws = []
-        if self.pi is not None:
-            laws.append(self.pi)
+        laws = [self.pi]
         if isinstance(self.mus, Pmf):
             laws.append(self.mus)
         elif self.mus is not None:

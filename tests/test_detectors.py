@@ -89,6 +89,11 @@ class TestHypothesisFamily:
             HypothesisFamily.fixed_size(4, 2)
         assert len(HypothesisFamily.fixed_size(5, 2).hypotheses) == 10
 
+    @pytest.mark.parametrize("m,sizes", [(7, (1.5,)), (7, (1.0,)), (7, (1, 2.0)), (7.0, (1,))])
+    def test_rejects_sizes_that_are_not_whole_numbers(self, m, sizes):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            HypothesisFamily(m, sizes)
+
     def test_index_of_missing(self):
         fam = HypothesisFamily.single_outlier(3)
         with pytest.raises(ValidationError):

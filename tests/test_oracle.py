@@ -174,6 +174,22 @@ class TestExactError:
         with pytest.raises(ValidationError):
             max_error(DetectorKind.UNIV_SINGLE, FAM3, 2, 2, mus, pi)
 
+    @pytest.mark.parametrize("kind,fam", [
+        (DetectorKind.UNIV_SINGLE, FAM3),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True)),
+        (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(5, 2)),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2])),
+        (DetectorKind.MU_ONLY, FAM3),
+    ], ids=lambda c: getattr(c, "value", None))
+    def test_missing_typical_law_rejected(self, kind, fam):
+        truth = fam.hypotheses[-1]
+        with pytest.raises(ValidationError, match="pi"):
+            exact_error(kind, fam, truth, 2, 2, MU, None)
+        with pytest.raises(ValidationError, match="pi"):
+            max_error(kind, fam, 2, 2, MU, None)
+        with pytest.raises(ValidationError, match="pi"):
+            coordinate_laws(truth, fam.m, MU, None)
+
     def test_coordinate_laws_needs_one_law_per_coordinate(self):
         assert coordinate_laws(Coordinate(2), 3, [MU, PI, MU], PI)[1] is PI
         for mus in ([MU, MU], [MU] * 4):
@@ -331,19 +347,22 @@ class TestBlockRoute:
     @pytest.mark.parametrize("kind,fam,k,n", KNOWN,
                              ids=[f"{c[0].value}-M{c[1].m}-K{c[2]}-n{c[3]}" for c in KNOWN])
     def test_kernel_ties_are_near(self, kind, fam, k, n):
-        # every tuple whose two best kernel scores are bit-equal lies within the
-        # slack, and every tuple decided by its key sums is decided as the kernel does
+        # key sums bit-equal to the smallest decide some bit-equal kernel ties, so
+        # the kernel re-decides fewer tuples than have two keys within the slack,
+        # and every tuple decided by its key sums is decided as the kernel does
         mu, pi = self.laws(k)
         table = enumerate_types(n, k)
         scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
         stats = scorer.row_stats(table.counts, n)
         heads = oracle._type_indices(np.arange(table.size**2), table.size, 2)
         keys = oracle._block_keys(scorer, table, stats, fam.m - 2)(heads)
-        decision, near = oracle._key_decisions(keys, oracle._sum_slack(scorer, stats), None)
+        slack = oracle._sum_slack(scorer, stats)
+        decision, near = oracle._key_decisions(keys, slack, None, exact=True)
         scores = scorer.combine(stats.take(radix_indices(np.arange(table.size**fam.m),
                                                          table.size, fam.m)))
         best = np.partition(scores, 1, axis=1)
-        assert near[best[:, 0] == best[:, 1]].all()
+        assert (~near[best[:, 0] == best[:, 1]]).any()
+        assert near.sum() < ((keys <= keys.min(axis=0) + slack).sum(axis=0) > 1).sum()
         assert np.array_equal(decision[~near], decide_batch(scores)[~near])
 
     # chunk 777 holds 77.7 blocks of 10 tuples; at lam 0.5, null-single decides

@@ -56,6 +56,16 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             cfg3(pi=Pmf(np.array([1.0, 0.0])))
 
+    def test_rejects_missing_typical_law(self):
+        with pytest.raises(ValidationError, match="pi"):
+            cfg3(pi=None)
+
+    @pytest.mark.parametrize("field", [{"n_grid": (5.5,)}, {"n_grid": (10, 20.0)},
+                                       {"trials": 100.5}, {"trials": 200.0}])
+    def test_rejects_sizes_and_counts_that_are_not_whole_numbers(self, field):
+        with pytest.raises(ValidationError, match="whole"):
+            cfg3(**field)
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError):
