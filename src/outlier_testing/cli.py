@@ -30,6 +30,7 @@ from .detectors import (
     null_threshold,
     score_table,
 )
+from .detectors import family_for as _family_for  # the name perfbench/make_references.py imports
 from .errors import EnumerationCapError, SolverError, ValidationError, require
 from .exponents import (
     SolverOptions,
@@ -86,21 +87,6 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(restarts=args.restarts, seed=args.solver_seed)
 
 
-def _family_for(
-    kind: DetectorKind,
-    m: int,
-    t: Optional[int],
-    sizes: Optional[Sequence[int]],
-) -> HypothesisFamily:
-    if kind in (DetectorKind.TYP_MULTI, DetectorKind.UNIV_MULTI):
-        require(t is not None, f"{kind.value} needs --t")
-        return HypothesisFamily.fixed_size(m, t)
-    if kind in (DetectorKind.IDENTICAL_UNIV, DetectorKind.NULL_IDENTICAL):
-        require(sizes is not None, f"{kind.value} needs --sizes")
-        return HypothesisFamily.sized(m, sizes, include_null=kind is DetectorKind.NULL_IDENTICAL)
-    return HypothesisFamily.single_outlier(m, include_null=kind is DetectorKind.NULL_SINGLE)
-
-
 def _sweep_setup(args) -> tuple[DetectorKind, HypothesisFamily, LawSpec, Pmf, Optional[Pmf]]:
     """Kind, family, generating laws (mus, pi) and detector-side mu of a sweep."""
     kind = DetectorKind(args.kind)
@@ -119,30 +105,28 @@ def _sweep_setup(args) -> tuple[DetectorKind, HypothesisFamily, LawSpec, Pmf, Op
 # ---------------------------------------------------------------------------
 
 
+#: each exponent kind: its library call, the flags it takes in call order,
+#: and whether it also takes the solver options
+_EXPONENTS = {
+    "both-known": (exponent_both_known, ("mu", "pi"), False),
+    "multi-known": (exponent_multi_known, ("mus", "pi"), False),
+    "multi-typ-known": (exponent_multi_typ_known, ("mus", "pi"), False),
+    "univ-single": (exponent_univ_single, ("mu", "pi", "m"), True),
+    "univ-multi": (exponent_univ_multi, ("mus", "pi", "t"), True),
+}
+_PARSERS = {"mu": _parse_pmf, "mus": _parse_pmfs, "pi": _parse_pmf, "m": int, "t": int}
+
+
 def cmd_exponent(args) -> int:
     kind = args.kind
+    solve, names, uses_solver = _EXPONENTS[kind]
     record = {"command": "exponent", "kind": kind}
     opts = _solver_options(args)  # checked whether or not the kind uses the solver
-    if kind == "both-known":
-        require(args.mu is not None and args.pi is not None, "both-known needs --mu and --pi")
-        res = exponent_both_known(_parse_pmf(args.mu), _parse_pmf(args.pi))
-    elif kind == "multi-known":
-        require(args.mus is not None and args.pi is not None, "multi-known needs --mus and --pi")
-        res = exponent_multi_known(_parse_pmfs(args.mus), _parse_pmf(args.pi))
-    elif kind == "multi-typ-known":
-        require(args.mus is not None and args.pi is not None,
-                "multi-typ-known needs --mus and --pi")
-        res = exponent_multi_typ_known(_parse_pmfs(args.mus), _parse_pmf(args.pi))
-    elif kind == "univ-single":
-        require(args.mu is not None and args.pi is not None and args.m is not None,
-                "univ-single needs --mu, --pi and --m")
-        res = exponent_univ_single(_parse_pmf(args.mu), _parse_pmf(args.pi), args.m, opts)
-    elif kind == "univ-multi":
-        require(args.mus is not None and args.pi is not None and args.t is not None,
-                "univ-multi needs --mus, --pi and --t")
-        res = exponent_univ_multi(_parse_pmfs(args.mus), _parse_pmf(args.pi), args.t, opts)
-    else:
-        raise ValidationError(f"unknown exponent kind {kind!r}")
+    *head, last = (f"--{name}" for name in names)
+    require(all(getattr(args, name) is not None for name in names),
+            f"{kind} needs {', '.join(head)} and {last}")
+    values = [_PARSERS[name](getattr(args, name)) for name in names]
+    res = solve(*values, opts) if uses_solver else solve(*values)
     record.update(
         value=float(res.value),
         solver=res.solver,
@@ -287,25 +271,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_laws(p, with_mu=True, with_mus=True):
-        if with_mu:
-            p.add_argument("--mu", help="outlier pmf, comma-separated decimals")
+    def add_laws(p, with_mus=True):
+        p.add_argument("--mu", help="outlier pmf, comma-separated decimals")
         if with_mus:
             p.add_argument("--mus", help="per-coordinate outlier pmfs, ';'-separated")
         p.add_argument("--pi", help="typical pmf, comma-separated decimals")
 
-    def add_solver(p):
-        p.add_argument("--restarts", type=int, default=20)
-        p.add_argument("--solver-seed", type=int, default=0)
+    def add_detector(p, sweep):
+        """A detector kind and its inputs; a sweep also takes M, K, the n grid and --mus."""
+        p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
+        if sweep:
+            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
+        add_laws(p, with_mus=sweep)
+        p.add_argument("--t", type=int)
+        p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")
+        p.add_argument("--lam", type=float, help="null threshold (default vanishing schedule)")
 
     p = sub.add_parser("exponent", help="closed-form and solver-based error exponents")
-    p.add_argument("--kind", required=True, choices=[
-        "both-known", "multi-known", "multi-typ-known", "univ-single", "univ-multi",
-    ])
+    p.add_argument("--kind", required=True, choices=list(_EXPONENTS))
     add_laws(p)
     p.add_argument("--m", type=int)
     p.add_argument("--t", type=int)
-    add_solver(p)
+    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--solver-seed", type=int, default=0)
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("bound", help="lower bounds from minimization over a KL ball")
@@ -323,40 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run a detector on an observation file")
     p.add_argument("--file", required=True)
     p.add_argument("--binary", action="store_true", help="file is the packed binary format")
-    p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
     p.add_argument("--k", type=int, help="alphabet size (CSV override; must match a binary header)")
-    add_laws(p, with_mus=False)
-    p.add_argument("--t", type=int)
-    p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")
-    p.add_argument("--lam", type=float, help="null threshold (default vanishing schedule)")
+    add_detector(p, sweep=False)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("oracle", help="exact error sweep (CSV): per-coordinate key ranking "
                        "for certified known-law kinds, type-tuple enumeration otherwise")
-    p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    add_laws(p)
-    p.add_argument("--t", type=int)
-    p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")
-    p.add_argument("--lam", type=float)
+    add_detector(p, sweep=True)
     p.add_argument("--cap", type=int, default=10**8,
                    help="most type classes and enumerated type tuples per n")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo error sweep (CSV)")
-    p.add_argument("--kind", required=True, choices=[k.value for k in DetectorKind])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-grid", required=True)
+    add_detector(p, sweep=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", required=True, help="'null', a coordinate, or 'i,j,...'")
-    add_laws(p)
-    p.add_argument("--t", type=int)
-    p.add_argument("--sizes", help="outlier-set sizes for identical-outlier families")
-    p.add_argument("--lam", type=float)
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import rel_entr, xlogy
@@ -162,7 +162,7 @@ class HypothesisFamily:
         return before + math.comb(self.m, k) - 1 - after
 
     @classmethod
-    @functools.cache
+    @functools.lru_cache(maxsize=None, typed=True)  # typed: 7.0 is not the M=7 family
     def single_outlier(cls, m: int, include_null: bool = False) -> "HypothesisFamily":
         """Every single coordinate, NULL first when included; shared per (M, include_null)."""
         return cls(m, (1,), include_null)
@@ -577,6 +577,29 @@ class Scorer:
 # ---------------------------------------------------------------------------
 
 
+def family_for(
+    kind: DetectorKind,
+    m: int,
+    t: Optional[int] = None,
+    sizes: Optional[Sequence[int]] = None,
+) -> HypothesisFamily:
+    """The hypothesis family a kind decides over on M coordinates.
+
+    Multi-outlier kinds take the size-T subsets and identical-outlier kinds
+    the subsets of the given sizes; the others take every coordinate.  The
+    null-aware kinds put NULL first.  A missing T or sizes is named by its
+    command-line flag.
+    """
+    kind = DetectorKind(kind)
+    if kind in _MULTI_KINDS:
+        require(t is not None, f"{kind.value} needs --t")
+        return HypothesisFamily.fixed_size(m, t)
+    if kind in _IDENTICAL_KINDS:
+        require(sizes is not None, f"{kind.value} needs --sizes")
+        return HypothesisFamily.sized(m, sizes, include_null=kind is DetectorKind.NULL_IDENTICAL)
+    return HypothesisFamily.single_outlier(m, include_null=kind is DetectorKind.NULL_SINGLE)
+
+
 def score_table(
     kind: DetectorKind,
     obs: ObservationMatrix,
@@ -588,14 +611,12 @@ def score_table(
     """The score table of any detector kind on one observation matrix.
 
     Null-aware kinds score the non-null hypotheses; ``family`` may include
-    NULL for them.  Single-outlier kinds default to every coordinate (with
-    NULL for null-single); the other kinds need ``family``.
+    NULL for them.  ``family`` defaults to `family_for` the kind, which the
+    multi-outlier and identical-outlier kinds cannot do without T or sizes.
     """
     kind = DetectorKind(kind)
     if family is None:
-        if kind in _MULTI_KINDS | _IDENTICAL_KINDS:  # the message is built only on failure
-            raise ValidationError(f"{kind.value} needs a hypothesis family")
-        family = HypothesisFamily.single_outlier(obs.m, kind is DetectorKind.NULL_SINGLE)
+        family = family_for(kind, obs.m)
     require(family.m == obs.m, "family and observations disagree on M")
     scorer = Scorer(kind, family, obs.k, mu=mu, pi=pi)
     return ScoreTable(scorer.hypotheses, scorer.scores(obs.counts[None], obs.n)[0])

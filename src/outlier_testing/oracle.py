@@ -120,6 +120,26 @@ def type_log_prob_via_divergence(t: TypeVector, p: Pmf) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _given_laws(mus: LawSpec, pi: Pmf, m: int) -> list[Pmf]:
+    """pi, then the outlier laws; pi must be given and a sequence hold one law per coordinate."""
+    require(pi is not None, "the typical law pi is required")
+    if mus is None or isinstance(mus, Pmf):
+        return [pi] if mus is None else [pi, mus]
+    require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
+    return [pi, *mus]
+
+
+def check_laws(mus: LawSpec, pi: Pmf, m: int, k: int) -> None:
+    """The rule every generating law obeys: a pmf on the K-letter alphabet with full support.
+
+    ``mus`` and ``pi`` are as in `coordinate_laws`.  The paper assumes only
+    that the laws have full supports; every type then has a finite log
+    probability, and a mass below `simplex.FULL_SUPPORT_MIN` counts as none.
+    """
+    require(all(law.size == k and law.full_support() for law in _given_laws(mus, pi, m)),
+            "generating laws must be full-support pmfs on the K-letter alphabet")
+
+
 def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[Pmf]:
     """The generating law of each coordinate under a truth hypothesis.
 
@@ -127,9 +147,7 @@ def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[
     sequence of M per-coordinate outlier laws, or None when the truth is
     the null hypothesis.
     """
-    require(pi is not None, "the typical law pi is required")
-    if mus is not None and not isinstance(mus, Pmf):
-        require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
+    _given_laws(mus, pi, m)
     outliers = outlier_set(truth)
     if outliers and max(outliers) > m:
         raise ValidationError("truth names a coordinate beyond M")
@@ -392,10 +410,8 @@ class ErrorProbability:
 
 
 def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
-    """Log probability (T,) of each type class under an i.i.d. law."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(table.counts > 0, table.counts * np.log(law.probs)[None, :], 0.0)
-    return table.log_multiplicity + terms.sum(axis=1)
+    """Log probability (T,) of each type class under an i.i.d. full-support law."""
+    return table.log_multiplicity + (table.counts * np.log(law.probs)).sum(axis=1)
 
 
 def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
@@ -407,13 +423,12 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
     chunk is scored and decided once and then weighted per truth.
     """
     m = family.m
+    check_laws(mus, pi, m, k)
     if mu is None and isinstance(mus, Pmf):
         mu = mus
     scorer = Scorer(kind, family, k, mu=mu, pi=pi)
     truth_cols = [scorer.column(truth) for truth in truths]  # validates membership
     laws = [coordinate_laws(truth, m, mus, pi) for truth in truths]
-    require(all(law.size == k for row in laws for law in row),
-            "generating laws must be pmfs on the K-letter alphabet")
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
     stats = scorer.row_stats(table.counts, n)
@@ -427,8 +442,6 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
     row_of = {key: i for i, key in enumerate(distinct)}
     law_idx = np.array([[row_of[id(law)] for law in row] for row in laws])
     log_rows = np.stack([_log_type_probs(table, law) for law in distinct.values()])
-    if not np.all(np.isfinite(log_rows)):
-        raise ValidationError("a generating law lacks support for some type")
 
     if ranking is not None:
         route = "per-coordinate"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import betaincinv
@@ -28,7 +28,7 @@ from .detectors import (
     null_threshold,
 )
 from .errors import ValidationError
-from .oracle import ExponentFit, LawSpec, coordinate_laws, exponent_fit
+from .oracle import ExponentFit, LawSpec, check_laws, coordinate_laws, exponent_fit
 from .simplex import Pmf
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
@@ -61,23 +61,7 @@ class SimConfig:
         if not self.n_grid or any(not isinstance(n, numbers.Integral) or n < 1
                                   for n in self.n_grid):
             raise ValidationError("n grid must hold positive whole sample sizes")
-        if self.pi is None:
-            raise ValidationError("simulation needs the typical law pi")
-        for law in self._all_laws():
-            if law.size != self.k or not law.full_support():
-                raise ValidationError("laws must be full-support pmfs on the declared alphabet")
-        if self.mus is not None and not isinstance(self.mus, Pmf) \
-                and len(self.mus) != self.family.m:
-            raise ValidationError(f"need one outlier law per coordinate: got {len(self.mus)}, "
-                                  f"M={self.family.m}")
-
-    def _all_laws(self):
-        laws = [self.pi]
-        if isinstance(self.mus, Pmf):
-            laws.append(self.mus)
-        elif self.mus is not None:
-            laws.extend(self.mus)
-        return laws
+        check_laws(self.mus, self.pi, self.family.m, self.k)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ import pytest
 from outlier_testing import cli, oracle
 from outlier_testing.cli import main
 from outlier_testing.detectors import DetectorKind, HypothesisFamily, ObservationMatrix
+from outlier_testing.exponents import (
+    SolverOptions,
+    exponent_both_known,
+    exponent_multi_known,
+    exponent_multi_typ_known,
+    exponent_univ_multi,
+    exponent_univ_single,
+    thm_multi_lower_bound,
+)
 from outlier_testing.oracle import exact_error
 
 
@@ -29,6 +38,22 @@ WRONG_SIZED_LAWS = [
     ("0.3,0.7;0.4,0.6;0.2,0.8;0.5,0.5", "0.7,0.3"),
     ("0.3,0.7", "0.5,0.3,0.2"),
     ("0.2,0.3,0.5", "0.7,0.3"),
+]
+
+# every exponent kind: the flags it needs (in the order its message names them)
+# and the library call its record reports, at --restarts 2
+MU, PI, MUS5 = "0.3,0.7", "0.7,0.3", "0.3,0.7;0.35,0.65;0.3,0.7;0.3,0.7;0.3,0.7"
+OPTS2 = SolverOptions(restarts=2, seed=0)
+EXPONENT_KINDS = [
+    ("both-known", {"--mu": MU, "--pi": PI}, lambda mu, mus, pi: exponent_both_known(mu, pi)),
+    ("multi-known", {"--mus": MUS5, "--pi": PI},
+     lambda mu, mus, pi: exponent_multi_known(mus, pi)),
+    ("multi-typ-known", {"--mus": MUS5, "--pi": PI},
+     lambda mu, mus, pi: exponent_multi_typ_known(mus, pi)),
+    ("univ-single", {"--mu": MU, "--pi": PI, "--m": "3"},
+     lambda mu, mus, pi: exponent_univ_single(mu, pi, 3, OPTS2)),
+    ("univ-multi", {"--mus": MUS5, "--pi": PI, "--t": "2"},
+     lambda mu, mus, pi: exponent_univ_multi(mus, pi, 2, OPTS2)),
 ]
 
 
@@ -70,6 +95,27 @@ class TestExponentCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("kind,flags,call", EXPONENT_KINDS, ids=[c[0] for c in EXPONENT_KINDS])
+    def test_record_is_the_library_result(self, capsys, kind, flags, call):
+        argv = [a for flag in flags.items() for a in flag]
+        code, out, _ = run(capsys, "exponent", "--kind", kind, *argv, "--restarts", "2")
+        res = call(cli._parse_pmf(MU), cli._parse_pmfs(MUS5), cli._parse_pmf(PI))
+        record = {"command": "exponent", "kind": kind, "value": float(res.value),
+                  "solver": res.solver, "iterations": res.iterations,
+                  "feasibility_gap": float(res.feasibility_gap)}
+        assert code == 0 and out == json.dumps(record, sort_keys=True) + "\n"
+
+    MISSING = [(kind, flags, flag) for kind, flags, _ in EXPONENT_KINDS for flag in flags]
+
+    @pytest.mark.parametrize("kind,flags,dropped", MISSING,
+                             ids=[f"{kind}-without-{flag[2:]}" for kind, _, flag in MISSING])
+    def test_each_missing_flag_exits_2(self, capsys, kind, flags, dropped):
+        argv = [a for flag in flags.items() if flag[0] != dropped for a in flag]
+        code, out, err = run(capsys, "exponent", "--kind", kind, *argv)
+        *head, last = flags
+        assert (code, out) == (2, "")
+        assert err == f"error: {kind} needs {', '.join(head)} and {last}\n"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -102,6 +148,26 @@ class TestBoundCommand:
     def test_bad_pmf_exits_2(self, capsys):
         code, _, _ = run(capsys, "bound", "--mu", "0.3,oops", "--pi", "0.7,0.3", "--m", "3")
         assert code == 2
+
+    MUS = "0.1,0.9;0.15,0.85"
+
+    def test_multi_bound_is_the_library_result(self, capsys):
+        code, out, _ = run(capsys, "bound", "--mus", self.MUS, "--pi", PI, "--t", "2", "--m", "40")
+        res = thm_multi_lower_bound(cli._parse_pmfs(self.MUS), cli._parse_pmf(PI), 2, 40)
+        record = {"command": "bound", "kind": "multi", "t": 2, "m": 40, "value": float(res.value),
+                  "solver": res.solver, "iterations": res.iterations}
+        assert res.value > 0 and code == 0 and out == json.dumps(record, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--mus", MUS, "--pi", PI, "--m", "40"], "multi bound needs --t and --m"),
+        (["--mus", MUS, "--pi", PI, "--t", "2"], "multi bound needs --t and --m"),
+        (["--mus", MUS, "--t", "2", "--m", "40"], "bound needs --pi"),
+        (["--mu", MU, "--pi", PI], "single bound needs --mu and --m"),
+        (["--pi", PI, "--m", "40"], "single bound needs --mu and --m"),
+    ])
+    def test_each_missing_flag_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestFigureCommand:

@@ -109,6 +109,17 @@ class TestHypothesisFamily:
         assert HypothesisFamily.single_outlier(4) is HypothesisFamily.single_outlier(4)
         assert HypothesisFamily.single_outlier(4, True).hypotheses[0] is NULL
 
+    @pytest.mark.parametrize("m,int_first", [(23, True), (29, False)],
+                             ids=["int-first", "float-first"])
+    def test_single_outlier_rejects_a_float_m_in_either_order(self, m, int_first):
+        # M values no other test asks for, so this test decides which call the cache sees first
+        before = HypothesisFamily.single_outlier(m) if int_first else None
+        with pytest.raises(ValidationError):
+            HypothesisFamily.single_outlier(float(m))
+        fam = HypothesisFamily.single_outlier(m)
+        assert fam.m == m and fam is HypothesisFamily.single_outlier(m)
+        assert before is None or before is fam
+
     LOOKUP_CASES = [
         (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(5, include_null=True)),
         (DetectorKind.UNIV_MULTI, HypothesisFamily.fixed_size(7, 3)),

@@ -18,7 +18,7 @@ from outlier_testing.detectors import (
     outlier_set,
     run_detector,
 )
-from outlier_testing import oracle
+from outlier_testing import cli, oracle
 from outlier_testing.errors import EnumerationCapError, ValidationError
 from outlier_testing.oracle import (
     TypeClassTable,
@@ -32,6 +32,7 @@ from outlier_testing.oracle import (
     type_log_prob,
     type_log_prob_via_divergence,
 )
+from outlier_testing.sim import SimConfig
 from outlier_testing.simplex import Pmf, TypeVector
 
 MU = Pmf(np.array([0.3, 0.7]))
@@ -195,6 +196,36 @@ class TestExactError:
         for mus in ([MU, MU], [MU] * 4):
             with pytest.raises(ValidationError):
                 coordinate_laws(NULL, 3, mus, PI)
+
+    TINY = "0.9999999999999,0.0000000000001"  # a mass of 1e-13, below FULL_SUPPORT_MIN
+
+    @pytest.mark.parametrize("entry",
+                             ["exact_error", "max_error", "SimConfig", "oracle", "simulate"])
+    @pytest.mark.parametrize("place", ["mus", "pi", "one-of-M-mus"])
+    def test_laws_without_full_support_rejected_everywhere(self, capsys, place, entry):
+        laws = {"mus": "0.3,0.7", "pi": "0.7,0.3"}
+        if place == "one-of-M-mus":
+            laws["mus"] = f"0.3,0.7;{self.TINY};0.3,0.7"
+        else:
+            laws[place] = self.TINY
+        if entry in ("oracle", "simulate"):
+            extra = ["--trials", "100", "--truth", "2"] if entry == "simulate" else []
+            code = cli.main([entry, "--kind", "univ-single", "--m", "3", "--k", "2",
+                             "--n-grid", "3", "--mus", laws["mus"], "--pi", laws["pi"], *extra])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "") and "full-support" in err
+            return
+        mus, pi = cli._parse_pmfs(laws["mus"]), cli._parse_pmf(laws["pi"])
+        mus = mus[0] if len(mus) == 1 else mus
+        kind = DetectorKind.UNIV_SINGLE
+        with pytest.raises(ValidationError, match="full-support"):
+            if entry == "exact_error":
+                exact_error(kind, FAM3, Coordinate(2), 3, 2, mus, pi)
+            elif entry == "max_error":
+                max_error(kind, FAM3, 3, 2, mus, pi)
+            else:
+                SimConfig(kind=kind, family=FAM3, k=2, n_grid=(3,), trials=100, seed=0,
+                          mus=mus, pi=pi)
 
     def test_error_decreases_with_n(self):
         errs = [
@@ -500,17 +531,20 @@ class TestPerCoordinateRoute:
         + [(kind, 5, 2, (3, 6), mus, {}) for kind, mus in zip(SINGLE, [MIXED] * 3)]
         + [(DetectorKind.TYP_MULTI, 7, 3, (2,), None, {"t": 2}),
            (DetectorKind.TYP_MULTI, 8, 2, (2, 3), MIXED8, {"t": 2})]
+        # certified keys whose ranking is refused by the route's size limit
+        + [(DetectorKind.TYP_MULTI, 5, 2, (2, 5), MIXED, {"t": 2, "force": ("ROUTE_MAX_TERMS", 0)})]
     )
 
     @pytest.mark.parametrize("kind,m,k,ns,mus,extra", VALUE_GRID)
     def test_equals_enumeration(self, monkeypatch, kind, m, k, ns, mus, extra):
         mu, pi = self.laws(k)
         mus = mu if mus is None else mus
-        fam = HypothesisFamily.fixed_size(m, 2) if extra else HypothesisFamily.single_outlier(m)
+        fam = HypothesisFamily.fixed_size(m, extra["t"]) if "t" in extra \
+            else HypothesisFamily.single_outlier(m)
         for n in ns:
             route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "_ranking", lambda *args: None)
+                patch.setattr(oracle, *extra.get("force", ("_ranking", lambda *args: None)))
                 enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             for truth in fam.hypotheses:
                 got, want = route[truth], enum[truth]
