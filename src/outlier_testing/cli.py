@@ -125,6 +125,7 @@ def cmd_exponent(args) -> int:
     *head, last = (f"--{name}" for name in names)
     require(all(getattr(args, name) is not None for name in names),
             f"{kind} needs {', '.join(head)} and {last}")
+    require(kind != "univ-multi" or args.t > 1, "univ-multi needs T > 1 (T=1 is univ-single)")
     values = [_PARSERS[name](getattr(args, name)) for name in names]
     res = solve(*values, opts) if uses_solver else solve(*values)
     record.update(

@@ -587,15 +587,15 @@ def family_for(
 
     Multi-outlier kinds take the size-T subsets and identical-outlier kinds
     the subsets of the given sizes; the others take every coordinate.  The
-    null-aware kinds put NULL first.  A missing T or sizes is named by its
-    command-line flag.
+    null-aware kinds put NULL first.  A missing T or sizes is named with
+    its command-line flag.
     """
     kind = DetectorKind(kind)
     if kind in _MULTI_KINDS:
-        require(t is not None, f"{kind.value} needs --t")
+        require(t is not None, f"{kind.value} needs the outlier-set size T (--t)")
         return HypothesisFamily.fixed_size(m, t)
     if kind in _IDENTICAL_KINDS:
-        require(sizes is not None, f"{kind.value} needs --sizes")
+        require(sizes is not None, f"{kind.value} needs the outlier-set sizes (--sizes)")
         return HypothesisFamily.sized(m, sizes, include_null=kind is DetectorKind.NULL_IDENTICAL)
     return HypothesisFamily.single_outlier(m, include_null=kind is DetectorKind.NULL_SINGLE)
 

@@ -252,33 +252,19 @@ def _solve_pair_program(
     return best_val, best_gap, total_iters, best_q
 
 
-def _minimizer(table: np.ndarray, rows: np.ndarray) -> tuple[Pmf, ...]:
-    """The M pmfs of a minimizer whose coordinate i is table row rows[i]."""
-    pmfs = [Pmf.normalize(row) for row in table]
-    return tuple(pmfs[r] for r in rows)
-
-
 def exponent_univ_single(
     mu: Pmf, pi: Pmf, m: int, opts: Optional[SolverOptions] = None
 ) -> ExponentResult:
     """Exponent achieved by the fully universal single-outlier test.
 
-    The pair program for S = {0} and S' = {1}: three rows, whatever M is
-    (mu's row, the rival's row and M - 2 pooled rows).  The minimizer
-    lists q_0, q_1 and M - 2 copies of the pooled row.  The value is an
-    upper bound on the true minimum (global optimality is certified only
-    for K=2, via the grid oracle).
+    `exponent_univ_multi` at T=1 on M copies of mu (three rows: mu's, the
+    rival's and M - 2 pooled), capped at 2B(mu, pi).  The value is an upper
+    bound on the true minimum (global optimality is certified only for K=2,
+    via the grid oracle).
     """
-    _check_model(mu, pi)
-    if m < 3:
-        raise ValidationError("need M >= 3")
-    opts = opts or SolverOptions()
-    val, gap, iters, q = _solve_pair_program(
-        mu.probs[None, :], np.array([1]), m - 2, np.asarray(pi.probs), (1, 0, 1), opts
-    )
-    val = min(val, 2.0 * bhattacharyya(mu, pi))
-    return ExponentResult(max(val, 0.0), "multistart_slsqp", iterations=iters, feasibility_gap=gap,
-                          minimizer=_minimizer(q, np.minimum(np.arange(m), 2)))
+    require(m >= 3, "need M >= 3")
+    res = exponent_univ_multi([mu] * m, pi, 1, opts)
+    return replace(res, value=min(res.value, 2.0 * bhattacharyya(mu, pi)))
 
 
 def exponent_univ_multi(
@@ -297,14 +283,14 @@ def exponent_univ_multi(
     """
     mus = list(mus)
     m = len(mus)
-    if not 1 < t < m / 2:
-        raise ValidationError(f"need 1 < T < M/2, got T={t}, M={m}")
-    for mu in mus:
+    if not 1 <= t < m / 2:
+        raise ValidationError(f"need 1 <= T < M/2, got T={t}, M={m}")
+    coords_of: dict[Pmf, list[int]] = {}
+    for i, mu in enumerate(mus):
+        coords_of.setdefault(mu, []).append(i)
+    for mu in coords_of:
         _check_model(mu, pi)
     opts = opts or SolverOptions()
-    coords_of: dict[bytes, list[int]] = {}
-    for i, mu in enumerate(mus):
-        coords_of.setdefault(mu.probs.tobytes(), []).append(i)
     classes = list(coords_of.values())
     best, total_iters = None, 0
     for d in range(1, t + 1):
@@ -328,8 +314,9 @@ def exponent_univ_multi(
     rows = np.full(m, counts.size + t)
     rows[a] = np.repeat(np.arange(counts.size), counts)
     rows[rest] = np.arange(counts.size, counts.size + t)
+    pmfs = [Pmf.normalize(row) for row in table]
     return ExponentResult(max(val, 0.0), "multistart_slsqp", iterations=total_iters,
-                          feasibility_gap=gap, minimizer=_minimizer(table, rows))
+                          feasibility_gap=gap, minimizer=tuple(pmfs[r] for r in rows))
 
 
 # ---------------------------------------------------------------------------

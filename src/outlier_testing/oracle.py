@@ -120,46 +120,66 @@ def type_log_prob_via_divergence(t: TypeVector, p: Pmf) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _given_laws(mus: LawSpec, pi: Pmf, m: int) -> list[Pmf]:
-    """pi, then the outlier laws; pi must be given and a sequence hold one law per coordinate."""
+def _law_table(mus: LawSpec, pi: Pmf, m: int, k: Optional[int] = None):
+    """pi, then each distinct outlier law, and the row (M,) of each coordinate's outlier law.
+
+    ``mus``/``pi`` are as in `coordinate_laws`; `Pmf`s compare by value.  The
+    rule every generating law obeys is checked here, once: pi is given, and
+    every law is a full-support pmf on the K-letter alphabet (pi's when
+    ``k`` is None), as the paper assumes; a mass below
+    `simplex.FULL_SUPPORT_MIN` counts as none.
+    """
     require(pi is not None, "the typical law pi is required")
     if mus is None or isinstance(mus, Pmf):
-        return [pi] if mus is None else [pi, mus]
-    require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
-    return [pi, *mus]
+        outliers, outlier_row = ({} if mus is None else {mus: 1}), np.ones(m, dtype=np.int64)
+    else:
+        require(len(mus) == m, f"need one outlier law per coordinate: got {len(mus)}, M={m}")
+        outliers = {}
+        outlier_row = np.array([outliers.setdefault(law, len(outliers) + 1) for law in mus])
+    laws = (pi, *outliers)
+    require(all(law.size == (pi.size if k is None else k) and law.full_support() for law in laws),
+            "generating laws must be full-support pmfs on the K-letter alphabet")
+    return laws, outlier_row
+
+
+def _law_rows(truths: Sequence[HypothesisId], mus: LawSpec, pi: Pmf, m: int,
+              k: Optional[int] = None) -> tuple[list[Pmf], np.ndarray]:
+    """The laws in use under ``truths``, pi first, and each coordinate's row (H, M) in them.
+
+    A coordinate takes its outlier law inside the truth's outlier set, pi outside it.
+    """
+    laws, outlier_row = _law_table(mus, pi, m, k)
+    sets = [outlier_set(truth) for truth in truths]
+    hit = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    coord = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=hit.size) - 1
+    require(not hit.size or coord.max() < m, "truth names a coordinate beyond M")
+    require(not hit.size or len(laws) > 1, "outlier truth requires outlier laws")
+    law = outlier_row[coord]
+    used = np.bincount(law, minlength=len(laws)) > 0  # row 0, pi, is no outlier law
+    rows = np.zeros((len(sets), m), dtype=np.int64)
+    rows[hit, coord] = np.cumsum(used)[law]
+    return [pi, *(laws[r] for r in np.flatnonzero(used))], rows
 
 
 def check_laws(mus: LawSpec, pi: Pmf, m: int, k: int) -> None:
-    """The rule every generating law obeys: a pmf on the K-letter alphabet with full support.
-
-    ``mus`` and ``pi`` are as in `coordinate_laws`.  The paper assumes only
-    that the laws have full supports; every type then has a finite log
-    probability, and a mass below `simplex.FULL_SUPPORT_MIN` counts as none.
-    """
-    require(all(law.size == k and law.full_support() for law in _given_laws(mus, pi, m)),
-            "generating laws must be full-support pmfs on the K-letter alphabet")
+    """Reject generating laws that break `_law_table`'s rule (``mus`` as in `coordinate_laws`)."""
+    _law_table(mus, pi, m, k)
 
 
 def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[Pmf]:
-    """The generating law of each coordinate under a truth hypothesis.
+    """The generating law of each coordinate under a truth hypothesis, by `_law_table`'s rule.
 
     ``mus`` is a single pmf (identically distributed outliers), a
     sequence of M per-coordinate outlier laws, or None when the truth is
     the null hypothesis.
     """
-    _given_laws(mus, pi, m)
-    outliers = outlier_set(truth)
-    if outliers and max(outliers) > m:
-        raise ValidationError("truth names a coordinate beyond M")
-    laws = []
-    for i in range(1, m + 1):
-        if i in outliers:
-            if mus is None:
-                raise ValidationError("outlier truth requires outlier laws")
-            laws.append(mus if isinstance(mus, Pmf) else mus[i - 1])
-        else:
-            laws.append(pi)
-    return laws
+    laws, rows = _law_rows([truth], mus, pi, m)
+    return [laws[r] for r in rows[0]]
+
+
+def _detector_mu(mu: Optional[Pmf], mus: LawSpec) -> Optional[Pmf]:
+    """The detector-side outlier law: ``mu``, or ``mus`` when it is None and ``mus`` one pmf."""
+    return mus if mu is None and isinstance(mus, Pmf) else mu
 
 
 # ---------------------------------------------------------------------------
@@ -423,29 +443,20 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
     chunk is scored and decided once and then weighted per truth.
     """
     m = family.m
-    check_laws(mus, pi, m, k)
-    if mu is None and isinstance(mus, Pmf):
-        mu = mus
-    scorer = Scorer(kind, family, k, mu=mu, pi=pi)
+    laws, law_idx = _law_rows(truths, mus, pi, m, k)
+    scorer = Scorer(kind, family, k, mu=_detector_mu(mu, mus), pi=pi)
     truth_cols = [scorer.column(truth) for truth in truths]  # validates membership
-    laws = [coordinate_laws(truth, m, mus, pi) for truth in truths]
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
     stats = scorer.row_stats(table.counts, n)
     ranking = _ranking(scorer, stats)
     if ranking is None and table.size**m > cap:
         raise EnumerationCapError(f"{table.size**m} type tuples exceeds cap {cap}")
-
-    # the log probability of each type under each distinct generating law,
-    # and for each truth the law row of every coordinate
-    distinct = {id(law): law for row in laws for law in row}
-    row_of = {key: i for i, key in enumerate(distinct)}
-    law_idx = np.array([[row_of[id(law)] for law in row] for row in laws])
-    log_rows = np.stack([_log_type_probs(table, law) for law in distinct.values()])
+    log_rows = np.stack([_log_type_probs(table, law) for law in laws])
 
     if ranking is not None:
         route = "per-coordinate"
-        members = np.array([sorted(outlier_set(truth)) for truth in truths]) - 1
+        members = np.nonzero(law_idx)[1].reshape(len(truths), -1)  # off pi's row 0, in order
         log_errs = _order_errors(*ranking, log_rows, law_idx, members)
     else:
         route = "enumeration"
@@ -531,7 +542,8 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
     """Log error of each truth whose decision D is the first t coordinates in (key, index) order.
 
     ``order``/``starts`` rank the types by key (`_ranking`), ``law_idx`` (H, M)
-    holds each truth's law row per coordinate, ``truth_members`` (H, t) its
+    holds each truth's row of ``log_rows`` per coordinate (row 0 is pi's, as
+    `_law_rows` lays them), ``truth_members`` (H, t) its
     members S, zero-based.  j comes before (v, w) when key_j < v, or key_j = v
     and j < w; D ends at w with key v when exactly t - 1 others do, and D != S
     unless w is in S and no non-member does.  Given (v, w) those counts are
@@ -560,8 +572,7 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
                 for s in range(t)]
 
     # log P(s non-members before (v, w)), s < t, by how many of them lie below (above) w
-    pi = law_idx[0, next(j for j in coords if j not in truth_members[0])]  # pi's law row
-    below, above = (binomial(coords[:, None], p[pi], q[pi]) for p, q in ((le, gt), (lt, ge)))
+    below, above = (binomial(coords[:, None], p[0], q[0]) for p, q in ((le, gt), (lt, ge)))
     # a member's (log P(not before), log P(before)) when above w, at w and below w
     member = (np.stack([ge, np.zeros_like(ge), gt]), np.stack([lt, np.full_like(lt, -np.inf), le]))
     out, batch = [], max(1, SCAN_BLOCK // (t * m * at.shape[1]))
@@ -671,8 +682,6 @@ def brute_force_error(
     m = family.m
     family.index_of(truth)
     laws = coordinate_laws(truth, m, mus, pi)
-    if mu is None and isinstance(mus, Pmf):
-        mu = mus
     total_seqs = k ** (m * n)
     if total_seqs > max_sequences:
         raise EnumerationCapError(f"{total_seqs} sequences exceeds brute-force cap")
@@ -680,7 +689,7 @@ def brute_force_error(
     for seq in product(range(k), repeat=m * n):
         data = np.array(seq, dtype=np.int64).reshape(m, n)
         obs = ObservationMatrix(data, k)
-        decision = run_detector(kind, obs, mu=mu, pi=pi, family=family, lam=lam)
+        decision = run_detector(kind, obs, mu=_detector_mu(mu, mus), pi=pi, family=family, lam=lam)
         if outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (truth is NULL):
             p = 1.0
             for i, law in enumerate(laws):

@@ -28,7 +28,7 @@ from .detectors import (
     null_threshold,
 )
 from .errors import ValidationError
-from .oracle import ExponentFit, LawSpec, check_laws, coordinate_laws, exponent_fit
+from .oracle import ExponentFit, LawSpec, _detector_mu, _law_rows, check_laws, exponent_fit
 from .simplex import Pmf
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
@@ -84,6 +84,15 @@ def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[floa
     return lo, hi
 
 
+def _cut_points(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, k: int) -> np.ndarray:
+    """The first K-1 cumulative sums (M, K-1) of each coordinate's law under a truth.
+
+    A uniform u becomes the symbol #{j < K-1 : u >= cut_j}.
+    """
+    laws, rows = _law_rows([truth], mus, pi, m, k)
+    return np.cumsum([law.probs for law in laws], axis=1)[rows[0], : k - 1]
+
+
 def generate(
     truth: HypothesisId,
     mus: LawSpec,
@@ -94,14 +103,9 @@ def generate(
     seed,
 ) -> ObservationMatrix:
     """Draw an observation matrix: outlier rows from their laws, the rest from pi."""
-    laws = coordinate_laws(truth, m, mus, pi)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.random((m, n))
-    data = np.empty((m, n), dtype=np.int64)
-    for i, law in enumerate(laws):
-        data[i] = np.searchsorted(np.cumsum(law.probs), u[i], side="right")
-    np.clip(data, 0, k - 1, out=data)
-    return ObservationMatrix(data, k)
+    cuts = _cut_points(truth, mus, pi, m, k)
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random((m, n))
+    return ObservationMatrix((u[:, :, None] >= cuts[:, None, :]).sum(axis=2), k)
 
 
 def sample_counts(
@@ -118,13 +122,11 @@ def sample_counts(
     Seeds are non-negative integers or equal-length tuples of them.  The
     batch's seeds are expanded together (`_seed_states`), bit-identical to
     `default_rng(SeedSequence(seed))` for each seed, so every trial draws
-    the uniforms `generate` draws.  Each seed's uniforms map to symbols as
-    in `generate`: the symbol of u is the number of entries of the law's
-    cumulative sum at most u, capped at K-1, so it is at least j+1 exactly
-    when u >= cumsum[j], j < K-1.  Only the counts are kept.
+    the uniforms `generate` draws, and they map to symbols by the same cut
+    points: a symbol is at least j+1 exactly when u >= cut_j.  Only the
+    counts are kept.
     """
-    laws = coordinate_laws(truth, m, mus, pi)
-    cuts = np.stack([np.cumsum(law.probs) for law in laws])[:, : k - 1]
+    cuts = _cut_points(truth, mus, pi, m, k)
     u = np.empty((len(seeds), m, n))
     for rows, states in _seed_states(seeds):
         for row, state in zip(rows, states):
@@ -258,8 +260,7 @@ def estimate_error(cfg: SimConfig, truth: HypothesisId, n: int) -> ErrorEstimate
     """
     m = cfg.family.m
     truth_index = cfg.family.index_of(truth)
-    mu = cfg.mu if cfg.mu is not None else (cfg.mus if isinstance(cfg.mus, Pmf) else None)
-    scorer = Scorer(cfg.kind, cfg.family, cfg.k, mu=mu, pi=cfg.pi)
+    scorer = Scorer(cfg.kind, cfg.family, cfg.k, mu=_detector_mu(cfg.mu, cfg.mus), pi=cfg.pi)
     truth_col = scorer.column(truth)
     lam = null_threshold(cfg.kind, cfg.lam, m, n, cfg.k)
     batch = max(1, min(MC_CHUNK, MC_MAX_DRAWS // (m * n)))

@@ -60,7 +60,7 @@ class Pmf:
         return self.probs.size
 
     def full_support(self) -> bool:
-        return bool(np.all(self.probs >= FULL_SUPPORT_MIN))
+        return bool(self.probs.min() >= FULL_SUPPORT_MIN)
 
     def to_json(self) -> str:
         return json.dumps([float(x) for x in self.probs])

@@ -505,14 +505,16 @@ class TestNegativeSeedsAndRestarts:
          "--solver-seed", "-1"],
         ["exponent", "--kind", "univ-single", "--mu", "0.3,0.7", "--pi", "0.7,0.3", "--m", "3",
          "--restarts", "-1"],
+        # the library takes T = 1 (univ-single's program); the univ-multi kind does not
+        ["exponent", "--kind", "univ-multi", "--mus", MUS5, "--pi", PI, "--t", "1"],
         ["detect", "--binary", "--file", "no-such-observations.bin", "--kind", "univ-single"],
         ["detect", "--binary", "--file", ".", "--kind", "univ-single"],
         ["detect", "--file", "no-such-observations.csv", "--kind", "univ-single"],
         ["detect", "--file", ".", "--kind", "univ-single"],
         # the second pair fails after the first has produced its rows
         ["figure", "--m-min", "3", "--m-max", "4", "--pairs", "0.3,0.7:0.7,0.3;0.4,0.6:0.4,0.6"],
-    ], ids=["seed", "solver-seed", "restarts", "binary-missing", "binary-directory",
-            "csv-missing", "csv-directory", "figure-pair"])
+    ], ids=["seed", "solver-seed", "restarts", "univ-multi-t1", "binary-missing",
+            "binary-directory", "csv-missing", "csv-directory", "figure-pair"])
     def test_exit_2_with_empty_stdout(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error" in err

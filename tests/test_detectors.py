@@ -552,6 +552,10 @@ SCORER_FAULTS = [
      "typ-multi needs a family of one outlier-set size T > 1"),
     (DetectorKind.ML_SINGLE, HypothesisFamily.fixed_size(5, 2), MU, PI,
      "ml-single needs a family of single coordinates"),
+    # no family: score_table's default names the missing value and its flag
+    (DetectorKind.TYP_MULTI, None, MU, PI, "typ-multi needs the outlier-set size T (--t)"),
+    (DetectorKind.IDENTICAL_UNIV, None, None, None,
+     "identical-univ needs the outlier-set sizes (--sizes)"),
 ]
 
 
@@ -559,7 +563,10 @@ SCORER_FAULTS = [
                          ids=[c[-1] for c in SCORER_FAULTS])
 def test_scorer_fault_messages(kind, fam, mu, pi, message):
     with pytest.raises(ValidationError) as err:
-        Scorer(kind, fam, 2, mu=mu, pi=pi)
+        if fam is None:
+            score_table(kind, obs([[0, 1]] * 5), mu=mu, pi=pi)
+        else:
+            Scorer(kind, fam, 2, mu=mu, pi=pi)
     assert str(err.value) == message
 
 

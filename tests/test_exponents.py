@@ -255,8 +255,9 @@ class TestUnivMulti:
 
     def test_t_range(self):
         mu, pi = PAIRS[0]
-        with pytest.raises(ValidationError):
-            exponent_univ_multi([mu] * 5, pi, t=1)
+        for t in (0, 3):  # 1 <= T < M/2
+            with pytest.raises(ValidationError):
+                exponent_univ_multi([mu] * 5, pi, t=t)
 
     def test_identical_laws_approach_two_b(self):
         # the paper's limiting exponent of the universal fixed-size test: for
@@ -333,9 +334,9 @@ class TestReduction:
                 points.append(_full_program(res.minimizer, mus, pi, s, s_prime))
         assert any(gap >= -1e-8 and abs(cost - res.value) <= 1e-9 for gap, cost in points)
 
-    @pytest.mark.parametrize("m,t", [(5, 2), (7, 3), (20, 2), (20, 3)])
+    @pytest.mark.parametrize("m,t", [(5, 1), (5, 2), (7, 3), (20, 2), (20, 3)])
     def test_multi_at_most_single_at_m_minus_t_plus_1(self, m, t):
-        # the d = 1 program is univ-single's at M - T + 1
+        # the d = 1 program is univ-single's at M - T + 1 (at T = 1, univ-single's own)
         mu, pi = PAIRS[0]
         multi = exponent_univ_multi([mu] * m, pi, t, FAST_OPTS).value
         single = exponent_univ_single(mu, pi, m - t + 1, FAST_OPTS).value

@@ -32,12 +32,16 @@ from outlier_testing.oracle import (
     type_log_prob,
     type_log_prob_via_divergence,
 )
-from outlier_testing.sim import SimConfig
+from outlier_testing.sim import SimConfig, generate, sample_counts
 from outlier_testing.simplex import Pmf, TypeVector
 
 MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
 FAM3 = HypothesisFamily.single_outlier(3)
+
+
+def refuse_law_lists(*args):
+    raise AssertionError("the generating laws are resolved once per call, not per truth")
 
 
 def radix_indices(flat, n_types, m):
@@ -199,13 +203,15 @@ class TestExactError:
 
     TINY = "0.9999999999999,0.0000000000001"  # a mass of 1e-13, below FULL_SUPPORT_MIN
 
-    @pytest.mark.parametrize("entry",
-                             ["exact_error", "max_error", "SimConfig", "oracle", "simulate"])
-    @pytest.mark.parametrize("place", ["mus", "pi", "one-of-M-mus"])
+    @pytest.mark.parametrize("entry", ["exact_error", "max_error", "SimConfig", "generate",
+                                       "sample_counts", "oracle", "simulate"])
+    @pytest.mark.parametrize("place", ["mus", "pi", "one-of-M-mus", "pi-on-3-letters"])
     def test_laws_without_full_support_rejected_everywhere(self, capsys, place, entry):
         laws = {"mus": "0.3,0.7", "pi": "0.7,0.3"}
         if place == "one-of-M-mus":
             laws["mus"] = f"0.3,0.7;{self.TINY};0.3,0.7"
+        elif place == "pi-on-3-letters":  # full support, but not on the K=2 alphabet
+            laws["pi"] = "0.5,0.3,0.2"
         else:
             laws[place] = self.TINY
         if entry in ("oracle", "simulate"):
@@ -223,6 +229,10 @@ class TestExactError:
                 exact_error(kind, FAM3, Coordinate(2), 3, 2, mus, pi)
             elif entry == "max_error":
                 max_error(kind, FAM3, 3, 2, mus, pi)
+            elif entry == "generate":
+                generate(Coordinate(1), mus, pi, 3, 8, 2, 1)
+            elif entry == "sample_counts":
+                sample_counts(Coordinate(1), mus, pi, 3, 8, 2, [1])
             else:
                 SimConfig(kind=kind, family=FAM3, k=2, n_grid=(3,), trials=100, seed=0,
                           mus=mus, pi=pi)
@@ -567,6 +577,20 @@ class TestPerCoordinateRoute:
         assert [e.log_prob.hex() for e in alone.values()] == \
             [e.log_prob.hex() for e in batched.values()]
 
+    @pytest.mark.parametrize("route", ["per-coordinate", "enumeration"])
+    def test_equal_laws_keep_the_bits(self, monkeypatch, route):
+        # a sequence repeating one Pmf object and holding equal-valued copies of it
+        # decides and weighs as the one shared pmf
+        fam = HypothesisFamily.single_outlier(4)
+        copies = [MU, Pmf(MU.probs.copy()), MU, Pmf(np.array([0.3, 0.7]))]
+        if route == "enumeration":
+            monkeypatch.setattr(oracle, "_ranking", lambda *args: None)
+        _, shared = max_error(DetectorKind.ML_SINGLE, fam, 5, 2, MU, PI)
+        _, given = max_error(DetectorKind.ML_SINGLE, fam, 5, 2, copies, PI, mu=MU)
+        assert {e.route for e in given.values()} == {route}
+        assert [e.log_prob.hex() for e in given.values()] == \
+            [e.log_prob.hex() for e in shared.values()]
+
     def test_max_error_routes_every_truth(self):
         worst, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
                                6, 2, self.MIXED, PI)
@@ -669,6 +693,7 @@ class TestOnePass:
         n = 6 if fam.m == 3 else 2
         assert enumerate_types(n, k).size ** fam.m > 2 * self.CHUNK  # several chunks
         monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
+        monkeypatch.setattr(oracle, "coordinate_laws", refuse_law_lists)  # laws resolve once
         worst, per = max_error(kind, fam, n, k, mu, pi)
         assert list(per) == list(fam.hypotheses)
         for truth in fam.hypotheses:

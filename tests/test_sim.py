@@ -16,6 +16,7 @@ from outlier_testing.detectors import (
     run_detector,
 )
 from outlier_testing.errors import ValidationError
+from outlier_testing import oracle
 from outlier_testing.oracle import exact_error
 from outlier_testing.sim import (
     MC_CHUNK,
@@ -32,6 +33,10 @@ from outlier_testing.simplex import Pmf
 MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
 FAM3 = HypothesisFamily.single_outlier(3)
+
+
+def refuse_law_lists(*args):
+    raise AssertionError("the generating laws are resolved once per call, not per truth")
 
 
 def cfg3(**kw):
@@ -198,8 +203,10 @@ class TestBatchedMonteCarlo:
 
     @pytest.mark.parametrize("kind,family,truth,extra", BATCH_CASES,
                              ids=[case[0].value for case in BATCH_CASES])
-    def test_equals_per_trial_loop(self, kind, family, truth, extra):
+    def test_equals_per_trial_loop(self, monkeypatch, kind, family, truth, extra):
         n = 6
+        for module in (oracle, sim):  # the simulator resolves its laws without per-truth lists
+            monkeypatch.setattr(module, "coordinate_laws", refuse_law_lists, raising=False)
         cfg = SimConfig(kind=kind, family=family, k=3, n_grid=(n,), trials=self.TRIALS,
                         seed=11, mus=MU3, pi=PI3, **extra)
         truth_index = family.index_of(truth)
