@@ -9,16 +9,19 @@ Two routes compute it, and each result names the one it took.  Known-law
 kinds that rank the kernel's per-type `RowStats.key` (ml-single,
 typ-single, mu-only, and typ-multi at T=2) decide the T coordinates of best
 key when a floating-point certificate shows that the kernel does too.  The
-error is then one order-statistics sum over the last decided coordinate and
-its key of binomial and Poisson-binomial counts of the coordinates ranked
-before it (`_order_errors`), in O(M T^2 x distinct keys) per truth.  Every
-other case enumerates the type tuples in chunks and decides every tuple
-exactly as the detector run on a matrix with those types does.  A chunk is
-a run of radix blocks (a few leading types, times every type of the
-others), and keys are broadcast over them (`_block_keys`) with no per-tuple
-indices: each is the kernel's score up to a term every hypothesis shares,
-for known-law kinds the members' key sums, for universal kinds read from
-entropy tables of pooled integer counts.  Rounding certificates
+decision is then the truth exactly when every non-member ranks after the
+truth's last member, so the error is one sum, over which member is last
+and its key v, of the members' key probabilities times 1 - P_pi(> v)^a
+P_pi(>= v)^b, a and b the non-members below and above that member
+(`_order_errors`).  That is O(H T^2 V) work for H truths and V distinct
+keys, in O(T V) memory per truth and nothing of size M, so M = 10^4 takes
+milliseconds.  Every other case enumerates the type tuples in chunks and
+decides every tuple exactly as the detector run on a matrix with those
+types does.  A chunk is a run of radix blocks (a few leading types, times
+every type of the others), and keys are broadcast over them (`_block_keys`)
+with no per-tuple indices: each is the kernel's score up to a term every
+hypothesis shares, for known-law kinds the members' key sums, for universal
+kinds read from entropy tables of pooled integer counts.  Rounding certificates
 (`_sum_slack`, `_key_slack`) show that keys farther apart than a slack rank
 as the scores do; tuples whose best two keys, or whose key spread and
 lambda, lie within it go to the kernel, so ties are the kernel's too.
@@ -30,12 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import comb, entr, gammaln
+from scipy.special import entr, gammaln
 
 from .detectors import (
     NULL,
@@ -55,6 +57,9 @@ from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
 KEY_BUDGET = 1 << 22  # keys (H x tuples) in one chunk: 32 MB, about twice that at peak
+#: entries in one of `_block_keys`' pooled-entropy tables; past it the kernel scores every tuple
+ROUTE_MAX_TERMS = 1 << 21
+_LOG_HALF = -math.log(2)
 
 LawSpec = Union[Pmf, Sequence[Pmf], None]
 
@@ -451,7 +456,7 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
     stats = scorer.row_stats(table.counts, n)
     ranking = _ranking(scorer, stats)
     if ranking is None and table.size**m > cap:
-        raise EnumerationCapError(f"{table.size**m} type tuples exceeds cap {cap}")
+        raise EnumerationCapError(f"{table.size}^{m} type tuples exceeds cap {cap}")
     log_rows = np.stack([_log_type_probs(table, law) for law in laws])
 
     if ranking is not None:
@@ -491,11 +496,6 @@ def _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)
 # Per-coordinate route
 # ---------------------------------------------------------------------------
 
-#: the per-coordinate route holds about a dozen (M, distinct keys) float arrays
-#: (100 MB at T=1, 230 MB at T=2 at this limit); above it the oracle enumerates
-ROUTE_MAX_TERMS = 1 << 21
-
-
 def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
     """How a known-law kind ranks types, when its exact error factors over coordinates.
 
@@ -529,13 +529,7 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     if starts.size > 1 and np.diff(ranked[starts]).min() <= slack:
         return None
-    if scorer.m * starts.size > ROUTE_MAX_TERMS:
-        return None
     return order, starts, t_size
-
-
-#: elements of each (t, truths, M, keys) array `_order_errors` holds at once
-SCAN_BLOCK = 1 << 16
 
 
 def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[float]:
@@ -543,50 +537,53 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
 
     ``order``/``starts`` rank the types by key (`_ranking`), ``law_idx`` (H, M)
     holds each truth's row of ``log_rows`` per coordinate (row 0 is pi's, as
-    `_law_rows` lays them), ``truth_members`` (H, t) its
-    members S, zero-based.  j comes before (v, w) when key_j < v, or key_j = v
-    and j < w; D ends at w with key v when exactly t - 1 others do, and D != S
-    unless w is in S and no non-member does.  Given (v, w) those counts are
-    independent: binomial for the non-members (i.i.d. pi) below w and above
-    it, Poisson-binomial for the members.  So log P(D != S) is a logsumexp
-    over (w, v) of log P(key_w = v) plus a log convolution of the counts, cut
-    at t - 1: nothing is subtracted.
+    `_law_rows` lays them), ``truth_members`` (H, t) its members s_0 < ... <
+    s_{t-1}, zero-based.  D = S exactly when every non-member comes after S's
+    last member in (key, index) order.  That member is s_r with key v when
+    the members below it have key <= v and those above it key < v.  These
+    events partition the outcomes, and given one, D = S when the s_r - r
+    non-members (i.i.d. pi) below s_r have key > v and the M - t - s_r + r
+    above it key >= v.  So log P(D != S) is a logsumexp over (r, v) of
+
+        log P_{s_r}(v) + sum_{r'<r} log P_{s_r'}(<= v) + sum_{r'>r} log P_{s_r'}(< v)
+        + log(1 - P_pi(> v)^(s_r - r) P_pi(>= v)^(M - t - s_r + r)),
+
+    with 1 - x as -expm1(log x), so nothing cancels.  A truth costs O(t^2 V)
+    in O(t V) memory, V the number of distinct keys; a batch of truths holds
+    at most KEY_BUDGET such terms.
     """
     at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
+    ninf = np.full((len(at), 1), -np.inf)
     le = np.logaddexp.accumulate(at, axis=1)
     ge = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
-    ninf = np.full((len(at), 1), -np.inf)
-    lt, gt = np.hstack([ninf, le[:, :-1]]), np.hstack([ge[:, 1:], ninf])
-    m = law_idx.shape[1]
-    coords, i = np.arange(m), np.arange(t)[:, None, None]
-
-    def binomial(count, p, q):
-        """log P(X = i), i < t, of X ~ Bin(count, P), from p = log P and q = log (1 - P)."""
-        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 is -inf, 0 x -inf is 0
-            return (np.log(comb(count, i)) + np.where(i > 0, i * p, 0.0)
-                    + np.where(count > i, (count - i) * q, 0.0))
-
-    def convolve(x, y):
-        """log P(X + Y = s), s < t, of independent X and Y, from their log pmfs."""
-        return [reduce(np.logaddexp, [x[c] + y[s - c] for c in range(s + 1) if s - c < len(y)])
-                for s in range(t)]
-
-    # log P(s non-members before (v, w)), s < t, by how many of them lie below (above) w
-    below, above = (binomial(coords[:, None], p[0], q[0]) for p, q in ((le, gt), (lt, ge)))
-    # a member's (log P(not before), log P(before)) when above w, at w and below w
-    member = (np.stack([ge, np.zeros_like(ge), gt]), np.stack([lt, np.full_like(lt, -np.inf), le]))
-    out, batch = [], max(1, SCAN_BLOCK // (t * m * at.shape[1]))
+    lt, ge = _complement(np.hstack([ninf, le[:, :-1]]), ge)  # log P(< v), log P(>= v)
+    le, gt = _complement(le, np.hstack([ge[:, 1:], ninf]))  # log P(<= v), log P(> v)
+    m, ranks = law_idx.shape[1], np.arange(t)
+    out, batch = [], max(1, KEY_BUDGET // (t * at.shape[1]))
     for lo in range(0, len(law_idx), batch):
-        rows, members = law_idx[lo:lo + batch], truth_members[lo:lo + batch]
-        outside = ~(members[..., None] == coords).any(axis=1)
-        a = np.cumsum(outside, axis=1) - outside
-        y = convolve(below[:, a], above[:, m - t - outside - a])
-        y[0] = np.where(outside[..., None], y[0], -np.inf)  # w in S: a non-member must come before
-        for j, r in zip(members.T, np.take_along_axis(rows, members, 1).T):
-            side = np.sign(coords - j[:, None]) + 1
-            y = convolve(y, [tab[side, r[:, None]] for tab in member[:t]])
-        out.extend(_log_sum_exp((y[-1] + at[rows]).reshape(len(rows), -1)).tolist())
+        members = truth_members[lo:lo + batch]
+        rows = np.take_along_axis(law_idx[lo:lo + batch], members, 1)
+        below, above = (members - ranks)[..., None], (m - t - members + ranks)[..., None]
+        kept = above * ge[0]  # log P(every non-member comes after (v, s_r)); P(> v)^0 is 1
+        kept += np.multiply(below, gt[0], out=np.zeros_like(kept), where=below > 0)
+        with np.errstate(divide="ignore"):  # log 0: D = S surely
+            terms = at[rows] + np.log(-np.expm1(kept))
+        for r in range(t):
+            for j in range(t):
+                if j != r:
+                    terms[:, r] += (le if j < r else lt)[rows[:, j]]
+        out.extend(_log_sum_exp(terms.reshape(len(rows), -1)).tolist())
     return out
+
+
+def _complement(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log probabilities of complementary events, the larger of each pair taken from the smaller.
+
+    Where one is below log 1/2 the other is log1p(-exp(it)), which keeps the
+    relative accuracy of a probability near 1 that a log-space accumulation loses.
+    """
+    return (np.log1p(-np.exp(b), out=a.copy(), where=b < _LOG_HALF),
+            np.log1p(-np.exp(a), out=b.copy(), where=a < _LOG_HALF))
 
 
 def exact_error(
@@ -645,15 +642,19 @@ class ExponentFit:
     residual: float
 
 
-def exponent_fit(ns: Sequence[int], errs: Sequence[float]) -> ExponentFit:
-    """Least-squares exponent estimate; the ln(n) term absorbs type-counting prefactors."""
+def exponent_fit(ns: Sequence[int], log_errs: Sequence[float]) -> ExponentFit:
+    """Least-squares exponent estimate from log errors; the ln(n) term absorbs prefactors.
+
+    Log errors (`ErrorProbability.log_prob`, or the log of an estimate) reach
+    below the smallest float an error itself can hold.
+    """
     ns = np.asarray(ns, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    if ns.size < 4 or ns.size != errs.size:
-        raise ValidationError("need at least 4 (n, err) points")
-    if np.any(errs <= 0) or np.any(errs >= 1):
-        raise ValidationError("errors must lie strictly in (0, 1) for an exponent fit")
-    y = -np.log(errs)
+    log_errs = np.asarray(log_errs, dtype=float)
+    if ns.size < 4 or ns.size != log_errs.size:
+        raise ValidationError("need at least 4 (n, log err) points")
+    if not np.all(np.isfinite(log_errs) & (log_errs < 0)):
+        raise ValidationError("log errors must be finite and below 0 for an exponent fit")
+    y = -log_errs
     design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
     coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.sqrt(res[0])) if res.size else 0.0

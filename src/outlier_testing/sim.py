@@ -306,11 +306,12 @@ def exponent_sweep(cfg: SimConfig, truth: HypothesisId) -> SweepResult:
     nonzero = [i for i, e in enumerate(ests) if 0 < e.errors < e.trials]
     fit = None
     if len(nonzero) >= 4:
-        fit = exponent_fit([cfg.n_grid[i] for i in nonzero], [ests[i].estimate for i in nonzero])
+        fit = exponent_fit([cfg.n_grid[i] for i in nonzero],
+                           np.log([ests[i].estimate for i in nonzero]))
 
-    slope_lo = exponent_fit(cfg.n_grid, [min(e.hi, 1.0 - 1e-12) for e in ests]).slope
+    slope_lo = exponent_fit(cfg.n_grid, np.log([min(e.hi, 1.0 - 1e-12) for e in ests])).slope
     if all(e.lo > 0 for e in ests):
-        slope_hi = exponent_fit(cfg.n_grid, [e.lo for e in ests]).slope
+        slope_hi = exponent_fit(cfg.n_grid, np.log([e.lo for e in ests])).slope
     else:
         slope_hi = float("inf")
     return SweepResult(tuple(cfg.n_grid), tuple(ests), fit, slope_lo, slope_hi)

@@ -61,7 +61,7 @@ def test_criterion_1_known_law_exponent():
     slopes = {}
     for kind in (DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE):
         errs = [
-            exact_error(kind, FAM3, Coordinate(1), n, 2, MU, PI).prob for n in ns
+            exact_error(kind, FAM3, Coordinate(1), n, 2, MU, PI).log_prob for n in ns
         ]
         slopes[kind] = exponent_fit(ns, errs).slope
     ml, typ = slopes[DetectorKind.ML_SINGLE], slopes[DetectorKind.TYP_SINGLE]
@@ -70,6 +70,24 @@ def test_criterion_1_known_law_exponent():
     ok &= elapsed <= 60.0
     _report(1, ok, f"ml slope {ml:.5f}, typ slope {typ:.5f}, target {TWO_B1:.5f}, "
                    f"{elapsed:.1f}s")
+
+
+TIGHT_NS = list(range(400, 2001, 200))  # exact errors by the per-coordinate route
+
+
+def _tight_slope(kind, fam, truth, mus):
+    errs = [exact_error(kind, fam, truth, n, 2, mus, PI) for n in TIGHT_NS]
+    assert {e.route for e in errs} == {"per-coordinate"}
+    return exponent_fit(TIGHT_NS, [e.log_prob for e in errs]).slope
+
+
+def test_criterion_1_tight_from_exact_errors():
+    # beside criterion 1: at n = 400..2000 the fitted slopes lie within 3e-5 of 2B
+    gaps = {kind.value: _tight_slope(kind, FAM3, Coordinate(1), MU) / TWO_B1 - 1
+            for kind in (DetectorKind.ML_SINGLE, DetectorKind.TYP_SINGLE)}
+    ok = all(abs(gap) <= 1e-3 for gap in gaps.values())
+    _report(1, ok, "tight, n 400..2000: " + ", ".join(f"{k} {g:+.2e}" for k, g in gaps.items())
+            + " relative to 2B")
 
 
 def test_criterion_2_universal_exponent_positivity():
@@ -86,7 +104,7 @@ def test_criterion_2_universal_exponent_positivity():
         details.append(f"{solver.value:.5f}/{grid.value:.5f}")
     ns = [40, 60, 80, 100, 120]
     errs = [
-        exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), n, 2, MU, PI).prob
+        exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), n, 2, MU, PI).log_prob
         for n in ns
     ]
     slope = exponent_fit(ns, errs).slope
@@ -180,10 +198,10 @@ def test_criterion_5_null_aware_consistency():
     slopes = []
     for i in (1, 2, 3):
         errs = [
-            exact_error(DetectorKind.NULL_SINGLE, fam, Coordinate(i), n, 2, MU, PI).prob
+            exact_error(DetectorKind.NULL_SINGLE, fam, Coordinate(i), n, 2, MU, PI).log_prob
             for n in ns
         ]
-        pts = [(n, e) for n, e in zip(ns, errs) if 0.0 < e < 1.0]
+        pts = [(n, e) for n, e in zip(ns, errs) if -math.inf < e < 0.0]
         slope = exponent_fit([p[0] for p in pts], [p[1] for p in pts]).slope
         slopes.append(slope)
         ok &= slope > 0.0
@@ -196,7 +214,7 @@ def test_criterion_6_multi_outlier_exponent():
     fam = HypothesisFamily.fixed_size(5, 2)
     ns = [10, 15, 20, 25, 30]
     errs = [
-        exact_error(DetectorKind.TYP_MULTI, fam, Subset((1, 2)), n, 2, MU, PI).prob
+        exact_error(DetectorKind.TYP_MULTI, fam, Subset((1, 2)), n, 2, MU, PI).log_prob
         for n in ns
     ]
     slope_same = exponent_fit(ns, errs).slope
@@ -205,7 +223,7 @@ def test_criterion_6_multi_outlier_exponent():
     vals = [0.30, 0.31, 0.32, 0.31, 0.30]
     mus = [Pmf(np.array([v, 1 - v])) for v in vals]
     errs = [
-        exact_error(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), n, 2, mus, PI).prob
+        exact_error(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), n, 2, mus, PI).log_prob
         for n in ns
     ]
     slope_mixed = exponent_fit(ns, errs).slope
@@ -215,6 +233,18 @@ def test_criterion_6_multi_outlier_exponent():
     ok &= elapsed <= 600.0
     _report(6, ok, f"identical slope {slope_same:.4f} vs {TWO_B1:.4f}, "
                    f"distinct slope {slope_mixed:.4f} vs {target:.4f}, {elapsed:.1f}s")
+
+
+def test_criterion_6_tight_from_exact_errors():
+    # beside criterion 6: at n = 400..2000 the fitted slopes lie within 2e-4 of
+    # 2B, and of min_i 2B(mu_i, pi) for the distinct laws
+    fam = HypothesisFamily.fixed_size(5, 2)
+    same = _tight_slope(DetectorKind.TYP_MULTI, fam, Subset((1, 2)), MU) / TWO_B1 - 1
+    mus = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.31, 0.32, 0.31, 0.30)]
+    target = min(2 * bhattacharyya(m, PI) for m in mus)
+    mixed = _tight_slope(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), mus) / target - 1
+    ok = abs(same) <= 1e-3 and abs(mixed) <= 1e-3
+    _report(6, ok, f"tight, n 400..2000: identical {same:+.2e}, distinct {mixed:+.2e} relative")
 
 
 def test_criterion_7_identical_outlier_unknown_count():

@@ -1,6 +1,8 @@
 """Exact error oracle: type tables, probabilities, brute-force agreement."""
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from itertools import product
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from outlier_testing.oracle import (
     type_log_prob_via_divergence,
 )
 from outlier_testing.sim import SimConfig, generate, sample_counts
-from outlier_testing.simplex import Pmf, TypeVector
+from outlier_testing.simplex import Pmf, TypeVector, bhattacharyya
 
 MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
@@ -42,6 +44,51 @@ FAM3 = HypothesisFamily.single_outlier(3)
 
 def refuse_law_lists(*args):
     raise AssertionError("the generating laws are resolved once per call, not per truth")
+
+
+def decimal_errors(kind, fam, truths, n, k, mu, pi):
+    """Each truth's error at the per-coordinate route's ranking, in 50-digit `decimal`.
+
+    Every outlier has law ``mu``; the laws are the floats given, normalized
+    in decimal.  D = S exactly when every non-member comes after S's last
+    member in (key, index) order, so the error sums, over every tuple of
+    member keys, its probability times 1 - P(every non-member comes after
+    the last member).
+    """
+    scorer = Scorer(kind, fam, k, mu=mu, pi=pi)
+    table = enumerate_types(n, k)
+    order, starts, _ = oracle._ranking(scorer, scorer.row_stats(table.counts, n))
+    key_of = np.empty(table.size, dtype=np.int64)
+    key_of[order] = np.cumsum(np.isin(np.arange(table.size), starts)) - 1
+    keys = range(len(starts))
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def at(law):  # P(key = v) for each v
+            p = [Decimal(float(x)) for x in law.probs]
+            p = [x / sum(p) for x in p]
+            out = [Decimal(0)] * len(starts)
+            for counts, v in zip(table.counts.tolist(), key_of.tolist()):
+                term = Decimal(math.factorial(n) // math.prod(map(math.factorial, counts)))
+                out[v] += math.prod((q**c for q, c in zip(p, counts)), start=term)
+            return out
+
+        mu_at, pi_at = at(mu), at(pi)
+        pi_ge = [sum(pi_at[v:]) for v in keys]
+        pi_gt = pi_ge[1:] + [Decimal(0)]
+        errs = []
+        for truth in truths:
+            members = sorted(i - 1 for i in outlier_set(truth))
+            err = Decimal(0)
+            for vs in product(keys, repeat=len(members)):
+                weight = math.prod((mu_at[v] for v in vs), start=Decimal(1))
+                v, last = max(zip(vs, members))
+                below = last - sum(j < last for j in members)
+                above = fam.m - len(members) - below
+                after = (pi_gt[v] ** below if below else 1) * pi_ge[v] ** above
+                err += weight * (1 - after)
+            errs.append(err)
+    return errs
 
 
 def radix_indices(flat, n_types, m):
@@ -541,8 +588,6 @@ class TestPerCoordinateRoute:
         + [(kind, 5, 2, (3, 6), mus, {}) for kind, mus in zip(SINGLE, [MIXED] * 3)]
         + [(DetectorKind.TYP_MULTI, 7, 3, (2,), None, {"t": 2}),
            (DetectorKind.TYP_MULTI, 8, 2, (2, 3), MIXED8, {"t": 2})]
-        # certified keys whose ranking is refused by the route's size limit
-        + [(DetectorKind.TYP_MULTI, 5, 2, (2, 5), MIXED, {"t": 2, "force": ("ROUTE_MAX_TERMS", 0)})]
     )
 
     @pytest.mark.parametrize("kind,m,k,ns,mus,extra", VALUE_GRID)
@@ -554,7 +599,7 @@ class TestPerCoordinateRoute:
         for n in ns:
             route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, *extra.get("force", ("_ranking", lambda *args: None)))
+                patch.setattr(oracle, "_ranking", lambda *args: None)
                 enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
             for truth in fam.hypotheses:
                 got, want = route[truth], enum[truth]
@@ -567,11 +612,13 @@ class TestPerCoordinateRoute:
         (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(8, 2), MIXED8),
     ], ids=["ml-single-M9", "typ-multi-M8"])
     def test_batches_of_one_truth_keep_the_bits(self, monkeypatch, kind, fam, mus):
-        n = 3
+        n, t = 3, fam.sizes[0]
         # by default every truth shares one batch: n + 1 types bound the distinct keys
-        assert oracle.SCAN_BLOCK // (fam.sizes[0] * fam.m * (n + 1)) >= len(fam.hypotheses)
+        assert oracle.KEY_BUDGET // (t * (n + 1)) >= len(fam.hypotheses)
         _, batched = max_error(kind, fam, n, 2, mus, PI, mu=MU)
-        monkeypatch.setattr(oracle, "SCAN_BLOCK", 1)
+        scorer = Scorer(kind, fam, 2, mu=MU, pi=PI)
+        _, starts, _ = oracle._ranking(scorer, scorer.row_stats(enumerate_types(n, 2).counts, n))
+        monkeypatch.setattr(oracle, "KEY_BUDGET", t * starts.size)  # t V terms: one truth a batch
         _, alone = max_error(kind, fam, n, 2, mus, PI, mu=MU)
         assert {e.route for e in alone.values()} == {"per-coordinate"}
         assert [e.log_prob.hex() for e in alone.values()] == \
@@ -632,16 +679,57 @@ class TestPerCoordinateRoute:
         assert math.isfinite(got.log_prob) and 0 < got.prob < 1e-70
 
     @pytest.mark.parametrize("truth,log_hex", [
-        (Subset((1, 2)), "-0x1.1cbd05d255830p-3"),
-        (Subset((7, 999)), "-0x1.20c5edee8ce00p-4"),
+        (Subset((1, 2)), "-0x1.1cbd05d253db0p-3"),
+        (Subset((7, 999)), "-0x1.20c5edee898f0p-4"),
     ])
     def test_truth_members_without_the_family_table(self, truth, log_hex):
         # the family's members would be C(1000, 2) = 499,500 pairs; values recorded
-        # from a version that looked the truth up in them
+        # from the last-member sum, within 5e-16 of the decimal reference in prob
         fam = HypothesisFamily.fixed_size(1000, 2)
         got = exact_error(DetectorKind.TYP_MULTI, fam, truth, 10, 2, MU, PI)
         assert got.route == "per-coordinate" and got.log_prob.hex() == log_hex
         assert "members" not in fam.__dict__
+        [want] = decimal_errors(DetectorKind.TYP_MULTI, fam, [truth], 10, 2, MU, PI)
+        assert abs(Decimal(got.prob) / want - 1) < Decimal("1e-13")
+
+    def test_every_truth_within_1e_13_of_decimal(self):
+        # ml-single at M=200, n=200: the error is about 4e-15, and the type
+        # log-probabilities themselves are off by up to 3e-13 (absolute)
+        fam = HypothesisFamily.single_outlier(200)
+        _, per = max_error(DetectorKind.ML_SINGLE, fam, 200, 2, MU, PI)
+        wants = decimal_errors(DetectorKind.ML_SINGLE, fam, fam.hypotheses, 200, 2, MU, PI)
+        for truth, want in zip(fam.hypotheses, wants):
+            assert per[truth].route == "per-coordinate"
+            assert abs(Decimal(per[truth].prob) / want - 1) < Decimal("1e-13"), truth
+
+    @pytest.mark.parametrize("kind,fam,truth", [
+        (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(10**4), Coordinate(5000)),
+        (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(10**4, 2), Subset((1, 9999))),
+    ], ids=["ml-single", "typ-multi"])
+    def test_reach_m10000_n1000(self, kind, fam, truth):
+        # the route holds no (M, keys) array, so M=10^4 takes milliseconds
+        got = exact_error(kind, fam, truth, 1000, 2, MU, PI)
+        assert got.route == "per-coordinate"
+        assert math.isfinite(got.log_prob) and 0 < got.prob < 1e-70
+
+    def test_enumeration_past_the_cap_at_m10000(self):
+        # 3^10000 tuples: the message names the count without spelling it out
+        fam = HypothesisFamily.single_outlier(10**4)
+        with pytest.raises(EnumerationCapError, match=r"3\^10000 type tuples"):
+            exact_error(DetectorKind.UNIV_SINGLE, fam, Coordinate(1), 2, 2, MU, PI)
+
+    def test_peak_memory(self):
+        # tracemalloc peak 0.24 MB: a truth holds O(t x distinct keys) terms, none per coordinate
+        args = (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(2000, 2), Subset((3, 1500)),
+                1000, 2, MU, PI)
+        exact_error(*args)  # fill the family's cached members
+        tracemalloc.start()
+        try:
+            got = exact_error(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.route == "per-coordinate" and peak < 16e6
 
     @pytest.mark.parametrize("kind", SINGLE)
     def test_validation_still_raised(self, kind):
@@ -720,8 +808,7 @@ class TestOnePass:
 class TestExponentFit:
     def test_pure_exponential(self):
         ns = np.arange(5, 45, 5)
-        errs = np.exp(-0.2 * ns)
-        assert exponent_fit(ns, errs).slope == pytest.approx(0.2, abs=1e-9)
+        assert exponent_fit(ns, -0.2 * ns).slope == pytest.approx(0.2, abs=1e-9)
 
     def test_polynomial_prefactor_absorbed(self):
         # n^3 is absorbed exactly by the ln(n) regressor; (n+1)^3 only up
@@ -729,13 +816,26 @@ class TestExponentFit:
         ns = np.arange(10, 90, 10)
         errs = ns**3 * np.exp(-0.2 * ns)
         errs = errs / (errs.max() * 1.01)  # keep inside (0,1)
-        assert exponent_fit(ns, errs).slope == pytest.approx(0.2, abs=1e-9)
+        assert exponent_fit(ns, np.log(errs)).slope == pytest.approx(0.2, abs=1e-9)
         shifted = (ns + 1.0) ** 3 * np.exp(-0.2 * ns)
         shifted = shifted / (shifted.max() * 1.01)
-        assert exponent_fit(ns, shifted).slope == pytest.approx(0.2, abs=1e-2)
+        assert exponent_fit(ns, np.log(shifted)).slope == pytest.approx(0.2, abs=1e-2)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
-            exponent_fit([1, 2, 3, 4], [0.5, 0.0, 0.1, 0.1])
+            exponent_fit([1, 2, 3, 4], [-0.5, -math.inf, -1.0, -1.0])
         with pytest.raises(ValidationError):
-            exponent_fit([1, 2, 3], [0.5, 0.4, 0.3])
+            exponent_fit([1, 2, 3, 4], [-0.5, 0.0, -1.0, -1.0])
+        with pytest.raises(ValidationError):
+            exponent_fit([1, 2, 3, 4], [-0.5, math.nan, -1.0, -1.0])
+        with pytest.raises(ValidationError):
+            exponent_fit([1, 2, 3], [-0.5, -0.6, -0.7])
+
+    def test_fits_errors_below_the_smallest_float(self):
+        # at n = 4300 the exact error is about exp(-754): prob 0.0, log_prob finite
+        ns = list(range(4300, 5001, 100))
+        errs = [exact_error(DetectorKind.ML_SINGLE, FAM3, Coordinate(1), n, 2, MU, PI)
+                for n in ns]
+        assert errs[0].prob == 0.0 and errs[0].log_prob == pytest.approx(-754.07, abs=0.01)
+        slope = exponent_fit(ns, [e.log_prob for e in errs]).slope
+        assert slope == pytest.approx(2 * bhattacharyya(MU, PI), rel=1e-3)
