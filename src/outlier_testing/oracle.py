@@ -536,21 +536,15 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
     """Log error of each truth whose decision D is the first t coordinates in (key, index) order.
 
     ``order``/``starts`` rank the types by key (`_ranking`), ``law_idx`` (H, M)
-    holds each truth's row of ``log_rows`` per coordinate (row 0 is pi's, as
-    `_law_rows` lays them), ``truth_members`` (H, t) its members s_0 < ... <
-    s_{t-1}, zero-based.  D = S exactly when every non-member comes after S's
-    last member in (key, index) order.  That member is s_r with key v when
-    the members below it have key <= v and those above it key < v.  These
-    events partition the outcomes, and given one, D = S when the s_r - r
-    non-members (i.i.d. pi) below s_r have key > v and the M - t - s_r + r
-    above it key >= v.  So log P(D != S) is a logsumexp over (r, v) of
-
-        log P_{s_r}(v) + sum_{r'<r} log P_{s_r'}(<= v) + sum_{r'>r} log P_{s_r'}(< v)
-        + log(1 - P_pi(> v)^(s_r - r) P_pi(>= v)^(M - t - s_r + r)),
-
-    with 1 - x as -expm1(log x), so nothing cancels.  A truth costs O(t^2 V)
-    in O(t V) memory, V the number of distinct keys; a batch of truths holds
-    at most KEY_BUDGET such terms.
+    holds each truth's row of ``log_rows`` per coordinate (row 0 is pi's),
+    ``truth_members`` (H, t) its members s_0 < ... < s_{t-1}, zero-based.
+    D = S exactly when no non-member comes before S's last member, s_r with
+    key v when the members below it have key <= v and those above it key < v.
+    So log P(D != S) is a logsumexp over (r, v) of log P_{s_r}(v)
+    + sum_{r'<r} log P_{s_r'}(<= v) + sum_{r'>r} log P_{s_r'}(< v)
+    + log(1 - P_pi(> v)^(s_r - r) P_pi(>= v)^(M - t - s_r + r)), with 1 - x
+    as -expm1(log x).  A truth costs O(t^2 V) in O(t V) memory, V distinct
+    keys; a batch holds at most KEY_BUDGET terms.
     """
     at = np.logaddexp.reduceat(log_rows[:, order], starts, axis=1)  # log P(key = v)
     ninf = np.full((len(at), 1), -np.inf)
@@ -577,11 +571,8 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
 
 
 def _complement(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log probabilities of complementary events, the larger of each pair taken from the smaller.
-
-    Where one is below log 1/2 the other is log1p(-exp(it)), which keeps the
-    relative accuracy of a probability near 1 that a log-space accumulation loses.
-    """
+    """Complementary log probabilities, each above 1/2 recomputed as log1p(-exp(the other)):
+    a log-space sum near 1 keeps its absolute, not its relative, accuracy."""
     return (np.log1p(-np.exp(b), out=a.copy(), where=b < _LOG_HALF),
             np.log1p(-np.exp(a), out=b.copy(), where=a < _LOG_HALF))
 
@@ -643,11 +634,7 @@ class ExponentFit:
 
 
 def exponent_fit(ns: Sequence[int], log_errs: Sequence[float]) -> ExponentFit:
-    """Least-squares exponent estimate from log errors; the ln(n) term absorbs prefactors.
-
-    Log errors (`ErrorProbability.log_prob`, or the log of an estimate) reach
-    below the smallest float an error itself can hold.
-    """
+    """Least-squares exponent estimate from log errors (they pass the float range of errors)."""
     ns = np.asarray(ns, dtype=float)
     log_errs = np.asarray(log_errs, dtype=float)
     if ns.size < 4 or ns.size != log_errs.size:
