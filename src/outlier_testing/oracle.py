@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -56,7 +56,9 @@ from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
-KEY_BUDGET = 1 << 22  # keys (H x tuples) in one chunk: 32 MB, about twice that at peak
+#: keys (H x tuples) in an enumeration chunk, or terms (truths x t x V) in a route batch: 32 MB,
+#: traced peaks 58 MB (typ-multi M=14, T=4) and 105 MB (`max_error` ml-single M=10^4, n=1000)
+KEY_BUDGET = 1 << 22
 #: entries in one of `_block_keys`' pooled-entropy tables; past it the kernel scores every tuple
 ROUTE_MAX_TERMS = 1 << 21
 _LOG_HALF = -math.log(2)
@@ -147,28 +149,20 @@ def _law_table(mus: LawSpec, pi: Pmf, m: int, k: Optional[int] = None):
     return laws, outlier_row
 
 
-def _law_rows(truths: Sequence[HypothesisId], mus: LawSpec, pi: Pmf, m: int,
-              k: Optional[int] = None) -> tuple[list[Pmf], np.ndarray]:
-    """The laws in use under ``truths``, pi first, and each coordinate's row (H, M) in them.
+def _law_row(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int,
+             k: Optional[int] = None) -> tuple[list[Pmf], np.ndarray]:
+    """The laws in use under a truth, pi first, and each coordinate's row (M,) in them.
 
     A coordinate takes its outlier law inside the truth's outlier set, pi outside it.
     """
     laws, outlier_row = _law_table(mus, pi, m, k)
-    sets = [outlier_set(truth) for truth in truths]
-    hit = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    coord = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=hit.size) - 1
-    require(not hit.size or coord.max() < m, "truth names a coordinate beyond M")
-    require(not hit.size or len(laws) > 1, "outlier truth requires outlier laws")
-    law = outlier_row[coord]
-    used = np.bincount(law, minlength=len(laws)) > 0  # row 0, pi, is no outlier law
-    rows = np.zeros((len(sets), m), dtype=np.int64)
-    rows[hit, coord] = np.cumsum(used)[law]
-    return [pi, *(laws[r] for r in np.flatnonzero(used))], rows
-
-
-def check_laws(mus: LawSpec, pi: Pmf, m: int, k: int) -> None:
-    """Reject generating laws that break `_law_table`'s rule (``mus`` as in `coordinate_laws`)."""
-    _law_table(mus, pi, m, k)
+    coord = np.array(sorted(outlier_set(truth)), dtype=np.int64) - 1
+    require(not coord.size or coord[-1] < m, "truth names a coordinate beyond M")
+    require(not coord.size or len(laws) > 1, "outlier truth requires outlier laws")
+    used, rank = np.unique(outlier_row[coord], return_inverse=True)
+    row = np.zeros(m, dtype=np.int64)
+    row[coord] = rank + 1  # row 0 is pi's
+    return [pi, *(laws[r] for r in used)], row
 
 
 def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[Pmf]:
@@ -178,8 +172,8 @@ def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[
     sequence of M per-coordinate outlier laws, or None when the truth is
     the null hypothesis.
     """
-    laws, rows = _law_rows([truth], mus, pi, m)
-    return [laws[r] for r in rows[0]]
+    laws, row = _law_row(truth, mus, pi, m)
+    return [laws[r] for r in row]
 
 
 def _detector_mu(mu: Optional[Pmf], mus: LawSpec) -> Optional[Pmf]:
@@ -439,18 +433,23 @@ def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
     return table.log_multiplicity + (table.counts * np.log(law.probs)).sum(axis=1)
 
 
-def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
-            cap=DEFAULT_TUPLE_CAP) -> dict[HypothesisId, ErrorProbability]:
-    """Exact error of each truth, by the per-coordinate route when it is certified.
+def _errors(kind, family, truth, n, k, mus, pi, *, mu=None, lam=None,
+            cap=DEFAULT_TUPLE_CAP) -> list[ErrorProbability]:
+    """Exact error of ``truth``, or of every family member in family order when it is None.
 
-    Otherwise one pass over the type tuples serves every truth: a tuple's
-    decision does not depend on the truth, only its weight does, so every
-    chunk is scored and decided once and then weighted per truth.
+    Truths are member rows ``groups``, per size (H_t, t) zero-based (NULL's empty), whose
+    coordinates read their row of the laws from ``law_row`` (M,); no hypothesis is read per truth.
     """
     m = family.m
-    laws, law_idx = _law_rows(truths, mus, pi, m, k)
+    if truth is None:
+        laws, law_row = _law_table(mus, pi, m, k)  # every coordinate is some member's outlier
+        require(len(laws) > 1, "outlier truth requires outlier laws")
+        groups = [np.empty((1, 0), dtype=np.int64)] * family.include_null + list(family.members)
+    else:
+        laws, law_row = _law_row(truth, mus, pi, m, k)
+        groups = [np.flatnonzero(law_row)[None]]
     scorer = Scorer(kind, family, k, mu=_detector_mu(mu, mus), pi=pi)
-    truth_cols = [scorer.column(truth) for truth in truths]  # validates membership
+    first = -family.include_null if truth is None else scorer.column(truth)  # NULL's is -1
     table = enumerate_types(n, k, cap=cap)
     lam = null_threshold(kind, lam, m, n, k)
     stats = scorer.row_stats(table.counts, n)
@@ -461,13 +460,11 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 
     if ranking is not None:
         route = "per-coordinate"
-        members = np.nonzero(law_idx)[1].reshape(len(truths), -1)  # off pi's row 0, in order
-        log_errs = _order_errors(*ranking, log_rows, law_idx, members)
+        log_errs = _order_errors(*ranking, log_rows, groups[0], law_row)  # one size, no NULL
     else:
         route = "enumeration"
-        log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols)
-    return {truth: ErrorProbability(min(math.exp(e), 1.0), e, route)
-            for truth, e in zip(truths, log_errs)}
+        log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first)
+    return [ErrorProbability(min(math.exp(e), 1.0), e, route) for e in log_errs]
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +472,19 @@ def _errors(kind, family, truths, n, k, mus, pi, *, mu=None, lam=None,
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_errors(scorer, table, stats, lam, log_rows, law_idx, truth_cols) -> list[float]:
+def _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first) -> list[float]:
     """Log error of each truth: log-sum-exp of wrong-decision tuple weights, chunk by chunk.
 
+    The truths are `_errors`' ``groups``, deciding columns ``first``, ``first`` + 1, ...; at
+    the small M enumerated, their (H, M) law table is one member mask of ``law_row`` per size.
     Chunks of DEFAULT_CHUNK tuples are decided on radix blocks (`_block_decisions`).
     A tuple's log weight sums its types' log probabilities left to right at
     every M, laid over each block like its keys (`_on_block`).
     """
-    pieces: list[list[float]] = [[] for _ in truth_cols]
+    law_idx = np.vstack([law_row * (np.arange(scorer.m) == g[..., None]).any(1) for g in groups])
+    pieces: list[list[float]] = [[] for _ in law_idx]
     for head_idx, lo, decision in _block_decisions(scorer, table, stats, lam, DEFAULT_CHUNK):
-        for rows, col, acc in zip(law_idx, truth_cols, pieces):
+        for col, rows, acc in zip(count(first), law_idx, pieces):
             wrong = decision != col
             if wrong.any():
                 weights = _add_left(_on_block(log_rows[rows], head_idx)).ravel()
@@ -532,12 +532,12 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     return order, starts, t_size
 
 
-def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[float]:
+def _order_errors(order, starts, t, log_rows, members, law_row) -> list[float]:
     """Log error of each truth whose decision D is the first t coordinates in (key, index) order.
 
-    ``order``/``starts`` rank the types by key (`_ranking`), ``law_idx`` (H, M)
-    holds each truth's row of ``log_rows`` per coordinate (row 0 is pi's),
-    ``truth_members`` (H, t) its members s_0 < ... < s_{t-1}, zero-based.
+    ``order``/``starts`` rank the types by key (`_ranking`), ``members`` (H, t)
+    holds each truth's members s_0 < ... < s_{t-1}, zero-based, and ``law_row``
+    (M,) each member's row of ``log_rows`` (pi's row 0 is read for none).
     D = S exactly when no non-member comes before S's last member, s_r with
     key v when the members below it have key <= v and those above it key < v.
     So log P(D != S) is a logsumexp over (r, v) of log P_{s_r}(v)
@@ -552,16 +552,16 @@ def _order_errors(order, starts, t, log_rows, law_idx, truth_members) -> list[fl
     ge = np.logaddexp.accumulate(at[:, ::-1], axis=1)[:, ::-1]
     lt, ge = _complement(np.hstack([ninf, le[:, :-1]]), ge)  # log P(< v), log P(>= v)
     le, gt = _complement(le, np.hstack([ge[:, 1:], ninf]))  # log P(<= v), log P(> v)
-    m, ranks = law_idx.shape[1], np.arange(t)
+    m, ranks = law_row.size, np.arange(t)
     out, batch = [], max(1, KEY_BUDGET // (t * at.shape[1]))
-    for lo in range(0, len(law_idx), batch):
-        members = truth_members[lo:lo + batch]
-        rows = np.take_along_axis(law_idx[lo:lo + batch], members, 1)
-        below, above = (members - ranks)[..., None], (m - t - members + ranks)[..., None]
-        kept = above * ge[0]  # log P(every non-member comes after (v, s_r)); P(> v)^0 is 1
-        kept += np.multiply(below, gt[0], out=np.zeros_like(kept), where=below > 0)
+    for cols in np.split(members, range(batch, len(members), batch)):
+        rows = law_row[cols]
+        below, above = (cols - ranks)[..., None], (m - t - cols + ranks)[..., None]
+        terms = above * ge[0]  # log P(every non-member comes after (v, s_r)); P(> v)^0 is 1
+        terms += np.multiply(below, gt[0], out=np.zeros_like(terms), where=below > 0)
         with np.errstate(divide="ignore"):  # log 0: D = S surely
-            terms = at[rows] + np.log(-np.expm1(kept))
+            np.log(np.negative(np.expm1(terms, out=terms), out=terms), out=terms)
+        terms += at[rows]
         for r in range(t):
             for j in range(t):
                 if j != r:
@@ -596,7 +596,7 @@ def exact_error(
     outlier law for detectors that use one (defaults to ``mus`` when it
     is a single pmf).
     """
-    return _errors(kind, family, [truth], n, k, mus, pi, mu=mu, lam=lam, cap=cap)[truth]
+    return _errors(kind, family, truth, n, k, mus, pi, mu=mu, lam=lam, cap=cap)[0]
 
 
 def max_error(
@@ -608,12 +608,12 @@ def max_error(
     pi: Pmf,
     **kwargs,
 ) -> tuple[ErrorProbability, dict[HypothesisId, ErrorProbability]]:
-    """Worst-case error over all truth hypotheses in the family.
+    """Worst-case error over all truth hypotheses in the family, read as its member rows.
 
-    One pass over the type tuples serves every truth; keyword arguments
-    are those of `exact_error`.
+    One pass over the type tuples, or the per-coordinate route, which holds nothing of
+    size H x M, serves every truth (`_errors`); keyword arguments are those of `exact_error`.
     """
-    per = _errors(kind, family, family.hypotheses, n, k, mus, pi, **kwargs)
+    per = dict(zip(family.hypotheses, _errors(kind, family, None, n, k, mus, pi, **kwargs)))
     worst = max(per.values(), key=lambda e: e.log_prob)
     return worst, per
 

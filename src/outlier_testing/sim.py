@@ -28,7 +28,7 @@ from .detectors import (
     null_threshold,
 )
 from .errors import ValidationError
-from .oracle import ExponentFit, LawSpec, _detector_mu, _law_rows, check_laws, exponent_fit
+from .oracle import ExponentFit, LawSpec, _detector_mu, _law_row, _law_table, exponent_fit
 from .simplex import Pmf
 
 RNG_ALGORITHM = "numpy-pcg64-seedsequence"
@@ -61,7 +61,7 @@ class SimConfig:
         if not self.n_grid or any(not isinstance(n, numbers.Integral) or n < 1
                                   for n in self.n_grid):
             raise ValidationError("n grid must hold positive whole sample sizes")
-        check_laws(self.mus, self.pi, self.family.m, self.k)
+        _law_table(self.mus, self.pi, self.family.m, self.k)
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def _cut_points(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, k: int) -> n
 
     A uniform u becomes the symbol #{j < K-1 : u >= cut_j}.
     """
-    laws, rows = _law_rows([truth], mus, pi, m, k)
-    return np.cumsum([law.probs for law in laws], axis=1)[rows[0], : k - 1]
+    laws, row = _law_row(truth, mus, pi, m, k)
+    return np.cumsum([law.probs for law in laws], axis=1)[row, : k - 1]
 
 
 def generate(

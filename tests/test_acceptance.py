@@ -247,6 +247,16 @@ def test_criterion_6_tight_from_exact_errors():
     _report(6, ok, f"tight, n 400..2000: identical {same:+.2e}, distinct {mixed:+.2e} relative")
 
 
+def test_criterion_6_distinct_laws_at_m100():
+    # beside criterion 6: criterion 6's distinct laws, cycled over M=100, give
+    # the paper's known-law limit min_i 2B(mu_i, pi) at n = 400..2000
+    fam = HypothesisFamily.fixed_size(100, 2)
+    mus = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.31, 0.32, 0.31, 0.30) * 20]
+    target = min(2 * bhattacharyya(m, PI) for m in mus)
+    gap = _tight_slope(DetectorKind.TYP_MULTI, fam, Subset((3, 4)), mus) / target - 1
+    _report(6, abs(gap) <= 1e-3, f"distinct laws at M=100, n 400..2000: {gap:+.2e} relative")
+
+
 def test_criterion_7_identical_outlier_unknown_count():
     fam = HypothesisFamily.sized(5, [1, 2])
     cfg = SimConfig(

@@ -597,10 +597,10 @@ class TestPerCoordinateRoute:
         fam = HypothesisFamily.fixed_size(m, extra["t"]) if "t" in extra \
             else HypothesisFamily.single_outlier(m)
         for n in ns:
-            route = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
+            _, route = max_error(kind, fam, n, k, mus, pi, mu=mu)
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "_ranking", lambda *args: None)
-                enum = oracle._errors(kind, fam, fam.hypotheses, n, k, mus, pi, mu=mu)
+                _, enum = max_error(kind, fam, n, k, mus, pi, mu=mu)
             for truth in fam.hypotheses:
                 got, want = route[truth], enum[truth]
                 assert (got.route, want.route) == ("per-coordinate", "enumeration")
@@ -731,6 +731,19 @@ class TestPerCoordinateRoute:
             tracemalloc.stop()
         assert got.route == "per-coordinate" and peak < 16e6
 
+    def test_max_error_peak_memory(self):
+        # tracemalloc peak 26 MB: each truth's laws are read at its member rows'
+        # coordinates, where an (H, M) table of law rows alone would be 800 MB
+        args = (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(10**4), 100, 2, MU, PI)
+        max_error(*args)  # fill the family's cached members and hypotheses
+        tracemalloc.start()
+        try:
+            _, per = max_error(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {e.route for e in per.values()} == {"per-coordinate"} and peak < 48e6
+
     @pytest.mark.parametrize("kind", SINGLE)
     def test_validation_still_raised(self, kind):
         with pytest.raises(ValidationError):  # a generating law without full support
@@ -748,6 +761,15 @@ class TestMaxError:
         worst, per = max_error(DetectorKind.TYP_SINGLE, FAM3, 6, 2, MU, PI)
         assert all(worst.prob >= e.prob - 1e-15 for e in per.values())
         assert worst.prob == max(e.prob for e in per.values())
+
+    def test_truths_are_member_rows(self, monkeypatch):
+        # the truths are the family's member rows: no hypothesis is looked up per truth
+        calls = []
+        index_of = HypothesisFamily.index_of
+        monkeypatch.setattr(HypothesisFamily, "index_of",
+                            lambda fam, h: calls.append(h) or index_of(fam, h))
+        _, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(40, 2), 10, 2, MU, PI)
+        assert len(per) == 780 and calls == []
 
     def test_later_coordinates_lose_ties(self):
         # the earliest-index tie policy shifts tied mass toward low indices,
