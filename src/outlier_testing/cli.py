@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded Monte Carlo error sweep (CSV)")
     add_detector(p, sweep=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed (>= 0); trial t of (truth, n) is block t of the PCG64 "
+                   "stream of SeedSequence((seed, truth index, n))")
     p.add_argument("--truth", required=True, help="'null', a coordinate, or 'i,j,...'")
     p.set_defaults(func=cmd_simulate)
 

@@ -525,8 +525,7 @@ class Scorer:
 
     def column(self, h: HypothesisId) -> int:
         """The score column of family member h, or -1 for NULL."""
-        index = self.family.index_of(h)
-        return -1 if h is NULL else index - self.family.include_null
+        return self.family.index_of(h) - self.family.include_null  # NULL's index is 0
 
     def row_stats(self, counts: np.ndarray, n: int) -> RowStats:
         """Statistics of count rows (..., K) of n samples each."""

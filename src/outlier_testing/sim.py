@@ -1,16 +1,16 @@
 """Seeded Monte Carlo estimation of detector error probabilities.
 
-Covers sample sizes beyond exact enumeration.  Per-trial seeds are
-derived from the master seed and the (truth, n, trial) indices, so
-trials are order-independent and results are bit-stable regardless of
-scheduling.  Every detector reads only the rows' symbol counts, so trials
+Covers sample sizes beyond exact enumeration.  Each (truth, n) has one
+PCG64 stream, seeded by SeedSequence((master seed, truth index, n)), and
+trial t reads block t of it, reached by jumping ahead; so trials are
+order-independent and results are bit-stable regardless of scheduling
+and batch size.  Every detector reads only the rows' symbol counts, so trials
 are kept as a (trials, M, K) count tensor and scored in batches by the
 detectors' kernel.  Confidence intervals are exact Clopper-Pearson, which
 behaves sensibly at the near-zero error rates this package lives in.
 """
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -27,11 +27,11 @@ from .detectors import (
     decide_batch,
     null_threshold,
 )
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .oracle import ExponentFit, LawSpec, _detector_mu, _law_row, _law_table, exponent_fit
 from .simplex import Pmf
 
-RNG_ALGORITHM = "numpy-pcg64-seedsequence"
+RNG_ALGORITHM = "numpy-pcg64-trial-blocks"
 
 #: trials drawn and scored per kernel call, and the most uniforms one call draws
 MC_CHUNK = 256
@@ -56,12 +56,11 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.trials, numbers.Integral) or self.trials < 100:
             raise ValidationError("need a whole number of at least 100 trials per point")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
-        if not self.n_grid or any(not isinstance(n, numbers.Integral) or n < 1
-                                  for n in self.n_grid):
+        if not self.n_grid:
             raise ValidationError("n grid must hold positive whole sample sizes")
         _law_table(self.mus, self.pi, self.family.m, self.k)
+        for n in self.n_grid:  # each stream's entropy, n and trial range pass the sampler's rule
+            _stream_rule((self.seed, 0, n), self.family.m, n, 0, self.trials)
 
 
 @dataclass(frozen=True)
@@ -93,182 +92,89 @@ def _cut_points(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, k: int) -> n
     return np.cumsum([law.probs for law in laws], axis=1)[row, : k - 1]
 
 
-def generate(
-    truth: HypothesisId,
-    mus: LawSpec,
-    pi: Pmf,
-    m: int,
-    n: int,
-    k: int,
-    seed,
-) -> ObservationMatrix:
-    """Draw an observation matrix: outlier rows from their laws, the rest from pi."""
+def _stream_rule(seed, m: int, n, first, count: int = 1) -> None:
+    """The sampler's one input rule, for trials first .. first+count-1 of seed's stream.
+
+    n is a whole number >= 1; seed entropy is a non-negative integer or a
+    non-empty list or tuple of them; trial indices are whole numbers >= 0
+    whose blocks end inside the stream's period, so no trial reads
+    another's draws.
+    """
+    require(isinstance(n, numbers.Integral) and n >= 1,
+            "sample sizes must be whole numbers of at least 1")
+    words = seed if isinstance(seed, (tuple, list)) else (seed,)
+    require(bool(words) and all(isinstance(w, numbers.Integral) and w >= 0 for w in words),
+            "seed entropy must be a non-negative integer or a sequence of them")
+    require(isinstance(first, numbers.Integral) and first >= 0,
+            "trial indices must be whole numbers of at least 0")
+    require((first + count) * m * n <= 1 << 128,  # PCG64's period
+            "trials past the stream's period would repeat earlier draws")
+
+
+def _uniforms(seed, m: int, n: int, first: int, count: int = 1) -> np.ndarray:
+    """Draws [first·M·n, (first+count)·M·n) of seed's PCG64 stream, as (count, M, n).
+
+    Trial t is block t of the stream, its M·n draws in (coordinate, sample)
+    order, reached by `PCG64.advance`: `random` takes one 64-bit output per
+    float64.
+    """
+    _stream_rule(seed, m, n, first, count)
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    bits.advance(first * m * n)
+    return np.random.Generator(bits).random((count, m, n))
+
+
+def generate(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k: int, seed,
+             trial: int = 0) -> ObservationMatrix:
+    """Draw trial `trial`'s observation matrix: outlier rows from their laws, the rest from pi.
+
+    At trial 0 the matrix is `default_rng(SeedSequence(seed)).random((m, n))`
+    cut into symbols.
+    """
     cuts = _cut_points(truth, mus, pi, m, k)
-    u = np.random.default_rng(np.random.SeedSequence(seed)).random((m, n))
+    u = _uniforms(seed, m, n, trial)[0]
     return ObservationMatrix((u[:, :, None] >= cuts[:, None, :]).sum(axis=2), k)
 
 
-def sample_counts(
-    truth: HypothesisId,
-    mus: LawSpec,
-    pi: Pmf,
-    m: int,
-    n: int,
-    k: int,
-    seeds,
-) -> np.ndarray:
-    """Symbol counts (len(seeds), M, K) of the matrices `generate` draws from these seeds.
+def sample_counts(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k: int, seed,
+                  trials: range) -> np.ndarray:
+    """Symbol counts (len(trials), M, K) of the matrices `generate` draws for these trials.
 
-    Seeds are non-negative integers or equal-length tuples of them.  The
-    batch's seeds are expanded together (`_seed_states`), bit-identical to
-    `default_rng(SeedSequence(seed))` for each seed, so every trial draws
-    the uniforms `generate` draws, and they map to symbols by the same cut
-    points: a symbol is at least j+1 exactly when u >= cut_j.  Only the
+    `trials` is a range of consecutive trial indices; their uniforms are one
+    `random` call on seed's stream, and they map to symbols by `generate`'s
+    cut points: a symbol is at least j+1 exactly when u >= cut_j.  Only the
     counts are kept.
     """
     cuts = _cut_points(truth, mus, pi, m, k)
-    u = np.empty((len(seeds), m, n))
-    for rows, states in _seed_states(seeds):
-        for row, state in zip(rows, states):
-            np.random.Generator(np.random.PCG64(_SeedWords(state))).random(out=u[row])
+    require(isinstance(trials, range) and trials.step == 1,
+            "trials must be a range of consecutive trial indices")
+    u = _uniforms(seed, m, n, trials.start, len(trials))
     # at_least[..., j]: samples of each row with symbol >= j
-    at_least = np.zeros((len(seeds), m, k + 1), dtype=np.int64)
+    at_least = np.zeros((len(trials), m, k + 1), dtype=np.int64)
     at_least[..., 0] = n
     for j in range(k - 1):
         at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
     return at_least[..., :-1] - at_least[..., 1:]
 
 
-# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx) at the
-# default pool size, run on uint32 vectors with one entry per seed
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """The multipliers `calls` successive hashmix steps use, as a (calls+1, 1) uint32 column."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    table = np.array(consts, dtype=np.uint32)[:, None]
-    table.flags.writeable = False  # shared by every call
-    return table
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """numpy's hashmix; step j (row j of the result) xors consts[j], multiplies by consts[j+1]."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ (out >> 16)
-
-
-def _pool_words(words: np.ndarray) -> np.ndarray:
-    """`SeedSequence(entropy).generate_state(4, np.uint64)` for every column of `words`.
-
-    `words` is (L, B) uint32, column b holding seed b's entropy words.
-    Every step of numpy's pool hashing runs once on the whole row of B
-    seeds; the hash constants depend on no seed, so they are tabled.
-    """
-    length, batch = words.shape
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
-    pool = np.zeros((_POOL, batch), dtype=np.uint32)
-    pool[: min(length, _POOL)] = words[:_POOL]
-    pool = _hashmix(pool, consts[: _POOL + 1])
-    step = _POOL
-    for src in range(_POOL):
-        # mix a hash of this pool word into each of the others
-        dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[step : step + _POOL]))
-        step += _POOL - 1
-    for word in words[_POOL:]:
-        # entropy past the pool size: mix a hash of each word into every pool word
-        pool = _mix(pool, _hashmix(word, consts[step : step + _POOL + 1]))
-        step += _POOL
-    # generate_state reads the pool twice round for 8 uint32 words, pairs little-endian
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-def _seed_states(seeds):
-    """Each seed's PCG64 state words, as `SeedSequence(seed).generate_state(4, np.uint64)`.
-
-    Yields (rows, states) per group of seeds whose entropy words have one
-    layout: their positions in `seeds` and a (rows, 4) uint64 array.  Each
-    integer splits into little-endian 32-bit words as SeedSequence splits
-    it (0 is one word), the whole batch at once.  Seeds whose integers
-    split into different word counts are hashed apart: padding them to one
-    length would change the hash.
-    """
-    table = np.array(seeds, dtype=object).reshape(len(seeds), -1)
-    if table.min() < 0:
-        raise ValidationError("seeds must be non-negative integers")
-    if table.max() <= _MASK32:  # every integer is one word: the batch has one layout
-        yield np.arange(len(seeds)), _pool_words(table.T.astype(np.uint32))
-        return
-    # words[w][b, c]: word w of integer c of seed b; counts[b, c]: how many it has
-    words = [(table & _MASK32).astype(np.uint32)]
-    counts = np.ones(table.shape, dtype=np.int64)
-    rest = table >> 32
-    while rest.any():
-        counts += rest != 0
-        words.append((rest & _MASK32).astype(np.uint32))
-        rest = rest >> 32
-    for layout in np.unique(counts, axis=0):
-        rows = np.flatnonzero((counts == layout).all(axis=1))
-        entropy = np.stack([words[w][rows, c] for c, used in enumerate(layout)
-                            for w in range(used)])
-        yield rows, _pool_words(entropy)
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands a bit generator its precomputed `generate_state(4, np.uint64)` words.
-
-    PCG64 seeds itself from these exactly as from the SeedSequence they
-    were computed for; it asks for nothing else.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError("precomputed seed words serve generate_state(4, np.uint64) only")
-        return self.words
-
-
-def _trial_seed(master: int, truth_index: int, n: int, trial: int):
-    return (master, truth_index, n, trial)
-
-
 def estimate_error(cfg: SimConfig, truth: HypothesisId, n: int) -> ErrorEstimate:
     """Fraction of seeded trials on which the detector misses the truth.
 
-    Trial i draws its matrix from its own stream, seeded by (seed, truth
-    index, n, i) as `generate` is.  Trials are counted and scored in
-    batches of up to MC_CHUNK, one kernel call per batch; a batch's size
-    changes no trial's decision.
+    Trial i draws its matrix as `generate(..., (seed, truth index, n), i)`
+    does.  Trials are counted and scored in batches of up to MC_CHUNK, one
+    kernel call per batch; a batch's size changes no trial's decision.
     """
     m = cfg.family.m
     truth_index = cfg.family.index_of(truth)
     scorer = Scorer(cfg.kind, cfg.family, cfg.k, mu=_detector_mu(cfg.mu, cfg.mus), pi=cfg.pi)
-    truth_col = scorer.column(truth)
+    truth_col = truth_index - cfg.family.include_null  # as Scorer.column: NULL's is -1
     lam = null_threshold(cfg.kind, cfg.lam, m, n, cfg.k)
     batch = max(1, min(MC_CHUNK, MC_MAX_DRAWS // (m * n)))
+    seed = (cfg.seed, truth_index, n)
     errors = 0
     for start in range(0, cfg.trials, batch):
-        seeds = [_trial_seed(cfg.seed, truth_index, n, trial)
-                 for trial in range(start, min(start + batch, cfg.trials))]
-        counts = sample_counts(truth, cfg.mus, cfg.pi, m, n, cfg.k, seeds)
+        trials = range(start, min(start + batch, cfg.trials))
+        counts = sample_counts(truth, cfg.mus, cfg.pi, m, n, cfg.k, seed, trials)
         decisions = decide_batch(scorer.scores(counts, n), lam)
         errors += int(np.count_nonzero(decisions != truth_col))
     lo, hi = clopper_pearson(errors, cfg.trials)

@@ -12,7 +12,13 @@ import pytest
 
 from outlier_testing import cli, oracle
 from outlier_testing.cli import main
-from outlier_testing.detectors import DetectorKind, HypothesisFamily, ObservationMatrix
+from outlier_testing.detectors import (
+    Coordinate,
+    DetectorKind,
+    HypothesisFamily,
+    ObservationMatrix,
+    run_detector,
+)
 from outlier_testing.exponents import (
     SolverOptions,
     exponent_both_known,
@@ -23,6 +29,8 @@ from outlier_testing.exponents import (
     thm_multi_lower_bound,
 )
 from outlier_testing.oracle import exact_error
+from outlier_testing.sim import generate
+from outlier_testing.simplex import Pmf
 
 
 def run(capsys, *argv):
@@ -481,21 +489,45 @@ class TestSimulateCommand:
 
 
 class TestSimulateStream:
-    """Full stdout of one simulate run per seed, recorded from the per-trial SeedSequence draws."""
+    """Full stdout of one simulate run per seed, each row's error count cross-checked.
+
+    Trial t of truth 1 at n=10 draws `generate(..., (seed, 0, 10), t)`, block t
+    of one PCG64 stream per (seed, truth, n).
+    """
 
     ARGS = ["simulate", "--kind", "univ-single", "--m", "3", "--k", "2", "--n-grid", "10",
             "--trials", "100", "--truth", "1", "--mus", "0.3,0.7", "--pi", "0.7,0.3"]
     HEADER = "n,estimate,ci_lo,ci_hi,errors,trials\n"
-
-    @pytest.mark.parametrize("seed,row", [
-        ("0", "10,0.29,0.203574189251,0.389265958907,29,100\n"),
+    ROWS = [
+        ("0", "10,0.27,0.186066422291,0.368016272909,27,100\n"),
         # a master seed of three 32-bit words
-        ("99999999999999999999999", "10,0.31,0.221288792131,0.41031455416,31,100\n"),
-    ])
+        ("99999999999999999999999", "10,0.3,0.21240642049,0.39981467618,30,100\n"),
+    ]
+
+    @pytest.mark.parametrize("seed,row", ROWS, ids=["seed-0", "seed-3-words"])
     def test_pinned_rows(self, capsys, seed, row):
         code, out, _ = run(capsys, *self.ARGS, "--seed", seed)
         assert code == 0
         assert out == self.HEADER + row
+
+    @pytest.mark.parametrize("seed,row", ROWS, ids=["seed-0", "seed-3-words"])
+    def test_pinned_errors_equal_per_trial_loop(self, seed, row):
+        mu, pi = Pmf(np.array([0.3, 0.7])), Pmf(np.array([0.7, 0.3]))
+        family = HypothesisFamily.single_outlier(3)
+        errors = sum(
+            run_detector(DetectorKind.UNIV_SINGLE,
+                         generate(Coordinate(1), mu, pi, 3, 10, 2, (int(seed), 0, 10), trial),
+                         family=family) != Coordinate(1)
+            for trial in range(100))
+        assert errors == int(row.split(",")[4])
+
+    def test_stdout_is_the_same_in_every_process(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        outs = [subprocess.run(
+            [sys.executable, "-m", "outlier_testing", *self.ARGS, "--seed", self.ROWS[1][0]],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
+            timeout=120, check=True).stdout for hash_seed in ("1", "2")]
+        assert outs[0] == outs[1] == self.HEADER + self.ROWS[1][1]
 
 
 class TestNegativeSeedsAndRestarts:

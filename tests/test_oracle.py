@@ -279,7 +279,7 @@ class TestExactError:
             elif entry == "generate":
                 generate(Coordinate(1), mus, pi, 3, 8, 2, 1)
             elif entry == "sample_counts":
-                sample_counts(Coordinate(1), mus, pi, 3, 8, 2, [1])
+                sample_counts(Coordinate(1), mus, pi, 3, 8, 2, 1, range(1))
             else:
                 SimConfig(kind=kind, family=FAM3, k=2, n_grid=(3,), trials=100, seed=0,
                           mus=mus, pi=pi)

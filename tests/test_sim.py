@@ -146,8 +146,8 @@ class TestEstimates:
 
     def test_seed_changes_stream(self):
         cfg_a, cfg_b = cfg3(), replace(cfg3(), seed=1)
-        a = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_a.seed, 0, 20, 0))
-        b = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_b.seed, 0, 20, 0))
+        a = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_a.seed, 0, 20))
+        b = generate(Coordinate(1), MU, PI, 3, 20, 2, (cfg_b.seed, 0, 20))
         assert not np.array_equal(a.data, b.data)
 
     def test_ci_brackets_estimate(self):
@@ -212,7 +212,7 @@ class TestBatchedMonteCarlo:
         truth_index = family.index_of(truth)
         errors = 0
         for trial in range(cfg.trials):
-            obs = generate(truth, MU3, PI3, family.m, n, 3, (cfg.seed, truth_index, n, trial))
+            obs = generate(truth, MU3, PI3, family.m, n, 3, (cfg.seed, truth_index, n), trial)
             decision = run_detector(kind, obs, mu=MU3, pi=PI3, family=family, lam=cfg.lam)
             errors += outlier_set(decision) != outlier_set(truth) or (decision is NULL) != (
                 truth is NULL)
@@ -223,17 +223,27 @@ class TestBatchedMonteCarlo:
     def test_counts_are_bincounts_of_generate(self):
         # a law whose cumulative sum rounds below 1 exercises the cap at K-1
         skewed = Pmf(np.array([0.1, 0.2, 0.7 - 1e-10, 1e-10]))
-        batches = [
-            [(3, 1, 9, trial) for trial in range(50)],
-            [(2**64 + 7, 1, 9, trial) for trial in range(20)],  # a three-word master
-            [(0, 0, 1, 0), (2**40, 0, 1, 1)],  # entropy of four and of five words
+        runs = [
+            ((3, 1, 9), range(0, 50)),
+            ((2**64 + 7, 1, 9), range(5, 25)),  # a three-word master
+            (2**40, range(7, 9)),  # a plain two-word integer
         ]
-        for seeds in batches:
-            counts = sample_counts(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seeds)
-            assert counts.shape == (len(seeds), 4, 4)
-            for seed, c in zip(seeds, counts):
-                data = generate(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed).data
+        for seed, trials in runs:
+            counts = sample_counts(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed,
+                                   trials)
+            assert counts.shape == (len(trials), 4, 4)
+            for trial, c in zip(trials, counts):
+                data = generate(Coordinate(2), skewed, Pmf(np.full(4, 0.25)), 4, 9, 4, seed,
+                                trial).data
                 assert np.array_equal(c, [np.bincount(row, minlength=4) for row in data])
+
+    def test_trial_depends_only_on_seed_truth_n_and_index(self):
+        # trial t's counts are the same whichever range of trials draws them
+        seed = (5, 2, 8)
+        whole = sample_counts(Coordinate(3), MU3, PI3, 5, 8, 3, seed, range(0, 40))
+        for trials in (range(17, 18), range(3, 40), range(39, 40), range(20, 33)):
+            part = sample_counts(Coordinate(3), MU3, PI3, 5, 8, 3, seed, trials)
+            assert np.array_equal(part, whole[trials.start:trials.stop])
 
     def test_batch_size_changes_nothing(self, monkeypatch):
         cfg = cfg3(kind=DetectorKind.UNIV_SINGLE, trials=300)
@@ -242,47 +252,99 @@ class TestBatchedMonteCarlo:
         assert estimate_error(cfg, Coordinate(3), 7) == whole
 
 
-def expanded(seeds):
-    """The batch seed expansion, reassembled in the order of `seeds`."""
-    states = np.zeros((len(seeds), 4), dtype=np.uint64)
-    for rows, group in sim._seed_states(seeds):
-        states[rows] = group
-    return states
+def symbols(u, laws):
+    """Cut uniforms (..., M, n) into symbols by each coordinate's law, by searchsorted."""
+    cuts = [np.cumsum(law.probs)[:-1] for law in laws]
+    return np.stack([np.searchsorted(c, u[..., i, :], side="right")
+                     for i, c in enumerate(cuts)], axis=-2)
 
 
-def numpy_states(seeds):
-    return np.stack([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+class TestStreamReference:
+    """The stream layout against one plain numpy draw per seed, with no jumping ahead.
+
+    Trial t is block t of `default_rng(SeedSequence(seed)).random((T, M, n))`,
+    so its counts are that block's bincounts under the coordinates' laws.
+    """
+
+    LAWS = {
+        2: (Pmf(np.array([0.3, 0.7])), Pmf(np.array([0.7, 0.3]))),
+        3: (MU3, PI3),
+        4: (Pmf(np.array([0.1, 0.2, 0.3, 0.4])), Pmf(np.array([0.4, 0.3, 0.2, 0.1]))),
+    }
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [
+        (7, 1, 6),  # a one-word master
+        (2**64 + 3, 0, 6),  # a three-word master
+        (10**23, 2, 6),  # a three-word master, every word in use
+        11,  # a plain integer
+        2**70,  # a plain three-word integer
+    ])
+    def test_trials_are_blocks_of_one_draw(self, k, seed):
+        mu, pi = self.LAWS[k]
+        m, n, trials = 4, 6, range(3, 21)
+        truth = Coordinate(2)
+        u = np.random.default_rng(np.random.SeedSequence(seed)).random((trials.stop, m, n))
+        ref = symbols(u, [pi, mu, pi, pi])
+        want = np.stack([[np.bincount(row, minlength=k) for row in block] for block in ref])
+        counts = sample_counts(truth, mu, pi, m, n, k, seed, trials)
+        assert np.array_equal(counts, want[trials.start:])
+        for t in (trials.start, 11, trials.stop - 1):
+            assert np.array_equal(generate(truth, mu, pi, m, n, k, seed, t).data, ref[t])
 
 
-class TestSeedExpansion:
-    """The batch expansion of trial seeds against numpy's own SeedSequence, seed by seed."""
+class TestStreamRule:
+    """Whole n >= 1, whole trial indices >= 0 and non-negative integer seed entropy.
 
-    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 1, 10**23])
-    def test_edge_masters(self, master):
-        # 2**64 + 1 and 10**23 give entropy longer than the 4-word pool
-        seeds = [(master, truth, n, trial) for truth in (0, 2) for n in (1, 40)
-                 for trial in (0, 1, 99)]
-        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+    Every entry point raises ValidationError on a breach, before drawing.
+    """
 
-    def test_random_tuples_in_one_batch(self):
-        # one batch of mixed entropy lengths: the expansion groups them, never pads
-        rng = np.random.default_rng(404)
-        seeds = []
-        for _ in range(200):
-            master = int(rng.integers(0, 2**32)) << int(rng.choice([0, 0, 16, 40, 70]))
-            seeds.append((master, int(rng.integers(0, 20)), int(rng.integers(1, 500)),
-                          int(rng.integers(0, 2**33))))
-        entropy_words = {sum(max(1, -(-v.bit_length() // 32)) for v in s) for s in seeds}
-        assert len(entropy_words) > 2
-        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+    BAD = [
+        ({"n": 0}, "sample sizes"),
+        ({"n": -1}, "sample sizes"),
+        ({"n": 1.5}, "sample sizes"),
+        ({"seed": -1}, "seed entropy"),
+        ({"seed": 1.5}, "seed entropy"),
+        ({"seed": (1, 0, 5, -1)}, "seed entropy"),
+        ({"seed": ()}, "seed entropy"),
+        ({"seed": ((1, 2), 3)}, "seed entropy"),
+        ({"trial": -1}, "trial indices"),
+        ({"trial": 1.5}, "trial indices"),
+        ({"trial": 2**128}, "period"),
+    ]
 
-    def test_plain_integer_seeds(self):
-        seeds = [0, 5, 2**32, 2**200]
-        assert np.array_equal(expanded(seeds), numpy_states(seeds))
+    @pytest.mark.parametrize("bad,message", BAD)
+    def test_generate(self, bad, message):
+        args = {"n": 5, "seed": 3, "trial": 0, **bad}
+        with pytest.raises(ValidationError, match=message):
+            generate(Coordinate(1), MU, PI, 3, args["n"], 2, args["seed"], args["trial"])
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValidationError):
-            expanded([(1, 0, 5, 0), (1, 0, 5, -1)])
+    @pytest.mark.parametrize("bad,message", [
+        *((bad, message) for bad, message in BAD if "trial" not in bad),
+        ({"trials": range(-1, 3)}, "trial indices"),
+        ({"trials": range(0, 6, 2)}, "range of consecutive"),
+        ({"trials": [0, 1, 2]}, "range of consecutive"),
+        ({"trials": range(2**126, 2**126 + 1)}, "period"),
+    ])
+    def test_sample_counts(self, bad, message):
+        args = {"n": 5, "seed": 3, "trials": range(4), **bad}
+        with pytest.raises(ValidationError, match=message):
+            sample_counts(Coordinate(1), MU, PI, 3, args["n"], 2, args["seed"], args["trials"])
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"n_grid": (0,)}, "sample sizes"),
+        ({"n_grid": (10, -1)}, "sample sizes"),
+        ({"seed": -1}, "seed entropy"),
+        ({"seed": 1.5}, "seed entropy"),
+        ({"seed": (1, 2)}, "seed entropy"),
+    ])
+    def test_sim_config(self, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            cfg3(**bad)
+
+    def test_empty_range_draws_nothing(self):
+        counts = sample_counts(Coordinate(1), MU, PI, 3, 5, 2, 3, range(9, 9))
+        assert counts.shape == (0, 3, 2)
 
 
 class TestExponentSweep:
