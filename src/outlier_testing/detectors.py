@@ -60,6 +60,13 @@ class Subset:
             raise ValidationError("subset must be a nonempty set of 1-based coordinates")
         object.__setattr__(self, "members", m)
 
+    @classmethod
+    def _of_sorted(cls, members: tuple[int, ...]) -> "Subset":
+        """The Subset of members already sorted, distinct and >= 1, built without re-checking."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "members", members)
+        return h
+
     def __str__(self):
         return "subset {" + ",".join(map(str, self.members)) + "}"
 
@@ -140,8 +147,9 @@ class HypothesisFamily:
     def hypotheses(self) -> tuple[HypothesisId, ...]:
         if self.sizes == (1,):
             hyps = [Coordinate(i) for i in range(1, self.m + 1)]
-        else:
-            hyps = [Subset(tuple(s)) for cols in self.members for s in (cols + 1).tolist()]
+        else:  # member rows come from `combinations`: sorted, distinct and in range
+            hyps = [Subset._of_sorted(s) for cols in self.members
+                    for s in map(tuple, (cols + 1).tolist())]
         return (NULL,) * self.include_null + tuple(hyps)
 
     def index_of(self, h: HypothesisId) -> int:

@@ -56,8 +56,9 @@ from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
-#: keys (H x tuples) in an enumeration chunk, or terms (truths x t x V) in a route batch: 32 MB,
-#: traced peaks 58 MB (typ-multi M=14, T=4) and 105 MB (`max_error` ml-single M=10^4, n=1000)
+#: keys (H x tuples) in an enumeration chunk, terms (truths x t x V) in a route batch, or
+#: scores (H x trials) in a Monte Carlo batch: 32 MB, traced peaks 58 MB (typ-multi M=14,
+#: T=4) and 105 MB (`max_error` ml-single M=10^4, n=1000)
 KEY_BUDGET = 1 << 22
 #: entries in one of `_block_keys`' pooled-entropy tables; past it the kernel scores every tuple
 ROUTE_MAX_TERMS = 1 << 21
@@ -149,6 +150,14 @@ def _law_table(mus: LawSpec, pi: Pmf, m: int, k: Optional[int] = None):
     return laws, outlier_row
 
 
+def _outlier_coords(truth: HypothesisId, m: int, laws) -> np.ndarray:
+    """A truth's outlier coordinates, zero-based and ascending, checked against M and the laws."""
+    coord = np.array(sorted(outlier_set(truth)), dtype=np.int64) - 1
+    require(not coord.size or coord[-1] < m, "truth names a coordinate beyond M")
+    require(not coord.size or len(laws) > 1, "outlier truth requires outlier laws")
+    return coord
+
+
 def _law_row(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int,
              k: Optional[int] = None) -> tuple[list[Pmf], np.ndarray]:
     """The laws in use under a truth, pi first, and each coordinate's row (M,) in them.
@@ -156,9 +165,7 @@ def _law_row(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int,
     A coordinate takes its outlier law inside the truth's outlier set, pi outside it.
     """
     laws, outlier_row = _law_table(mus, pi, m, k)
-    coord = np.array(sorted(outlier_set(truth)), dtype=np.int64) - 1
-    require(not coord.size or coord[-1] < m, "truth names a coordinate beyond M")
-    require(not coord.size or len(laws) > 1, "outlier truth requires outlier laws")
+    coord = _outlier_coords(truth, m, laws)
     used, rank = np.unique(outlier_row[coord], return_inverse=True)
     row = np.zeros(m, dtype=np.int64)
     row[coord] = rank + 1  # row 0 is pi's

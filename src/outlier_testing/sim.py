@@ -2,7 +2,8 @@
 
 Covers sample sizes beyond exact enumeration.  Each (truth, n) has one
 PCG64 stream, seeded by SeedSequence((master seed, truth index, n)), and
-trial t reads block t of it, reached by jumping ahead; so trials are
+trial t reads block t of it; an estimate reads the blocks batch after
+batch, and a single trial is reached by jumping ahead.  So trials are
 order-independent and results are bit-stable regardless of scheduling
 and batch size.  Every detector reads only the rows' symbol counts, so trials
 are kept as a (trials, M, K) count tensor and scored in batches by the
@@ -12,7 +13,7 @@ behaves sensibly at the near-zero error rates this package lives in.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,13 +29,20 @@ from .detectors import (
     null_threshold,
 )
 from .errors import ValidationError, require
-from .oracle import ExponentFit, LawSpec, _detector_mu, _law_row, _law_table, exponent_fit
+from .oracle import (
+    KEY_BUDGET,
+    ExponentFit,
+    LawSpec,
+    _detector_mu,
+    _law_table,
+    _outlier_coords,
+    exponent_fit,
+)
 from .simplex import Pmf
 
 RNG_ALGORITHM = "numpy-pcg64-trial-blocks"
 
-#: trials drawn and scored per kernel call, and the most uniforms one call draws
-MC_CHUNK = 256
+#: the most uniforms one batch of trials draws
 MC_MAX_DRAWS = 1 << 20
 
 
@@ -52,13 +60,15 @@ class SimConfig:
     pi: Pmf = None  # required: None is rejected
     mu: Optional[Pmf] = None  # detector-side outlier law, when the kind uses one
     lam: Optional[float] = None  # None = the vanishing default threshold
+    #: `_law_table`'s (laws, outlier_row) of mus and pi, resolved once here
+    law_table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.trials, numbers.Integral) or self.trials < 100:
             raise ValidationError("need a whole number of at least 100 trials per point")
         if not self.n_grid:
             raise ValidationError("n grid must hold positive whole sample sizes")
-        _law_table(self.mus, self.pi, self.family.m, self.k)
+        object.__setattr__(self, "law_table", _law_table(self.mus, self.pi, self.family.m, self.k))
         for n in self.n_grid:  # each stream's entropy, n and trial range pass the sampler's rule
             _stream_rule((self.seed, 0, n), self.family.m, n, 0, self.trials)
 
@@ -76,19 +86,26 @@ class ErrorEstimate:
 
 def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for an error count: beta quantiles, by betaincinv."""
-    if not 0 <= errors <= trials or trials < 1:
-        raise ValidationError("need 0 <= errors <= trials")
+    require(all(isinstance(v, numbers.Integral) for v in (errors, trials)),
+            "errors and trials must be whole numbers")
+    require(0 <= errors <= trials and trials >= 1, "need 0 <= errors <= trials")
+    require(isinstance(alpha, numbers.Real) and 0 < alpha < 1, "alpha must lie in (0, 1)")
     lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
     hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
     return lo, hi
 
 
-def _cut_points(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, k: int) -> np.ndarray:
+def _cut_points(truth: HypothesisId, table, m: int, k: int) -> np.ndarray:
     """The first K-1 cumulative sums (M, K-1) of each coordinate's law under a truth.
 
-    A uniform u becomes the symbol #{j < K-1 : u >= cut_j}.
+    ``table`` is `_law_table`'s (laws, outlier_row): a coordinate takes its
+    outlier law inside the truth's outlier set, pi outside it.  A uniform u
+    becomes the symbol #{j < K-1 : u >= cut_j}.
     """
-    laws, row = _law_row(truth, mus, pi, m, k)
+    laws, outlier_row = table
+    coord = _outlier_coords(truth, m, laws)
+    row = np.zeros(m, dtype=np.int64)
+    row[coord] = outlier_row[coord]
     return np.cumsum([law.probs for law in laws], axis=1)[row, : k - 1]
 
 
@@ -111,17 +128,34 @@ def _stream_rule(seed, m: int, n, first, count: int = 1) -> None:
             "trials past the stream's period would repeat earlier draws")
 
 
-def _uniforms(seed, m: int, n: int, first: int, count: int = 1) -> np.ndarray:
-    """Draws [first·M·n, (first+count)·M·n) of seed's PCG64 stream, as (count, M, n).
+def _stream(seed, m: int, n: int, first: int, count: int = 1) -> np.random.Generator:
+    """seed's PCG64 stream at trial `first`, for trials first .. first+count-1.
 
-    Trial t is block t of the stream, its M·n draws in (coordinate, sample)
-    order, reached by `PCG64.advance`: `random` takes one 64-bit output per
-    float64.
+    Trial t is block t of the stream, its M·n draws [t·M·n, (t+1)·M·n) in
+    (coordinate, sample) order: `random` takes one 64-bit output per
+    float64, so `PCG64.advance` reaches a trial and consecutive `random`
+    calls read consecutive blocks.
     """
     _stream_rule(seed, m, n, first, count)
     bits = np.random.PCG64(np.random.SeedSequence(seed))
     bits.advance(first * m * n)
-    return np.random.Generator(bits).random((count, m, n))
+    return np.random.Generator(bits)
+
+
+def _count_batch(stream: np.random.Generator, cuts: np.ndarray, n: int,
+                 count: int) -> np.ndarray:
+    """Symbol counts (count, M, K) of the stream's next `count` trials, cut by `cuts` (M, K-1).
+
+    A symbol is at least j+1 exactly when u >= cut_j; only the counts are kept.
+    """
+    m, k = cuts.shape[0], cuts.shape[1] + 1
+    u = stream.random((count, m, n))
+    # at_least[..., j]: samples of each row with symbol >= j
+    at_least = np.zeros((count, m, k + 1), dtype=np.int64)
+    at_least[..., 0] = n
+    for j in range(k - 1):
+        at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
+    return at_least[..., :-1] - at_least[..., 1:]
 
 
 def generate(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k: int, seed,
@@ -131,8 +165,8 @@ def generate(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k: int,
     At trial 0 the matrix is `default_rng(SeedSequence(seed)).random((m, n))`
     cut into symbols.
     """
-    cuts = _cut_points(truth, mus, pi, m, k)
-    u = _uniforms(seed, m, n, trial)[0]
+    cuts = _cut_points(truth, _law_table(mus, pi, m, k), m, k)
+    u = _stream(seed, m, n, trial).random((m, n))
     return ObservationMatrix((u[:, :, None] >= cuts[:, None, :]).sum(axis=2), k)
 
 
@@ -140,41 +174,37 @@ def sample_counts(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k:
                   trials: range) -> np.ndarray:
     """Symbol counts (len(trials), M, K) of the matrices `generate` draws for these trials.
 
-    `trials` is a range of consecutive trial indices; their uniforms are one
-    `random` call on seed's stream, and they map to symbols by `generate`'s
-    cut points: a symbol is at least j+1 exactly when u >= cut_j.  Only the
-    counts are kept.
+    `trials` is a range of consecutive trial indices: one batch, read from
+    seed's stream at trial `trials.start` and cut by `generate`'s cut points.
     """
-    cuts = _cut_points(truth, mus, pi, m, k)
+    cuts = _cut_points(truth, _law_table(mus, pi, m, k), m, k)
     require(isinstance(trials, range) and trials.step == 1,
             "trials must be a range of consecutive trial indices")
-    u = _uniforms(seed, m, n, trials.start, len(trials))
-    # at_least[..., j]: samples of each row with symbol >= j
-    at_least = np.zeros((len(trials), m, k + 1), dtype=np.int64)
-    at_least[..., 0] = n
-    for j in range(k - 1):
-        at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
-    return at_least[..., :-1] - at_least[..., 1:]
+    return _count_batch(_stream(seed, m, n, trials.start, len(trials)), cuts, n, len(trials))
 
 
 def estimate_error(cfg: SimConfig, truth: HypothesisId, n: int) -> ErrorEstimate:
     """Fraction of seeded trials on which the detector misses the truth.
 
     Trial i draws its matrix as `generate(..., (seed, truth index, n), i)`
-    does.  Trials are counted and scored in batches of up to MC_CHUNK, one
-    kernel call per batch; a batch's size changes no trial's decision.
+    does.  The laws come from `cfg.law_table` and the stream is set up
+    once; trials are then counted and scored batch after batch, one kernel
+    call per batch.  A batch is the largest run of trials whose uniforms
+    fit in MC_MAX_DRAWS and whose (trials, H) scores fit in KEY_BUDGET; its
+    size changes no trial's decision.
     """
-    m = cfg.family.m
+    m, k = cfg.family.m, cfg.k
     truth_index = cfg.family.index_of(truth)
-    scorer = Scorer(cfg.kind, cfg.family, cfg.k, mu=_detector_mu(cfg.mu, cfg.mus), pi=cfg.pi)
+    scorer = Scorer(cfg.kind, cfg.family, k, mu=_detector_mu(cfg.mu, cfg.mus), pi=cfg.pi)
     truth_col = truth_index - cfg.family.include_null  # as Scorer.column: NULL's is -1
-    lam = null_threshold(cfg.kind, cfg.lam, m, n, cfg.k)
-    batch = max(1, min(MC_CHUNK, MC_MAX_DRAWS // (m * n)))
-    seed = (cfg.seed, truth_index, n)
+    cuts = _cut_points(truth, cfg.law_table, m, k)
+    stream = _stream((cfg.seed, truth_index, n), m, n, 0, cfg.trials)
+    lam = null_threshold(cfg.kind, cfg.lam, m, n, k)
+    width = sum(map(len, cfg.family.members))  # H score columns
+    batch = max(1, min(MC_MAX_DRAWS // (m * n), KEY_BUDGET // width))
     errors = 0
     for start in range(0, cfg.trials, batch):
-        trials = range(start, min(start + batch, cfg.trials))
-        counts = sample_counts(truth, cfg.mus, cfg.pi, m, n, cfg.k, seed, trials)
+        counts = _count_batch(stream, cuts, n, min(batch, cfg.trials - start))
         decisions = decide_batch(scorer.scores(counts, n), lam)
         errors += int(np.count_nonzero(decisions != truth_col))
     lo, hi = clopper_pearson(errors, cfg.trials)

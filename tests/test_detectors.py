@@ -2,6 +2,7 @@
 import math
 import re
 import tempfile
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -65,6 +66,23 @@ class TestHypothesisFamily:
         assert [outlier_set(h) for h in fam.hypotheses[1:]] == [
             frozenset({1}), frozenset({2}), frozenset({3})
         ]
+
+    @pytest.mark.parametrize("m,sizes,include_null", [
+        (5, (2,), False), (7, (1, 3), True), (12, (3,), False), (9, (1, 2, 4), False),
+    ])
+    def test_subsets_equal_the_checked_construction(self, m, sizes, include_null):
+        fam = HypothesisFamily.sized(m, sizes, include_null)
+        want = (NULL,) * include_null + tuple(
+            Subset(tuple(reversed(c))) for k in sizes for c in combinations(range(1, m + 1), k))
+        assert fam.hypotheses == want
+        assert list(map(hash, fam.hypotheses)) == list(map(hash, want))
+        assert all(type(h.members) is tuple and all(type(c) is int for c in h.members)
+                   for h in fam.hypotheses[include_null:])
+
+    @pytest.mark.parametrize("members", [(), (2, 2), (0, 3), (-1, 2)])
+    def test_public_subset_still_checks(self, members):
+        with pytest.raises(ValidationError):
+            Subset(members)
 
     def test_sized_orders_by_size_then_lex(self):
         fam = HypothesisFamily.sized(5, [2, 1])

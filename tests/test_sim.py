@@ -19,7 +19,6 @@ from outlier_testing.errors import ValidationError
 from outlier_testing import oracle
 from outlier_testing.oracle import exact_error
 from outlier_testing.sim import (
-    MC_CHUNK,
     SimConfig,
     clopper_pearson,
     estimate_error,
@@ -106,6 +105,18 @@ class TestClopperPearson:
                                   else beta.ppf(alpha / 2, errors, trials - errors + 1))
                     assert hi == (1.0 if errors == trials
                                   else beta.ppf(1 - alpha / 2, errors + 1, trials - errors))
+
+    @pytest.mark.parametrize("errors,trials,alpha", [
+        (5, 100, 1.5), (5, 100, -0.1), (5, 100, float("nan")), (5, 100, 0.0), (5, 100, 1.0),
+        (5, 100, "0.05"), (2.5, 100, 0.05), (5, 100.5, 0.05), (5.0, 100, 0.05),
+    ])
+    def test_rejects_bad_inputs(self, errors, trials, alpha):
+        with pytest.raises(ValidationError):
+            clopper_pearson(errors, trials, alpha)
+
+    def test_numpy_integers_are_whole_numbers(self):
+        assert clopper_pearson(np.int64(5), np.int64(100), np.float64(0.05)) == \
+            clopper_pearson(5, 100)
 
     def test_nominal_coverage_on_synthetic_bernoulli(self):
         rng = np.random.default_rng(21)
@@ -196,10 +207,16 @@ BATCH_CASES = [
 ]
 
 
+def force_batches(monkeypatch, m, n, batch):
+    """Make `estimate_error` batch `batch` trials at a time at this M and n, by MC_MAX_DRAWS."""
+    monkeypatch.setattr(sim, "MC_MAX_DRAWS", batch * m * n + m * n - 1)
+
+
 class TestBatchedMonteCarlo:
     """The count-batch simulator against a per-trial loop of generate + run_detector."""
 
-    TRIALS = MC_CHUNK + 44  # not a multiple of the batch size
+    TRIALS = 300
+    BATCH = 63  # five batches of 300 trials, the last one short
 
     @pytest.mark.parametrize("kind,family,truth,extra", BATCH_CASES,
                              ids=[case[0].value for case in BATCH_CASES])
@@ -207,6 +224,7 @@ class TestBatchedMonteCarlo:
         n = 6
         for module in (oracle, sim):  # the simulator resolves its laws without per-truth lists
             monkeypatch.setattr(module, "coordinate_laws", refuse_law_lists, raising=False)
+        force_batches(monkeypatch, family.m, n, self.BATCH)
         cfg = SimConfig(kind=kind, family=family, k=3, n_grid=(n,), trials=self.TRIALS,
                         seed=11, mus=MU3, pi=PI3, **extra)
         truth_index = family.index_of(truth)
@@ -247,9 +265,70 @@ class TestBatchedMonteCarlo:
 
     def test_batch_size_changes_nothing(self, monkeypatch):
         cfg = cfg3(kind=DetectorKind.UNIV_SINGLE, trials=300)
-        whole = estimate_error(cfg, Coordinate(3), 7)
-        monkeypatch.setattr(sim, "MC_CHUNK", 7)
-        assert estimate_error(cfg, Coordinate(3), 7) == whole
+        whole = estimate_error(cfg, Coordinate(3), 7)  # one batch
+        for batch in (1, 7, 64, 299):  # uneven batches: 300 is no multiple of these
+            force_batches(monkeypatch, 3, 7, batch)
+            assert estimate_error(cfg, Coordinate(3), 7) == whole, batch
+
+    @pytest.mark.parametrize("kind,family,truth,extra", BATCH_CASES,
+                             ids=[case[0].value for case in BATCH_CASES])
+    def test_setup_is_paid_once_per_call(self, monkeypatch, kind, family, truth, extra):
+        # the laws come from the config's table and every batch reads one PCG64 stream
+        n = 6
+        cfg = SimConfig(kind=kind, family=family, k=3, n_grid=(n,), trials=self.TRIALS,
+                        seed=11, mus=MU3, pi=PI3, **extra)
+        calls = {"laws": 0, "pcg64": 0, "batches": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (oracle, sim):
+            for name in ("_law_table", "_law_row"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted("laws", getattr(module, name)))
+        monkeypatch.setattr(sim, "_count_batch", counted("batches", sim._count_batch))
+
+        class CountedPCG64(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                calls["pcg64"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+        force_batches(monkeypatch, family.m, n, self.BATCH)
+        estimate_error(cfg, truth, n)
+        assert calls == {"laws": 0, "pcg64": 1, "batches": 5}
+
+    def test_batches_fit_the_score_budget(self, monkeypatch):
+        # univ-multi at M=300, T=2 scores 44,850 members: KEY_BUDGET sets the batch, not the draws
+        family = HypothesisFamily.fixed_size(300, 2)
+        cfg = SimConfig(kind=DetectorKind.UNIV_MULTI, family=family, k=2, n_grid=(2,),
+                        trials=100, seed=3, mus=MU, pi=PI)
+        sizes = []
+        count_batch = sim._count_batch
+        monkeypatch.setattr(sim, "_count_batch",
+                            lambda *args: sizes.append(args[3]) or count_batch(*args))
+        estimate_error(cfg, Subset((1, 2)), 2)
+        batch = oracle.KEY_BUDGET // 44_850
+        assert batch * 600 < sim.MC_MAX_DRAWS and sizes == [batch, 100 - batch]
+
+    def test_outlier_truth_without_outlier_laws_rejected(self):
+        cfg = cfg3(mus=None)
+        with pytest.raises(ValidationError, match="outlier laws"):
+            estimate_error(cfg, Coordinate(1), 10)
+
+    def test_truth_outside_the_family_rejected(self):
+        with pytest.raises(ValidationError, match="not in the family"):
+            estimate_error(cfg3(), Coordinate(4), 10)
+
+    def test_sample_size_off_the_grid_obeys_the_stream_rule(self):
+        cfg = cfg3()
+        assert estimate_error(cfg, Coordinate(1), 13).trials == cfg.trials  # 13 is off the grid
+        for n in (0, -1, 1.5):
+            with pytest.raises(ValidationError, match="sample sizes"):
+                estimate_error(cfg, Coordinate(1), n)
 
 
 def symbols(u, laws):
