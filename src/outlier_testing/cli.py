@@ -262,9 +262,14 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `outliertest` parser, built once per process: parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `outliertest` parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="outliertest",
         description="Outlier hypothesis tests, error exponents, and exact error sweeps.",
@@ -334,11 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="'null', a coordinate, or 'i,j,...'")
     p.set_defaults(func=cmd_simulate)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse ``argv`` as the top-level parser does.
+
+    An argv that starts with a subcommand goes straight to that subcommand's
+    parser, which is the one the top-level parser would hand the rest to;
+    arguments it does not know are reported by the top-level parser, as there.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = _parsers()
+    if not argv or argv[0] not in subcommands:
+        return parser.parse_args(argv)
+    args, extras = subcommands[argv[0]].parse_known_args(argv[1:],
+                                                         argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         # the library takes lam = inf (always NULL), but JSON has no infinity
         lam = getattr(args, "lam", None)

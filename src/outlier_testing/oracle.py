@@ -25,15 +25,22 @@ kinds read from entropy tables of pooled integer counts.  Rounding certificates
 (`_sum_slack`, `_key_slack`) show that keys farther apart than a slack rank
 as the scores do; tuples whose best two keys, or whose key spread and
 lambda, lie within it go to the kernel, so ties are the kernel's too.
-Probabilities accumulate in log space.  A full-sequence brute force (all
-K^(Mn) raw sequences, each run through `run_detector`) cross-checks both
-routes and the type-class weights at tiny sizes.
+The last coordinate runs fastest, so a run of tuples, one per type of the
+last coordinate, shares its first M - 1 types: a truth's wrong mass in a
+run is the run's weight, summed once in log space, times one product of
+the run's wrong mask with the last coordinate's type probabilities, in
+linear space and scaled band by band so that none underflows
+(`_enumerated_errors`).  Runs, chunks and the per-coordinate route's terms
+accumulate in log space.  A full-sequence brute force (all K^(Mn) raw
+sequences, each run through `run_detector`) cross-checks both routes and
+the type-class weights at tiny sizes.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain, combinations, count, product
+from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -63,6 +70,7 @@ KEY_BUDGET = 1 << 22
 #: entries in one of `_block_keys`' pooled-entropy tables; past it the kernel scores every tuple
 ROUTE_MAX_TERMS = 1 << 21
 _LOG_HALF = -math.log(2)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 LawSpec = Union[Pmf, Sequence[Pmf], None]
 
@@ -88,18 +96,24 @@ class TypeClassTable:
 
 def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTable:
     """Enumerate the C(n+K-1, K-1) empirical types of length-n sequences."""
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise ValidationError(f"n and K must be whole numbers, got n={n!r}, K={k!r}") from None
     if n < 1 or k < 2:
         raise ValidationError("need n >= 1 and K >= 2")
     require(cap >= 1, f"the cap must be at least 1, got {cap}")
     total = math.comb(n + k - 1, k - 1)
     if total > cap:
         raise EnumerationCapError(f"{total} types exceeds cap {cap}")
-    # stars and bars: K-1 bar positions among n+K-1 slots, reversed so that
-    # the first count runs from n down to 0
+    # stars and bars: K-1 bar positions among n+K-1 slots, between the edges -1
+    # and n+K-1, rows reversed so that the first count runs from n down to 0
     slots = n + k - 1
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
-                       dtype=np.int64, count=total * (k - 1)).reshape(total, k - 1)[::-1]
-    rows = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    bars = np.empty((total, k + 1), dtype=np.int64)
+    bars[:, 0], bars[:, -1] = -1, slots
+    bars[::-1, 1:-1] = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
+                                   dtype=np.int64, count=total * (k - 1)).reshape(total, k - 1)
+    rows = np.diff(bars, axis=1) - 1
     log_mult = gammaln(n + 1) - gammaln(rows + 1).sum(axis=1)
     return TypeClassTable(n, k, rows, log_mult)
 
@@ -224,7 +238,8 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
     A chunk holds ``chunk`` tuples, or fewer when H keys per tuple would
     pass KEY_BUDGET.  In radix order a block of T^tail consecutive tuples
     shares its first M - tail coordinates (its head); tail < M is the
-    largest with T^(tail+1) <= chunk / 8.  A chunk starts ``lo`` tuples
+    largest with T^tail <= chunk / 8, and at least 1, so that a block holds
+    whole runs of the last coordinate.  A chunk starts ``lo`` tuples
     into the blocks of heads ``head_idx`` (rows, M - tail); each yield is
     (head_idx, lo, decided columns (b,), -1 for NULL).  ``stats`` are the
     kernel's statistics of every type.  Only near tuples get type indices
@@ -236,7 +251,7 @@ def _block_decisions(scorer: Scorer, table: TypeClassTable, stats, lam: Optional
         raise ValidationError("lambda must be >= 0 and not NaN")
     m, n_types = scorer.m, table.size
     chunk = max(1, min(chunk, KEY_BUDGET // sum(map(len, scorer.family.members))))
-    tail = 0
+    tail = 1
     while tail < m - 1 and n_types ** (tail + 1) <= chunk // 8:
         tail += 1
     block = n_types**tail
@@ -269,12 +284,14 @@ def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float], exact: b
     ``exact`` keys (known-law sums) that are bit-equal score bit-equal, so
     there only a close key that differs from the smallest makes a tuple near.
     """
+    h = len(key)
+    small = np.min_scalar_type(h)  # counts and ranks of close keys, 1..H
     low = key.min(axis=0)
     close = key <= low + slack
-    near = (close & (key != low)).any(axis=0) if exact else close.sum(axis=0) > 1
+    near = (close & (key != low)).any(axis=0) if exact else close.sum(axis=0, dtype=small) > 1
     # the first close column, by a reduce over axis 0: the decision wherever not near
-    first = np.arange(len(key), 0, -1, dtype=np.int32)[:, None] * close
-    decision = len(key) - first.max(axis=0)
+    first = np.arange(h, 0, -1, dtype=small)[:, None] * close
+    decision = np.subtract(h, first.max(axis=0), dtype=np.int64)
     if lam is not None:
         spread = key.max(axis=0) - low
         near |= np.abs(spread - lam) <= slack
@@ -288,17 +305,19 @@ def _add_left(terms: list):
 
 
 def _on_block(values: Sequence[np.ndarray], head_idx: np.ndarray) -> list[np.ndarray]:
-    """Per-type arrays ``values`` (T,), one per coordinate, laid over radix blocks.
+    """Per-type arrays ``values`` (..., T), one per coordinate, laid over radix blocks.
 
-    The blocks of heads ``head_idx`` (rows, p) span (rows, T, ..., T), with
-    M - p tail axes: a head coordinate's values are gathered per head, a
-    tail coordinate's are its array along its own axis.  So a sum over some
-    coordinates varies only along their axes, and no tuple's indices are
-    formed.
+    The blocks of heads ``head_idx`` (rows, p) span (..., rows, T, ..., T),
+    with m - p tail axes, m = len(values): a head coordinate's values are
+    gathered per head, a tail coordinate's are its array along its own axis.
+    So a sum over some coordinates varies only along their axes, and no
+    tuple's indices are formed.  Leading axes (a truth's, say) ride along.
     """
     m, p = len(values), head_idx.shape[1]
-    heads = [a[idx].reshape((-1,) + (1,) * (m - p)) for a, idx in zip(values, head_idx.T)]
-    return heads + [values[j].reshape((-1,) + (1,) * (m - 1 - j)) for j in range(p, m)]
+    heads = [a[..., idx].reshape(a.shape[:-1] + (-1,) + (1,) * (m - p))
+             for a, idx in zip(values, head_idx.T)]
+    return heads + [a.reshape(a.shape[:-1] + (1,) * (j - p + 1) + (-1,) + (1,) * (m - 1 - j))
+                    for j, a in enumerate(values[p:], p)]
 
 
 def _block_keys(scorer: Scorer, table: TypeClassTable, stats, tail: int):
@@ -480,23 +499,60 @@ def _errors(kind, family, truth, n, k, mus, pi, *, mu=None, lam=None,
 
 
 def _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first) -> list[float]:
-    """Log error of each truth: log-sum-exp of wrong-decision tuple weights, chunk by chunk.
+    """Log error of each truth: log-sum-exp of its wrong mass, run by run of the last coordinate.
 
     The truths are `_errors`' ``groups``, deciding columns ``first``, ``first`` + 1, ...; at
     the small M enumerated, their (H, M) law table is one member mask of ``law_row`` per size.
     Chunks of DEFAULT_CHUNK tuples are decided on radix blocks (`_block_decisions`).
-    A tuple's log weight sums its types' log probabilities left to right at
-    every M, laid over each block like its keys (`_on_block`).
+    In radix order the last coordinate runs fastest: a run of T tuples shares
+    its first M - 1 types, and a block holds whole runs.  A truth's wrong mass
+    in a run is exp(sum_{j<M} L_j(t_j)) times sum_t [decision != truth] P_M(t).
+    The first factor is summed once per run in log space, left to right,
+    laid over the blocks like the keys (`_on_block`).  The second is one
+    product of the run's wrong mask (runs, T), padded with False where the
+    chunk cuts a run, with the last coordinate's probabilities, scaled band by
+    band in linear space (`_bands`).  A chunk's piece is the log-sum-exp of
+    the runs' and bands' log masses; the pieces' log-sum-exp is the error.
     """
     law_idx = np.vstack([law_row * (np.arange(scorer.m) == g[..., None]).any(1) for g in groups])
-    pieces: list[list[float]] = [[] for _ in law_idx]
+    h, n_types = len(law_idx), table.size
+    leading = log_rows[law_idx[:, :-1].T]  # (M - 1, H, T): each truth's laws but the last
+    scaled, tops = _bands(log_rows)
+    scaled = scaled[law_idx[:, -1]]  # (H, T, bands): each truth's last law
+    cols = range(first, first + h)
+    pieces = []
     for head_idx, lo, decision in _block_decisions(scorer, table, stats, lam, DEFAULT_CHUNK):
-        for col, rows, acc in zip(count(first), law_idx, pieces):
-            wrong = decision != col
-            if wrong.any():
-                weights = _add_left(_on_block(log_rows[rows], head_idx)).ravel()
-                acc.append(_log_sum_exp(weights[lo:lo + decision.size][wrong]))
-    return [float(_log_sum_exp(np.array(acc))) if acc else -math.inf for acc in pieces]
+        run, off = divmod(lo, n_types)
+        runs = (off + decision.size - 1) // n_types + 1
+        weight = _add_left(_on_block(leading, head_idx)).reshape(h, -1)[:, run:run + runs, None]
+        wrong, mass = np.zeros((runs, n_types), bool), np.empty((h, runs, tops.size))
+        cut = wrong.reshape(-1)[off:off + decision.size]  # the chunk's tuples; the rest stay False
+        for col, probs, out in zip(cols, scaled, mass):
+            np.not_equal(decision, col, out=cut)
+            np.matmul(wrong, probs, out=out)
+        with np.errstate(divide="ignore"):  # log 0: no wrong tuple of the run in the band
+            log_mass = np.log(mass)
+        pieces.append(_log_sum_exp((weight + (log_mass + tops)).reshape(h, -1)))
+    # a lone piece is its own log-sum-exp, bit for bit
+    return (_log_sum_exp(np.stack(pieces, axis=-1)) if len(pieces) > 1 else pieces[0]).tolist()
+
+
+def _bands(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Type probabilities (rows, T, bands), each scaled by its band's top, and the tops.
+
+    Bands split the log probabilities ``log_rows`` (rows, T): a band's top is
+    the largest not in a band above it, and the band holds every one within
+    -log(tiny) of it.  So every scaled probability exp(L - top) is a normal
+    float, and a sum of them loses no digits to underflow, whatever n and
+    the laws; it is 0 outside the band.
+    """
+    tops = [log_rows.max()]
+    while (below := log_rows < tops[-1] + _LOG_TINY).any():
+        tops.append(log_rows[below].max())
+    tops = np.array(tops)
+    rows = log_rows[..., None]
+    band = (rows <= tops) & (rows >= tops + _LOG_TINY)
+    return np.exp(rows - tops, out=np.zeros(band.shape), where=band), tops
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,78 @@ class TestExponentCommand:
         assert json.loads(out)["value"] == pytest.approx(0.17435338714477777, abs=1e-12)
 
 
+class TestParsing:
+    """An argv that starts with a subcommand is parsed by that subcommand's parser alone,
+    with the stderr and exit code the top-level parser gives."""
+
+    ORACLE = ["oracle", "--kind", "univ-single", "--m", "3", "--k", "2", "--n-grid", "3",
+              "--mus", MU, "--pi", PI]
+    SIMULATE = ["simulate", "--kind", "univ-single", "--m", "3", "--k", "2", "--n-grid", "10",
+                "--mus", MU, "--pi", PI, "--trials", "100", "--seed", "5", "--truth", "2"]
+    ARGVS = {
+        "oracle": ORACLE,
+        "simulate": SIMULATE,
+        "detect": ["detect", "--kind", "univ-single", "--file", "x.csv", "--lam", "0.5"],
+        "bound": ["bound", "--mu", MU, "--pi", PI, "--m", "50"],
+        "exponent": ["exponent", "--kind", "both-known", "--mu", MU, "--pi", PI],
+        "figure": ["figure", "--m-max", "9"],
+        "unrecognized": ORACLE + ["--bogus", "1", "extra"],
+        "unrecognized-version": ["bound", "--version"],
+        "missing-flag": ORACLE[:7],
+        "bad-kind": ["simulate", "--kind", "nope", *SIMULATE[3:]],
+    }
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            args, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        out, err = capsys.readouterr()
+        return args, code, out, err
+
+    @pytest.mark.parametrize("argv", list(ARGVS.values()), ids=list(ARGVS))
+    def test_subcommand_parser_alone(self, capsys, monkeypatch, argv):
+        want = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        top = []
+        monkeypatch.setattr(cli.build_parser(), "parse_args", lambda *a: top.append(a))
+        assert self.outcome(capsys, cli._parse, argv) == want
+        assert top == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (ARGVS["unrecognized"], "outliertest: error: unrecognized arguments: --bogus 1 extra\n"),
+        (ARGVS["missing-flag"],
+         "outliertest oracle: error: the following arguments are required: --n-grid\n"),
+        (ARGVS["bad-kind"], "outliertest simulate: error: argument --kind: invalid choice: 'nope'"),
+    ], ids=["unrecognized", "missing-flag", "bad-kind"])
+    def test_rejected_argv_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and message in err
+        # extras are the top-level parser's to report, with its usage line
+        usage = "usage: outliertest " + ("[-h] [--version]" if "unrecognized" in message
+                                         else argv[0])
+        assert err.startswith(usage)
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["--help"], 0), (["--version"], 0),
+                                           (["frobnicate"], 2)],
+                             ids=["none", "help", "version", "unknown"])
+    def test_everything_else_goes_through_the_top_level_parser(self, capsys, monkeypatch, argv,
+                                                                code):
+        parser, top = cli.build_parser(), []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda a: top.append(a) or parse_args(a))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and top == [argv]
+        out, err = capsys.readouterr()
+        if argv == ["--help"]:
+            assert out.startswith("usage: outliertest [-h]")
+        if code:
+            assert err.startswith("usage: outliertest [-h]")
+
+
 class TestBoundCommand:
     def test_single_bound_json(self, capsys):
         code, out, _ = run(

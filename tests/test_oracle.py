@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from outlier_testing.detectors import (
     NULL,
@@ -91,6 +92,57 @@ def decimal_errors(kind, fam, truths, n, k, mu, pi):
     return errs
 
 
+def decimal_wrong_masses(kind, fam, truths, n, k, mus, pi, lam=None):
+    """Each truth's error as a 40-digit `decimal` sum over the tuples decided wrongly.
+
+    A tuple weighs exp(sum_j L_j(t_j)), L_j the float `_log_type_probs` row of
+    coordinate j's law under the truth; the decisions are `tuple_decisions`'.
+    """
+    scorer = Scorer(kind, fam, k, mu=mus, pi=pi)
+    table = enumerate_types(n, k)
+    lam = null_threshold(kind, lam, fam.m, n, k)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exps = {}  # exp of each type's log probability, per law
+        for law in (pi, mus):
+            exps[law] = np.array([Decimal(float(x)).exp()
+                                  for x in oracle._log_type_probs(table, law)], dtype=object)
+        rows = [[exps[law] for law in coordinate_laws(t, fam.m, mus, pi)] for t in truths]
+        sums = [Decimal(0)] * len(truths)
+        for tidx, cols in tuple_decisions(scorer, table, lam):
+            for i, (row, truth) in enumerate(zip(rows, truths)):
+                wrong = tidx[cols != scorer.column(truth)]
+                terms = row[0][wrong[:, 0]]
+                for j in range(1, fam.m):
+                    terms = terms * row[j][wrong[:, j]]
+                sums[i] += terms.sum()
+        return sums
+
+
+def per_tuple_log_errors(kind, fam, n, k, mus, pi, lam=None):
+    """Each truth's log error: log-sum-exp over every wrongly decided tuple's log weight.
+
+    The log-space reference for the enumeration's sums over runs: a tuple's
+    log weight is sum_j L_j(t_j), L_j the `_log_type_probs` row of coordinate
+    j's law under the truth, and the decisions are `tuple_decisions`'.
+    """
+    scorer = Scorer(kind, fam, k, mu=mus, pi=pi)
+    table = enumerate_types(n, k)
+    lam = null_threshold(kind, lam, fam.m, n, k)
+    logs = {law: oracle._log_type_probs(table, law) for law in (pi, mus)}
+    weights = {truth: [] for truth in fam.hypotheses}
+    for tidx, cols in tuple_decisions(scorer, table, lam):
+        for truth, acc in weights.items():
+            laws = coordinate_laws(truth, fam.m, mus, pi)
+            weight = sum(logs[law][tidx[:, j]] for j, law in enumerate(laws))
+            acc.append(weight[cols != scorer.column(truth)])
+    out = {}
+    for truth, acc in weights.items():
+        wrong = np.concatenate(acc)
+        out[truth] = float(logsumexp(wrong)) if wrong.size else -math.inf
+    return out
+
+
 def radix_indices(flat, n_types, m):
     """Type indices (b, m) of the m-tuples at radix-order positions ``flat``."""
     return np.stack(np.unravel_index(flat, (n_types,) * m), axis=1)
@@ -106,6 +158,23 @@ class TestTypeEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
             enumerate_types(100, 4, cap=1000)
+
+    @pytest.mark.parametrize("n,k", [(2.5, 2), (3, 2.0), (3.0, 2)])
+    def test_sizes_must_be_whole_numbers(self, n, k):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            enumerate_types(n, k)
+        for kind in (DetectorKind.UNIV_SINGLE, DetectorKind.ML_SINGLE):
+            with pytest.raises(ValidationError, match="whole numbers"):
+                exact_error(kind, FAM3, Coordinate(1), n, k, MU, PI)
+            with pytest.raises(ValidationError, match="whole numbers"):
+                max_error(kind, FAM3, n, k, MU, PI)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert np.array_equal(enumerate_types(np.int64(5), np.int32(3)).counts,
+                              enumerate_types(5, 3).counts)
+        got = exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), np.int64(4), np.int64(2),
+                          MU, PI)
+        assert got == exact_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 4, 2, MU, PI)
 
     def test_multiplicities_sum_to_sequence_count(self):
         table = enumerate_types(6, 3)
@@ -485,16 +554,16 @@ class TestBlockRoute:
                 next(tuple_decisions(scorer, enumerate_types(4, 2), lam))
         assert built == []
 
-    # per-truth log_prob hex of max_error, recorded before the block route
+    # per-truth log_prob hex of max_error, recorded from the sums over runs of the last
+    # coordinate; the values within 2.1e-16 (univ-single n=80: 5.1e-16) of `decimal_wrong_masses`
     PINNED = [
         (DetectorKind.UNIV_SINGLE, FAM3, 80, 2,
-         ["-0x1.811c6b39c4f87p+2", "-0x1.80f5fb4e8341fp+2", "-0x1.80cfa27d51a30p+2"]),
+         ["-0x1.811c6b39c4f88p+2", "-0x1.80f5fb4e8341fp+2", "-0x1.80cfa27d51a2fp+2"]),
         (DetectorKind.ML_SINGLE, FAM3, 9, 3,
-         ["-0x1.4a8697976455ap+1", "-0x1.26f98aa1d3e2ep+1", "-0x1.0d980f3c26c98p+1"]),
+         ["-0x1.4a8697976455ap+1", "-0x1.26f98aa1d3e2fp+1", "-0x1.0d980f3c26c96p+1"]),
         (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), 5, 2,
          ["-0x1.4fb0e516df540p-2"] + ["-0x1.4d2bcfd0a87e0p-2"] * 4
-         + ["-0x1.8a226ca5d0ea0p-2"] * 3 + ["-0x1.8a226ca5d0eb0p-2"]
-         + ["-0x1.8a226ca5d0ea0p-2"] * 6),
+         + ["-0x1.8a226ca5d0eb0p-2"] * 10),
     ]
 
     @pytest.mark.parametrize("kind,fam,n,k,hexes", PINNED, ids=[c[0].value for c in PINNED])
@@ -538,6 +607,79 @@ class TestBlockRoute:
         finally:
             tracemalloc.stop()
         assert peak < 150e6
+
+
+class TestRunSums:
+    """The enumeration sums each truth's wrong mass per run of the last coordinate.
+
+    Every value is checked against a per-tuple log-space sum, to 1e-12 relative in prob.
+    """
+
+    WIDE = Pmf(np.array([1e-6, 1 - 1e-6]))  # at n=60 its type log probabilities span 829 nats
+    MU3, PI3 = TestRouteAgreement.MU3, TestRouteAgreement.PI3
+
+    def check(self, kind, fam, n, k, mus, pi, lam=None):
+        _, per = max_error(kind, fam, n, k, mus, pi, lam=lam)
+        want = per_tuple_log_errors(kind, fam, n, k, mus, pi, lam)
+        for truth in fam.hypotheses:
+            assert per[truth].route == "enumeration"
+            assert per[truth].log_prob == pytest.approx(want[truth], rel=0, abs=1e-12), truth
+        return per
+
+    @pytest.mark.parametrize("kind,lam", [
+        (DetectorKind.UNIV_SINGLE, None),
+        (DetectorKind.NULL_SINGLE, None),
+        # NULL is missed only when some coordinate's type lies more than 708 nats below
+        # the top: at the last coordinate, a sum of unscaled probabilities would drop it
+        (DetectorKind.NULL_SINGLE, 1.2),
+    ], ids=["univ-single", "null-single", "null-single-lam-1.2"])
+    def test_last_coordinate_past_the_float_range(self, kind, lam):
+        log_rows = np.stack([oracle._log_type_probs(enumerate_types(60, 2), law)
+                             for law in (self.WIDE, MU)])
+        assert np.ptp(log_rows) > 800
+        scaled, tops = oracle._bands(log_rows)
+        assert tops.size == 2 and scaled.min(where=scaled > 0, initial=1) >= np.finfo(float).tiny
+        fam = HypothesisFamily.single_outlier(3, include_null=kind is DetectorKind.NULL_SINGLE)
+        per = self.check(kind, fam, 60, 2, MU, self.WIDE, lam)
+        if lam is not None:
+            assert per[NULL].log_prob < -792 and per[NULL].prob == 0.0
+
+    @pytest.mark.parametrize("chunk", [1, 97, 11])  # T + 1 = 11 at n=3, K=3
+    def test_chunks_that_cut_runs(self, monkeypatch, chunk):
+        monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk)
+        self.check(DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(4), 3, 3,
+                   self.MU3, self.PI3)
+
+    @pytest.mark.parametrize("chunk", [oracle.DEFAULT_CHUNK, 97])
+    def test_identical_outliers_with_null(self, monkeypatch, chunk):
+        monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk)
+        self.check(DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), 3, 2,
+                   MU, PI)
+
+    # the pinned enumeration values re-recorded from the sums over runs, at most 2e5 tuples
+    DECIMAL = [
+        (DetectorKind.ML_SINGLE, FAM3, None, 9, 3, MU3, PI3, None),
+        (DetectorKind.IDENTICAL_UNIV, HypothesisFamily.sized(5, [1, 2]), None, 5, 2, MU, PI, None),
+        (DetectorKind.ML_SINGLE, FAM3, Coordinate(2), 4, 3, MU3, PI3, None),
+        (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(4), Coordinate(3), 5, 2, MU, PI,
+         97),
+    ]
+
+    @pytest.mark.parametrize("kind,fam,truth,n,k,mus,pi,chunk", DECIMAL,
+                             ids=[f"{c[0].value}-M{c[1].m}-n{c[3]}" for c in DECIMAL])
+    def test_pinned_values_within_1e_14_of_decimal(self, monkeypatch, kind, fam, truth, n, k,
+                                                   mus, pi, chunk):
+        if chunk:
+            monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk)
+        if truth is None:
+            _, per = max_error(kind, fam, n, k, mus, pi)
+            truths = list(fam.hypotheses)
+        else:
+            truths, per = [truth], {truth: exact_error(kind, fam, truth, n, k, mus, pi)}
+        wants = decimal_wrong_masses(kind, fam, truths, n, k, mus, pi)
+        for truth, want in zip(truths, wants):
+            assert per[truth].route == "enumeration"
+            assert abs(Decimal(per[truth].prob) / want - 1) < Decimal("1e-14"), truth
 
 
 class TestPerCoordinateRoute:
@@ -644,11 +786,12 @@ class TestPerCoordinateRoute:
         assert {e.route for e in per.values()} == {"per-coordinate"}
         assert worst.log_prob == max(e.log_prob for e in per.values())
 
-    # log_prob and prob hex of the enumeration before the per-coordinate route existed
+    # log_prob and prob hex of the enumeration, first recorded before the per-coordinate
+    # route existed; the first and last re-recorded from the sums over runs
     UNCERTIFIED = [
         # ml-single keys on these laws tie in exact arithmetic but come out an ulp apart
         ((DetectorKind.ML_SINGLE, 3, Coordinate(2), 4, 3, TestRouteAgreement.MU3,
-          TestRouteAgreement.PI3), {}, "-0x1.6ac284eb54214p+0", "0x1.f0809ea03a84cp-3"),
+          TestRouteAgreement.PI3), {}, "-0x1.6ac284eb54212p+0", "0x1.f0809ea03a850p-3"),
         ((DetectorKind.ML_SINGLE, 4, Coordinate(4), 3, 3, TestRouteAgreement.MU3,
           TestRouteAgreement.PI3), {"chunk": 97}, "-0x1.9518c91da262cp-1", "0x1.d02d72712415ep-2"),
         # typ-multi at T=3 adds members in index order
@@ -656,7 +799,7 @@ class TestPerCoordinateRoute:
          "-0x1.ac32cbafddc00p-4", "0x1.cd2d8eab9d6fap-1"),
         # universal kinds always enumerate
         ((DetectorKind.UNIV_SINGLE, 4, Coordinate(3), 5, 2, MU, PI), {"chunk": 97},
-         "-0x1.7838b1ccfc690p-1", "0x1.eb1bac40bc0fcp-2"),
+         "-0x1.7838b1ccfc692p-1", "0x1.eb1bac40bc0fap-2"),
     ]
 
     @pytest.mark.parametrize("args,extra,log_hex,prob_hex", UNCERTIFIED)
