@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -218,11 +219,10 @@ def cmd_oracle(args) -> int:
     # leaves no partial CSV on stdout
     rows = ["n," + ",".join(f"err[{h}]" for h in family.hypotheses) + ",max"]
     for n in ns:
-        worst, per = max_error(
-            kind, family, n, args.k, mus, pi, mu=mu, lam=args.lam, cap=args.cap,
-        )
-        errs = [per[h].prob for h in family.hypotheses]
-        rows.append(",".join([str(n)] + [_fmt(e) for e in errs] + [_fmt(worst.prob)]))
+        worst, log_probs = max_error(kind, family, n, args.k, mus, pi, mu=mu, lam=args.lam,
+                                     cap=args.cap)
+        errs = [math.exp(e) for e in log_probs.tolist()] + [worst.prob]
+        rows.append(",".join([str(n)] + [_fmt(e) for e in errs]))
     print("\n".join(rows))
     return 0
 

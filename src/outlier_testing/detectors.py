@@ -483,7 +483,7 @@ class Scorer:
     a caller holding the statistics of every type can gather them by index.
     The family must fit the kind: single coordinates for the single-outlier
     kinds, one size T > 1 for the multi kinds, any sizes for the
-    identical kinds, and NULL only for the null-aware kinds.
+    identical kinds, and NULL exactly for the null-aware kinds.
 
     * ml-single: D(gamma_i||mu) + sum_{j!=i} D(gamma_j||pi)
     * typ-single: sum_{j!=i} D(gamma_j||pi);  mu-only: D(gamma_i||mu)
@@ -517,6 +517,8 @@ class Scorer:
         if family.include_null and kind not in NULL_AWARE_KINDS:
             raise ValidationError(
                 f"{kind.value} never decides the null hypothesis; drop it from the family")
+        if kind in NULL_AWARE_KINDS and not family.include_null:
+            raise ValidationError(f"{kind.value} decides the null hypothesis; add it to the family")
         if kind in _MULTI_KINDS and (len(family.sizes) != 1 or family.sizes[0] < 2):
             raise ValidationError(f"{kind.value} needs a family of one outlier-set size T > 1")
         if kind not in _MULTI_KINDS and kind not in _IDENTICAL_KINDS and family.sizes != (1,):

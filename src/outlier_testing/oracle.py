@@ -5,10 +5,12 @@ distributions alone, the exact finite-sample error probability is a sum
 over M-tuples of types, weighted by exact type-class probabilities.
 This replaces asymptotic claims with ground-truth finite-n numbers.
 
-Two routes compute it, and each result names the one it took.  Known-law
-kinds that rank the kernel's per-type `RowStats.key` (ml-single,
-typ-single, mu-only, and typ-multi at T=2) decide the T coordinates of best
-key when a floating-point certificate shows that the kernel does too.  The
+One path (`_errors`) serves one truth and every truth of a family alike: it
+returns one array of log errors in family order, clamped at 0, and which of
+two routes it took.  Known-law kinds that rank the kernel's per-type
+`RowStats.key` (ml-single, typ-single, mu-only, and typ-multi at T=2)
+decide the T coordinates of best key when a floating-point certificate
+shows that the kernel does too.  The
 decision is then the truth exactly when every non-member ranks after the
 truth's last member, so the error is one sum, over which member is last
 and its key v, of the members' key probabilities times 1 - P_pi(> v)^a
@@ -172,29 +174,17 @@ def _outlier_coords(truth: HypothesisId, m: int, laws) -> np.ndarray:
     return coord
 
 
-def _law_row(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int,
-             k: Optional[int] = None) -> tuple[list[Pmf], np.ndarray]:
-    """The laws in use under a truth, pi first, and each coordinate's row (M,) in them.
-
-    A coordinate takes its outlier law inside the truth's outlier set, pi outside it.
-    """
-    laws, outlier_row = _law_table(mus, pi, m, k)
-    coord = _outlier_coords(truth, m, laws)
-    used, rank = np.unique(outlier_row[coord], return_inverse=True)
-    row = np.zeros(m, dtype=np.int64)
-    row[coord] = rank + 1  # row 0 is pi's
-    return [pi, *(laws[r] for r in used)], row
-
-
 def coordinate_laws(truth: HypothesisId, m: int, mus: LawSpec, pi: Pmf) -> list[Pmf]:
-    """The generating law of each coordinate under a truth hypothesis, by `_law_table`'s rule.
+    """The generating law of each coordinate under a truth hypothesis.
 
-    ``mus`` is a single pmf (identically distributed outliers), a
-    sequence of M per-coordinate outlier laws, or None when the truth is
-    the null hypothesis.
+    A coordinate takes its outlier law inside the truth's outlier set, pi outside
+    it, by `_law_table`'s rule.  ``mus`` is a single pmf (identically distributed
+    outliers), a sequence of M per-coordinate outlier laws, or None when the
+    truth is the null hypothesis.
     """
-    laws, row = _law_row(truth, mus, pi, m)
-    return [laws[r] for r in row]
+    laws, outlier_row = _law_table(mus, pi, m)
+    inside = set(_outlier_coords(truth, m, laws).tolist())
+    return [laws[r] if j in inside else pi for j, r in enumerate(outlier_row.tolist())]
 
 
 def _detector_mu(mu: Optional[Pmf], mus: LawSpec) -> Optional[Pmf]:
@@ -449,9 +439,9 @@ def _key_slack(m: int, n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorProbability:
-    prob: float
-    log_prob: float
+    log_prob: float  # at most 0
     route: str  # "per-coordinate" or "enumeration"
+    prob = property(lambda self: math.exp(self.log_prob))
 
 
 def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
@@ -460,20 +450,24 @@ def _log_type_probs(table: TypeClassTable, law: Pmf) -> np.ndarray:
 
 
 def _errors(kind, family, truth, n, k, mus, pi, *, mu=None, lam=None,
-            cap=DEFAULT_TUPLE_CAP) -> list[ErrorProbability]:
-    """Exact error of ``truth``, or of every family member in family order when it is None.
+            cap=DEFAULT_TUPLE_CAP) -> tuple[np.ndarray, str]:
+    """Log errors (H,) of ``truth``, or of every family member in family order when it is
+    None, clamped at 0 (float type probabilities may sum past 1), and the route taken.
 
-    Truths are member rows ``groups``, per size (H_t, t) zero-based (NULL's empty), whose
-    coordinates read their row of the laws from ``law_row`` (M,); no hypothesis is read per truth.
+    Truths are member rows ``groups``, per size (H_t, t) zero-based (NULL's empty), reading
+    their row of ``laws`` (pi's, then those their coordinates name) from ``law_row`` (M,).
     """
     m = family.m
+    laws, law_row = _law_table(mus, pi, m, k)
     if truth is None:
-        laws, law_row = _law_table(mus, pi, m, k)  # every coordinate is some member's outlier
         require(len(laws) > 1, "outlier truth requires outlier laws")
         groups = [np.empty((1, 0), dtype=np.int64)] * family.include_null + list(family.members)
     else:
-        laws, law_row = _law_row(truth, mus, pi, m, k)
-        groups = [np.flatnonzero(law_row)[None]]
+        coord = _outlier_coords(truth, m, laws)
+        groups = [coord[None]]
+        used, rank = np.unique(law_row[coord], return_inverse=True)
+        laws, law_row = [pi, *(laws[r] for r in used)], np.zeros(m, dtype=np.int64)
+        law_row[coord] = rank + 1
     scorer = Scorer(kind, family, k, mu=_detector_mu(mu, mus), pi=pi)
     first = -family.include_null if truth is None else scorer.column(truth)  # NULL's is -1
     table = enumerate_types(n, k, cap=cap)
@@ -490,7 +484,7 @@ def _errors(kind, family, truth, n, k, mus, pi, *, mu=None, lam=None,
     else:
         route = "enumeration"
         log_errs = _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first)
-    return [ErrorProbability(min(math.exp(e), 1.0), e, route) for e in log_errs]
+    return np.minimum(log_errs, 0.0), route
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +492,7 @@ def _errors(kind, family, truth, n, k, mus, pi, *, mu=None, lam=None,
 # ---------------------------------------------------------------------------
 
 
-def _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first) -> list[float]:
+def _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, first) -> np.ndarray:
     """Log error of each truth: log-sum-exp of its wrong mass, run by run of the last coordinate.
 
     The truths are `_errors`' ``groups``, deciding columns ``first``, ``first`` + 1, ...; at
@@ -534,7 +528,7 @@ def _enumerated_errors(scorer, table, stats, lam, log_rows, law_row, groups, fir
             log_mass = np.log(mass)
         pieces.append(_log_sum_exp((weight + (log_mass + tops)).reshape(h, -1)))
     # a lone piece is its own log-sum-exp, bit for bit
-    return (_log_sum_exp(np.stack(pieces, axis=-1)) if len(pieces) > 1 else pieces[0]).tolist()
+    return _log_sum_exp(np.stack(pieces, axis=-1)) if len(pieces) > 1 else pieces[0]
 
 
 def _bands(log_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -595,7 +589,7 @@ def _ranking(scorer: Scorer, stats) -> Optional[tuple[np.ndarray, np.ndarray, in
     return order, starts, t_size
 
 
-def _order_errors(order, starts, t, log_rows, members, law_row) -> list[float]:
+def _order_errors(order, starts, t, log_rows, members, law_row) -> np.ndarray:
     """Log error of each truth whose decision D is the first t coordinates in (key, index) order.
 
     ``order``/``starts`` rank the types by key (`_ranking`), ``members`` (H, t)
@@ -629,8 +623,8 @@ def _order_errors(order, starts, t, log_rows, members, law_row) -> list[float]:
             for j in range(t):
                 if j != r:
                     terms[:, r] += (le if j < r else lt)[rows[:, j]]
-        out.extend(_log_sum_exp(terms.reshape(len(rows), -1)).tolist())
-    return out
+        out.append(_log_sum_exp(terms.reshape(len(rows), -1)))
+    return np.concatenate(out)
 
 
 def _complement(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -659,7 +653,8 @@ def exact_error(
     outlier law for detectors that use one (defaults to ``mus`` when it
     is a single pmf).
     """
-    return _errors(kind, family, truth, n, k, mus, pi, mu=mu, lam=lam, cap=cap)[0]
+    log_errs, route = _errors(kind, family, truth, n, k, mus, pi, mu=mu, lam=lam, cap=cap)
+    return ErrorProbability(float(log_errs[0]), route)
 
 
 def max_error(
@@ -670,15 +665,16 @@ def max_error(
     mus: LawSpec,
     pi: Pmf,
     **kwargs,
-) -> tuple[ErrorProbability, dict[HypothesisId, ErrorProbability]]:
-    """Worst-case error over all truth hypotheses in the family, read as its member rows.
+) -> tuple[ErrorProbability, np.ndarray]:
+    """Worst-case error over the family's truths, and each one's log error (H,), read-only,
+    in family order (``log_probs[family.index_of(h)]``); no hypothesis object is built.
 
     One pass over the type tuples, or the per-coordinate route, which holds nothing of
     size H x M, serves every truth (`_errors`); keyword arguments are those of `exact_error`.
     """
-    per = dict(zip(family.hypotheses, _errors(kind, family, None, n, k, mus, pi, **kwargs)))
-    worst = max(per.values(), key=lambda e: e.log_prob)
-    return worst, per
+    log_probs, route = _errors(kind, family, None, n, k, mus, pi, **kwargs)
+    log_probs.flags.writeable = False
+    return ErrorProbability(float(log_probs.max()), route), log_probs
 
 
 # ---------------------------------------------------------------------------

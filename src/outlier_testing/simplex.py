@@ -42,7 +42,7 @@ class Pmf:
             raise ValidationError("pmf entries must be finite and nonnegative")
         if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(f"pmf entries sum to {p.sum()!r}, not 1 within {NORMALIZATION_TOL}")
-        p = p.copy()
+        p = p + 0.0  # a copy, with -0.0 as +0.0: equal pmfs hash alike
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

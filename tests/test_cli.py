@@ -465,9 +465,9 @@ class TestOracleCommand:
             return original(*args, **kwargs)
 
         def recording(*args, **kwargs):
-            worst, per = max_error(*args, **kwargs)
-            routes.update(e.route for e in per.values())
-            return worst, per
+            worst, log_probs = max_error(*args, **kwargs)
+            routes.add(worst.route)
+            return worst, log_probs
 
         monkeypatch.setattr(oracle, "_block_decisions", counting)
         monkeypatch.setattr(cli, "max_error", recording)

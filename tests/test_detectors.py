@@ -488,6 +488,12 @@ class TestNullAware:
         o = obs([[0, 1], [1, 0], [0, 1]])
         assert run_detector(DetectorKind.NULL_SINGLE, o, lam=100.0) is NULL
 
+    def test_family_without_null_rejected(self):
+        # NULL would be a decision outside the family
+        o = obs([[0, 1], [1, 0], [0, 1]])
+        with pytest.raises(ValidationError, match="add it to the family"):
+            run_detector(DetectorKind.NULL_SINGLE, o, family=HypothesisFamily.single_outlier(3))
+
     def test_negative_lambda_rejected(self):
         table = ScoreTable((Coordinate(1),), [0.0])
         with pytest.raises(ValidationError):
@@ -545,6 +551,9 @@ MISFITS = [
     (DetectorKind.ML_SINGLE, HypothesisFamily.fixed_size(5, 2), Subset((1, 2))),
     (DetectorKind.TYP_MULTI, HypothesisFamily.single_outlier(5), Coordinate(1)),
     (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(5, include_null=True), NULL),
+    # a null-aware kind may decide NULL, so its family must hold it
+    (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(5), Coordinate(1)),
+    (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2]), Subset((1, 2))),
 ]
 
 
@@ -566,6 +575,8 @@ SCORER_FAULTS = [
     (DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2), MU, None, "typ-multi needs pi"),
     (DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), None, None,
      "univ-single never decides the null hypothesis; drop it from the family"),
+    (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3), None, None,
+     "null-single decides the null hypothesis; add it to the family"),
     (DetectorKind.TYP_MULTI, HypothesisFamily.single_outlier(5), MU, PI,
      "typ-multi needs a family of one outlier-set size T > 1"),
     (DetectorKind.ML_SINGLE, HypothesisFamily.fixed_size(5, 2), MU, PI,

@@ -568,9 +568,9 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("kind,fam,n,k,hexes", PINNED, ids=[c[0].value for c in PINNED])
     def test_max_error_bits_unchanged(self, kind, fam, n, k, hexes):
-        _, per = max_error(kind, fam, n, k, *self.laws(k))
-        assert {e.route for e in per.values()} == {"enumeration"}
-        assert [e.log_prob.hex() for e in per.values()] == hexes
+        worst, log_probs = max_error(kind, fam, n, k, *self.laws(k))
+        assert worst.route == "enumeration"
+        assert [e.hex() for e in log_probs.tolist()] == hexes
 
     def test_peak_memory(self):
         # tracemalloc peak of one call: 22.7 MB on radix blocks, 38.3 MB with
@@ -619,12 +619,13 @@ class TestRunSums:
     MU3, PI3 = TestRouteAgreement.MU3, TestRouteAgreement.PI3
 
     def check(self, kind, fam, n, k, mus, pi, lam=None):
-        _, per = max_error(kind, fam, n, k, mus, pi, lam=lam)
+        worst, log_probs = max_error(kind, fam, n, k, mus, pi, lam=lam)
         want = per_tuple_log_errors(kind, fam, n, k, mus, pi, lam)
+        assert worst.route == "enumeration"
         for truth in fam.hypotheses:
-            assert per[truth].route == "enumeration"
-            assert per[truth].log_prob == pytest.approx(want[truth], rel=0, abs=1e-12), truth
-        return per
+            got = log_probs[fam.index_of(truth)]
+            assert got == pytest.approx(want[truth], rel=0, abs=1e-12), truth
+        return log_probs
 
     @pytest.mark.parametrize("kind,lam", [
         (DetectorKind.UNIV_SINGLE, None),
@@ -640,9 +641,10 @@ class TestRunSums:
         scaled, tops = oracle._bands(log_rows)
         assert tops.size == 2 and scaled.min(where=scaled > 0, initial=1) >= np.finfo(float).tiny
         fam = HypothesisFamily.single_outlier(3, include_null=kind is DetectorKind.NULL_SINGLE)
-        per = self.check(kind, fam, 60, 2, MU, self.WIDE, lam)
+        log_probs = self.check(kind, fam, 60, 2, MU, self.WIDE, lam)
         if lam is not None:
-            assert per[NULL].log_prob < -792 and per[NULL].prob == 0.0
+            null = log_probs[fam.index_of(NULL)]
+            assert null < -792 and math.exp(null) == 0.0
 
     @pytest.mark.parametrize("chunk", [1, 97, 11])  # T + 1 = 11 at n=3, K=3
     def test_chunks_that_cut_runs(self, monkeypatch, chunk):
@@ -672,14 +674,15 @@ class TestRunSums:
         if chunk:
             monkeypatch.setattr(oracle, "DEFAULT_CHUNK", chunk)
         if truth is None:
-            _, per = max_error(kind, fam, n, k, mus, pi)
+            worst, log_probs = max_error(kind, fam, n, k, mus, pi)
             truths = list(fam.hypotheses)
         else:
-            truths, per = [truth], {truth: exact_error(kind, fam, truth, n, k, mus, pi)}
+            worst = exact_error(kind, fam, truth, n, k, mus, pi)
+            truths, log_probs = [truth], [worst.log_prob]
         wants = decimal_wrong_masses(kind, fam, truths, n, k, mus, pi)
-        for truth, want in zip(truths, wants):
-            assert per[truth].route == "enumeration"
-            assert abs(Decimal(per[truth].prob) / want - 1) < Decimal("1e-14"), truth
+        assert worst.route == "enumeration"
+        for truth, log_prob, want in zip(truths, log_probs, wants):
+            assert abs(Decimal(math.exp(log_prob)) / want - 1) < Decimal("1e-14"), truth
 
 
 class TestPerCoordinateRoute:
@@ -739,15 +742,15 @@ class TestPerCoordinateRoute:
         fam = HypothesisFamily.fixed_size(m, extra["t"]) if "t" in extra \
             else HypothesisFamily.single_outlier(m)
         for n in ns:
-            _, route = max_error(kind, fam, n, k, mus, pi, mu=mu)
+            route, gots = max_error(kind, fam, n, k, mus, pi, mu=mu)
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "_ranking", lambda *args: None)
-                _, enum = max_error(kind, fam, n, k, mus, pi, mu=mu)
+                enum, wants = max_error(kind, fam, n, k, mus, pi, mu=mu)
+            assert (route.route, enum.route) == ("per-coordinate", "enumeration")
             for truth in fam.hypotheses:
-                got, want = route[truth], enum[truth]
-                assert (got.route, want.route) == ("per-coordinate", "enumeration")
-                assert got.prob == pytest.approx(want.prob, rel=1e-12, abs=0), (n, truth)
-                assert got.log_prob == pytest.approx(want.log_prob, rel=1e-12, abs=0), (n, truth)
+                got, want = gots[fam.index_of(truth)], wants[fam.index_of(truth)]
+                assert math.exp(got) == pytest.approx(math.exp(want), rel=1e-12, abs=0), (n, truth)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (n, truth)
 
     @pytest.mark.parametrize("kind,fam,mus", [
         (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(9), MU),
@@ -761,10 +764,9 @@ class TestPerCoordinateRoute:
         scorer = Scorer(kind, fam, 2, mu=MU, pi=PI)
         _, starts, _ = oracle._ranking(scorer, scorer.row_stats(enumerate_types(n, 2).counts, n))
         monkeypatch.setattr(oracle, "KEY_BUDGET", t * starts.size)  # t V terms: one truth a batch
-        _, alone = max_error(kind, fam, n, 2, mus, PI, mu=MU)
-        assert {e.route for e in alone.values()} == {"per-coordinate"}
-        assert [e.log_prob.hex() for e in alone.values()] == \
-            [e.log_prob.hex() for e in batched.values()]
+        worst, alone = max_error(kind, fam, n, 2, mus, PI, mu=MU)
+        assert worst.route == "per-coordinate"
+        assert [e.hex() for e in alone.tolist()] == [e.hex() for e in batched.tolist()]
 
     @pytest.mark.parametrize("route", ["per-coordinate", "enumeration"])
     def test_equal_laws_keep_the_bits(self, monkeypatch, route):
@@ -775,16 +777,15 @@ class TestPerCoordinateRoute:
         if route == "enumeration":
             monkeypatch.setattr(oracle, "_ranking", lambda *args: None)
         _, shared = max_error(DetectorKind.ML_SINGLE, fam, 5, 2, MU, PI)
-        _, given = max_error(DetectorKind.ML_SINGLE, fam, 5, 2, copies, PI, mu=MU)
-        assert {e.route for e in given.values()} == {route}
-        assert [e.log_prob.hex() for e in given.values()] == \
-            [e.log_prob.hex() for e in shared.values()]
+        worst, given = max_error(DetectorKind.ML_SINGLE, fam, 5, 2, copies, PI, mu=MU)
+        assert worst.route == route
+        assert [e.hex() for e in given.tolist()] == [e.hex() for e in shared.tolist()]
 
     def test_max_error_routes_every_truth(self):
-        worst, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
-                               6, 2, self.MIXED, PI)
-        assert {e.route for e in per.values()} == {"per-coordinate"}
-        assert worst.log_prob == max(e.log_prob for e in per.values())
+        worst, log_probs = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(5, 2),
+                                     6, 2, self.MIXED, PI)
+        assert worst.route == "per-coordinate"
+        assert worst.log_prob == max(log_probs.tolist())
 
     # log_prob and prob hex of the enumeration, first recorded before the per-coordinate
     # route existed; the first and last re-recorded from the sums over runs
@@ -839,11 +840,11 @@ class TestPerCoordinateRoute:
         # ml-single at M=200, n=200: the error is about 4e-15, and the type
         # log-probabilities themselves are off by up to 3e-13 (absolute)
         fam = HypothesisFamily.single_outlier(200)
-        _, per = max_error(DetectorKind.ML_SINGLE, fam, 200, 2, MU, PI)
+        worst, log_probs = max_error(DetectorKind.ML_SINGLE, fam, 200, 2, MU, PI)
         wants = decimal_errors(DetectorKind.ML_SINGLE, fam, fam.hypotheses, 200, 2, MU, PI)
-        for truth, want in zip(fam.hypotheses, wants):
-            assert per[truth].route == "per-coordinate"
-            assert abs(Decimal(per[truth].prob) / want - 1) < Decimal("1e-13"), truth
+        assert worst.route == "per-coordinate"
+        for truth, log_prob, want in zip(fam.hypotheses, log_probs.tolist(), wants):
+            assert abs(Decimal(math.exp(log_prob)) / want - 1) < Decimal("1e-13"), truth
 
     @pytest.mark.parametrize("kind,fam,truth", [
         (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(10**4), Coordinate(5000)),
@@ -878,14 +879,14 @@ class TestPerCoordinateRoute:
         # tracemalloc peak 26 MB: each truth's laws are read at its member rows'
         # coordinates, where an (H, M) table of law rows alone would be 800 MB
         args = (DetectorKind.ML_SINGLE, HypothesisFamily.single_outlier(10**4), 100, 2, MU, PI)
-        max_error(*args)  # fill the family's cached members and hypotheses
+        max_error(*args)  # fill the family's cached members
         tracemalloc.start()
         try:
-            _, per = max_error(*args)
+            worst, _ = max_error(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert {e.route for e in per.values()} == {"per-coordinate"} and peak < 48e6
+        assert worst.route == "per-coordinate" and peak < 48e6
 
     @pytest.mark.parametrize("kind", SINGLE)
     def test_validation_still_raised(self, kind):
@@ -900,10 +901,43 @@ class TestPerCoordinateRoute:
 
 
 class TestMaxError:
+    def test_one_array_and_no_hypothesis_objects(self, monkeypatch):
+        # 19,900 truths: one read-only array of log errors, and one ErrorProbability, the worst's
+        fam = HypothesisFamily.fixed_size(200, 2)
+        built, error_probability = [], oracle.ErrorProbability
+        monkeypatch.setattr(oracle, "ErrorProbability",
+                            lambda *args: built.append(args) or error_probability(*args))
+        worst, log_probs = max_error(DetectorKind.TYP_MULTI, fam, 100, 2, MU, PI)
+        assert "hypotheses" not in fam.__dict__ and len(built) == 1
+        assert log_probs.shape == (19_900,) and not log_probs.flags.writeable
+        assert worst.route == "per-coordinate" and worst.log_prob == max(log_probs.tolist())
+        monkeypatch.undo()
+        for truth in (Subset((1, 2)), Subset((57, 130)), Subset((199, 200))):
+            single = exact_error(DetectorKind.TYP_MULTI, fam, truth, 100, 2, MU, PI)
+            assert log_probs[fam.index_of(truth)].hex() == single.log_prob.hex(), truth
+
+    @pytest.mark.parametrize("route", ["per-coordinate", "enumeration"])
+    def test_one_truth_weighs_only_its_laws(self, monkeypatch, route):
+        # M distinct outlier laws: one truth computes type probabilities for pi and its
+        # members' laws, in that order; every truth together names them all
+        laws = [Pmf(np.array([v, 1 - v])) for v in (0.30, 0.31, 0.32, 0.33, 0.34, 0.35, 0.36, 0.37)]
+        fam = HypothesisFamily.fixed_size(8, 2)
+        weighed, original = [], oracle._log_type_probs
+        monkeypatch.setattr(oracle, "_log_type_probs",
+                            lambda table, law: weighed.append(law) or original(table, law))
+        if route == "enumeration":
+            monkeypatch.setattr(oracle, "_ranking", lambda *args: None)
+        got = exact_error(DetectorKind.TYP_MULTI, fam, Subset((6, 3)), 3, 2, laws, PI, mu=MU)
+        assert got.route == route and weighed == [PI, laws[2], laws[5]]
+        weighed.clear()
+        worst, _ = max_error(DetectorKind.TYP_MULTI, fam, 3, 2, laws, PI, mu=MU)
+        assert worst.route == route and weighed == [PI, *laws]
+
     def test_max_dominates_each(self):
-        worst, per = max_error(DetectorKind.TYP_SINGLE, FAM3, 6, 2, MU, PI)
-        assert all(worst.prob >= e.prob - 1e-15 for e in per.values())
-        assert worst.prob == max(e.prob for e in per.values())
+        worst, log_probs = max_error(DetectorKind.TYP_SINGLE, FAM3, 6, 2, MU, PI)
+        probs = [math.exp(e) for e in log_probs.tolist()]
+        assert all(worst.prob >= p - 1e-15 for p in probs)
+        assert worst.prob == max(probs)
 
     def test_truths_are_member_rows(self, monkeypatch):
         # the truths are the family's member rows: no hypothesis is looked up per truth
@@ -911,14 +945,15 @@ class TestMaxError:
         index_of = HypothesisFamily.index_of
         monkeypatch.setattr(HypothesisFamily, "index_of",
                             lambda fam, h: calls.append(h) or index_of(fam, h))
-        _, per = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(40, 2), 10, 2, MU, PI)
-        assert len(per) == 780 and calls == []
+        _, log_probs = max_error(DetectorKind.TYP_MULTI, HypothesisFamily.fixed_size(40, 2), 10, 2,
+                                 MU, PI)
+        assert log_probs.shape == (780,) and calls == []
 
     def test_later_coordinates_lose_ties(self):
         # the earliest-index tie policy shifts tied mass toward low indices,
         # so conditional errors are ordered by truth index
-        _, per = max_error(DetectorKind.ML_SINGLE, FAM3, 6, 2, MU, PI)
-        probs = [per[Coordinate(i)].prob for i in (1, 2, 3)]
+        _, log_probs = max_error(DetectorKind.ML_SINGLE, FAM3, 6, 2, MU, PI)
+        probs = [math.exp(log_probs[FAM3.index_of(Coordinate(i))]) for i in (1, 2, 3)]
         assert probs[0] <= probs[1] <= probs[2]
 
 
@@ -947,13 +982,35 @@ class TestOnePass:
         assert enumerate_types(n, k).size ** fam.m > 2 * self.CHUNK  # several chunks
         monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
         monkeypatch.setattr(oracle, "coordinate_laws", refuse_law_lists)  # laws resolve once
-        worst, per = max_error(kind, fam, n, k, mu, pi)
-        assert list(per) == list(fam.hypotheses)
+        worst, log_probs = max_error(kind, fam, n, k, mu, pi)
+        assert log_probs.shape == (len(fam.hypotheses),)
         for truth in fam.hypotheses:
             single = exact_error(kind, fam, truth, n, k, mu, pi)
-            assert per[truth].log_prob == single.log_prob, truth
-            assert per[truth].prob == single.prob, truth
-        assert worst.log_prob == max(e.log_prob for e in per.values())
+            got = log_probs[fam.index_of(truth)]
+            assert got == single.log_prob and worst.route == single.route, truth
+            assert math.exp(got) == single.prob, truth
+        assert worst.log_prob == max(log_probs.tolist())
+
+    ASYMMETRIC = (Pmf(np.array([0.1, 0.9])), Pmf(np.array([0.6, 0.4])))
+    # truths missed almost surely, whose float type probabilities sum past 1: unclamped,
+    # these read log errors up to +4.4e-16, +8.9e-16 and +3.2e-14
+    SURELY_MISSED = [
+        (DetectorKind.NULL_IDENTICAL, HypothesisFamily.sized(5, [1, 2], True), 2, ASYMMETRIC, None),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), 6,
+         ASYMMETRIC, None),
+        (DetectorKind.NULL_SINGLE, HypothesisFamily.single_outlier(3, include_null=True), 60,
+         (MU, TestRunSums.WIDE), 1.2),
+    ]
+
+    @pytest.mark.parametrize("kind,fam,n,laws,lam", SURELY_MISSED,
+                             ids=["null-identical-n2", "null-single-n6", "null-single-n60-lam-1.2"])
+    def test_log_errors_are_at_most_zero(self, kind, fam, n, laws, lam):
+        worst, log_probs = max_error(kind, fam, n, 2, *laws, lam=lam)
+        assert worst.log_prob == log_probs.max() == 0.0 and worst.prob == 1.0
+        for truth in fam.hypotheses:
+            single = exact_error(kind, fam, truth, n, 2, *laws, lam=lam)
+            assert single.log_prob <= 0.0 and single.prob <= 1.0, truth
+            assert log_probs[fam.index_of(truth)] == single.log_prob, truth
 
     def test_decides_once_per_call(self, monkeypatch):
         calls = []
@@ -966,8 +1023,8 @@ class TestOnePass:
         monkeypatch.setattr(oracle, "_block_decisions", counting)
         monkeypatch.setattr(oracle, "DEFAULT_CHUNK", self.CHUNK)
         fam = HypothesisFamily.sized(5, [1, 2])
-        _, per = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI)
-        assert len(calls) == 1 and len(per) == 15
+        _, log_probs = max_error(DetectorKind.IDENTICAL_UNIV, fam, 2, 2, MU, PI)
+        assert len(calls) == 1 and log_probs.shape == (15,)
 
 
 class TestExponentFit:

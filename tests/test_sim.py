@@ -286,9 +286,7 @@ class TestBatchedMonteCarlo:
             return wrapper
 
         for module in (oracle, sim):
-            for name in ("_law_table", "_law_row"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted("laws", getattr(module, name)))
+            monkeypatch.setattr(module, "_law_table", counted("laws", module._law_table))
         monkeypatch.setattr(sim, "_count_batch", counted("batches", sim._count_batch))
 
         class CountedPCG64(np.random.PCG64):

@@ -141,6 +141,10 @@ class TestPmf:
     def test_hashable(self):
         assert len({P37, Pmf(np.array([0.3, 0.7]))}) == 1
 
+    def test_signed_zeros_hash_alike(self):
+        plus, minus = Pmf(np.array([0.0, 1.0])), Pmf(np.array([-0.0, 1.0]))
+        assert plus == minus and hash(plus) == hash(minus) and len({plus, minus}) == 1
+
 
 class TestTypeVector:
     def test_counts_to_pmf(self):
