@@ -1,6 +1,6 @@
 """Universal outlier hypothesis tests, error exponents, and exact error oracles."""
 
-__all__ = ["Pmf", "TypeVector", "bhattacharyya", "chernoff", "entropy", "kl"]
+__all__ = ["Pmf", "bhattacharyya", "chernoff", "entropy", "kl"]
 
 __version__ = "0.1.0"
 

@@ -43,7 +43,7 @@ from .exponents import (
     thm_multi_lower_bound,
     thm_single_lower_bound,
 )
-from .oracle import LawSpec, max_error
+from .oracle import DEFAULT_TUPLE_CAP, LawSpec, max_error
 from .sim import RNG_ALGORITHM, SimConfig, estimate_error, exponent_sweep
 from .simplex import Pmf, bhattacharyya
 
@@ -326,7 +326,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = sub.add_parser("oracle", help="exact error sweep (CSV): per-coordinate key ranking "
                        "for certified known-law kinds, type-tuple enumeration otherwise")
     add_detector(p, sweep=True)
-    p.add_argument("--cap", type=int, default=10**8,
+    p.add_argument("--cap", type=int, default=DEFAULT_TUPLE_CAP,
                    help="most type classes and enumerated type tuples per n")
     p.set_defaults(func=cmd_oracle)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .errors import ValidationError, require
+from .errors import ValidationError, require, whole
 from .simplex import Pmf
 
 # ---------------------------------------------------------------------------
@@ -41,8 +40,7 @@ class Coordinate:
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValidationError("coordinate index is 1-based and must be >= 1")
+        whole(self.index, "coordinate indices (1-based)", 1)
 
     def __str__(self):
         return f"coordinate {self.index}"
@@ -55,8 +53,8 @@ class Subset:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(sorted(self.members))
-        if not m or len(set(m)) != len(m) or m[0] < 1:
+        m = tuple(sorted(whole(c, "subset members (1-based)", 1) for c in self.members))
+        if not m or len(set(m)) != len(m):
             raise ValidationError("subset must be a nonempty set of 1-based coordinates")
         object.__setattr__(self, "members", m)
 
@@ -123,10 +121,8 @@ class HypothesisFamily:
     include_null: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.m, *self.sizes)):
-            raise ValidationError(f"M and the outlier-set sizes must be whole numbers, got "
-                                  f"M={self.m!r}, sizes {self.sizes!r}")
-        sizes = tuple(sorted(set(self.sizes)))
+        whole(self.m, "coordinate counts M")
+        sizes = tuple(sorted({whole(t, "outlier-set sizes") for t in self.sizes}))
         if not sizes or sizes[0] < 1 or sizes[-1] >= self.m / 2:
             raise ValidationError(
                 f"outlier-set sizes must be nonempty with 1 <= |S| < M/2, got {sizes} at M={self.m}")
@@ -233,8 +229,7 @@ class ObservationMatrix:
             raise ValidationError(f"need M >= 3 coordinates, got {m}")
         if n < 1:
             raise ValidationError("need at least one sample per coordinate")
-        if k < 2:
-            raise ValidationError("alphabet size K must be >= 2")
+        whole(k, "alphabet sizes K", 2)
         if m * k > MAX_COUNT_CELLS:
             raise ValidationError(f"M={m}, K={k} needs an (M, K) count table of {m * k} cells, "
                                   f"more than {MAX_COUNT_CELLS}")
@@ -262,11 +257,6 @@ class ObservationMatrix:
     @property
     def n(self) -> int:
         return self._symbols.shape[1]
-
-    @property
-    def row_pmfs(self) -> tuple[Pmf, ...]:
-        """The empirical distribution of each row."""
-        return tuple(Pmf(c / self.n) for c in self.counts)
 
     # -- serialization ------------------------------------------------------
 
@@ -381,8 +371,9 @@ def decide(table: ScoreTable, lam: Optional[float] = None) -> HypothesisId:
 
 def default_lambda(m: int, n: int, k: int) -> float:
     """Vanishing threshold 2(M-1) K ln(n+1)/n for the null-aware rules."""
-    if m < 3 or n < 1 or k < 2:
-        raise ValidationError("need M >= 3, n >= 1, K >= 2")
+    whole(m, "coordinate counts M", 3)
+    whole(n, "sample sizes", 1)
+    whole(k, "alphabet sizes K", 2)
     return 2.0 * (m - 1) * k * math.log(n + 1) / n
 
 

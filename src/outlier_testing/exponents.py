@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import rel_entr, xlogy
 
-from .errors import SolverError, ValidationError, require
+from .errors import SolverError, ValidationError, require, whole
 from .simplex import FULL_SUPPORT_MIN, Pmf, bhattacharyya, chernoff_pair_product
 
 FEASIBILITY_TOL = 1e-8
@@ -85,10 +85,8 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ValidationError("restarts must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("solver seed must be >= 0")
+        whole(self.restarts, "solver restarts")
+        whole(self.seed, "solver seeds")
 
 
 def _check_model(mu: Pmf, pi: Pmf) -> None:
@@ -262,7 +260,7 @@ def exponent_univ_single(
     bound on the true minimum (global optimality is certified only for K=2,
     via the grid oracle).
     """
-    require(m >= 3, "need M >= 3")
+    whole(m, "coordinate counts M", 3)
     res = exponent_univ_multi([mu] * m, pi, 1, opts)
     return replace(res, value=min(res.value, 2.0 * bhattacharyya(mu, pi)))
 
@@ -283,7 +281,7 @@ def exponent_univ_multi(
     """
     mus = list(mus)
     m = len(mus)
-    if not 1 <= t < m / 2:
+    if not 1 <= whole(t, "outlier-set sizes T") < m / 2:
         raise ValidationError(f"need 1 <= T < M/2, got T={t}, M={m}")
     coords_of: dict[Pmf, list[int]] = {}
     for i, mu in enumerate(mus):
@@ -342,6 +340,7 @@ def grid_exponent_univ_single(mu: Pmf, pi: Pmf, steps: int = 400) -> ExponentRes
     _check_model(mu, pi)
     if mu.size != 2:
         raise ValidationError("the grid oracle supports K = 2 only")
+    whole(steps, "grid steps", 1)
     xs = np.arange(steps + 1) / steps
     h = _binary_entropy(xs)
     d_mu = _binary_kl(xs, np.asarray(mu.probs))
@@ -569,8 +568,7 @@ def thm_single_lower_bound(mu: Pmf, pi: Pmf, m):
     gap to 2B is O(1/M).
     """
     _check_model(mu, pi)
-    ms = np.atleast_1d(m)
-    require(ms.min() >= 3, "need M >= 3")
+    ms = np.array([whole(v, "coordinate counts M", 3) for v in np.atleast_1d(m)], dtype=np.int64)
     bhat = bhattacharyya(mu, pi)
     radius = (2.0 * bhat + typical_floor_log(pi)) / (ms - 1)
     value, iters, gap, q = _ball_minima(mu.probs, pi.probs, radius)
@@ -591,6 +589,8 @@ def thm_multi_lower_bound(mus: Sequence[Pmf], pi: Pmf, t: int, m: int) -> Expone
     that it certifies the ball minimum from below.
     """
     mus = list(mus)
+    whole(t, "outlier-set sizes T")
+    whole(m, "coordinate counts M")
     require(1 < t < m / 2, f"need 1 < T < M/2, got T={t}, M={m}")
     pair_min = exponent_multi_known(mus, pi).value  # checks the laws too
     radius = (pair_min + t * typical_floor_log(pi)) / (m - t)

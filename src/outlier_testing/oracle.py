@@ -40,7 +40,6 @@ the type-class weights at tiny sizes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterator, Optional, Sequence, Union
@@ -60,8 +59,8 @@ from .detectors import (
     outlier_set,
     run_detector,
 )
-from .errors import EnumerationCapError, ValidationError, require
-from .simplex import Pmf, TypeVector, _log_sum_exp, entropy, kl
+from .errors import EnumerationCapError, ValidationError, require, whole
+from .simplex import Pmf, _log_sum_exp, entropy, kl
 
 DEFAULT_TUPLE_CAP = 10**8
 DEFAULT_CHUNK = 1 << 18  # type tuples scored per kernel call
@@ -98,13 +97,8 @@ class TypeClassTable:
 
 def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTable:
     """Enumerate the C(n+K-1, K-1) empirical types of length-n sequences."""
-    try:
-        n, k = operator.index(n), operator.index(k)
-    except TypeError:
-        raise ValidationError(f"n and K must be whole numbers, got n={n!r}, K={k!r}") from None
-    if n < 1 or k < 2:
-        raise ValidationError("need n >= 1 and K >= 2")
-    require(cap >= 1, f"the cap must be at least 1, got {cap}")
+    n, k = whole(n, "sample sizes", 1), whole(k, "alphabet sizes K", 2)
+    whole(cap, "tuple caps", 1)
     total = math.comb(n + k - 1, k - 1)
     if total > cap:
         raise EnumerationCapError(f"{total} types exceeds cap {cap}")
@@ -120,23 +114,34 @@ def enumerate_types(n: int, k: int, cap: int = DEFAULT_TUPLE_CAP) -> TypeClassTa
     return TypeClassTable(n, k, rows, log_mult)
 
 
-def type_log_prob(t: TypeVector, p: Pmf) -> float:
-    """Exact log probability that an i.i.d. p-sequence lands in t's type class."""
-    if t.counts.size != p.size:
-        raise ValidationError("type and pmf alphabets differ")
+def _type_counts(counts, p: Pmf) -> tuple[np.ndarray, int]:
+    """A type as its (K,) integer counts on p's alphabet, checked, and its length n."""
+    counts = np.asarray(counts)
+    require(counts.dtype.kind in "iu", f"type counts must be integers, got dtype {counts.dtype}")
+    require(counts.shape == (p.size,), f"type counts of shape {counts.shape} do not match "
+                                       f"a pmf on {p.size} letters")
+    require(counts.min() >= 0, "type counts must be nonnegative")
+    n = int(counts.sum())
+    require(n >= 1, "type counts must total at least 1")
+    return counts, n
+
+
+def type_log_prob(counts: np.ndarray, p: Pmf) -> float:
+    """Exact log probability that an i.i.d. p-sequence lands in the type class of counts (K,)."""
+    counts, n = _type_counts(counts, p)
     with np.errstate(divide="ignore"):
-        terms = np.where(t.counts > 0, t.counts * np.log(p.probs), 0.0)
+        terms = np.where(counts > 0, counts * np.log(p.probs), 0.0)
     if np.any(np.isneginf(terms)):
         raise ValidationError("type puts mass outside the support of p")
-    log_mult = float(gammaln(t.n + 1) - gammaln(t.counts + 1).sum())
-    return log_mult + float(terms.sum())
+    return float(gammaln(n + 1) - gammaln(counts + 1).sum()) + float(terms.sum())
 
 
-def type_log_prob_via_divergence(t: TypeVector, p: Pmf) -> float:
+def type_log_prob_via_divergence(counts: np.ndarray, p: Pmf) -> float:
     """The same quantity via the exponent identity -n (D(gamma||p) + H(gamma))."""
-    gamma = t.to_pmf()
-    log_mult = float(gammaln(t.n + 1) - gammaln(t.counts + 1).sum())
-    return log_mult - t.n * (kl(gamma, p) + entropy(gamma))
+    counts, n = _type_counts(counts, p)
+    gamma = Pmf(counts / n)
+    log_mult = float(gammaln(n + 1) - gammaln(counts + 1).sum())
+    return log_mult - n * (kl(gamma, p) + entropy(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,9 @@ def _law_table(mus: LawSpec, pi: Pmf, m: int, k: Optional[int] = None):
     `simplex.FULL_SUPPORT_MIN` counts as none.
     """
     require(pi is not None, "the typical law pi is required")
+    whole(m, "coordinate counts M", 1)
+    if k is not None:
+        whole(k, "alphabet sizes K", 2)
     if mus is None or isinstance(mus, Pmf):
         outliers, outlier_row = ({} if mus is None else {mus: 1}), np.ones(m, dtype=np.int64)
     else:
@@ -700,11 +708,13 @@ def exponent_fit(ns: Sequence[int], log_errs: Sequence[float]) -> ExponentFit:
         raise ValidationError("need at least 4 (n, log err) points")
     if not np.all(np.isfinite(log_errs) & (log_errs < 0)):
         raise ValidationError("log errors must be finite and below 0 for an exponent fit")
-    y = -log_errs
+    need = "an exponent fit needs finite n > 0 taking at least 3 distinct values"
+    require(bool(np.all(np.isfinite(ns) & (ns > 0))), need)
     design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
-    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.sqrt(res[0])) if res.size else 0.0
-    return ExponentFit(float(coef[0]), float(coef[1]), float(coef[2]), residual)
+    coef, res, rank, _ = np.linalg.lstsq(design, -log_errs, rcond=None)
+    # the columns n, ln n and 1 have full rank on 3 distinct n > 0, else lstsq gives no residual
+    require(rank == 3, need)
+    return ExponentFit(float(coef[0]), float(coef[1]), float(coef[2]), float(np.sqrt(res[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .detectors import (
     decide_batch,
     null_threshold,
 )
-from .errors import ValidationError, require
+from .errors import ValidationError, require, whole
 from .oracle import (
     KEY_BUDGET,
     ExponentFit,
@@ -64,13 +64,13 @@ class SimConfig:
     law_table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 100:
-            raise ValidationError("need a whole number of at least 100 trials per point")
+        whole(self.trials, "trial counts", 100)
         if not self.n_grid:
             raise ValidationError("n grid must hold positive whole sample sizes")
         object.__setattr__(self, "law_table", _law_table(self.mus, self.pi, self.family.m, self.k))
         for n in self.n_grid:  # each stream's entropy, n and trial range pass the sampler's rule
             _stream_rule((self.seed, 0, n), self.family.m, n, 0, self.trials)
+            null_threshold(self.kind, self.lam, self.family.m, n, self.k)  # and lambda its rule
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class ErrorEstimate:
 
 def clopper_pearson(errors: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for an error count: beta quantiles, by betaincinv."""
-    require(all(isinstance(v, numbers.Integral) for v in (errors, trials)),
-            "errors and trials must be whole numbers")
-    require(0 <= errors <= trials and trials >= 1, "need 0 <= errors <= trials")
+    whole(errors, "error counts")
+    whole(trials, "trial counts", 1)
+    require(errors <= trials, "need 0 <= errors <= trials")
     require(isinstance(alpha, numbers.Real) and 0 < alpha < 1, "alpha must lie in (0, 1)")
     lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
     hi = 1.0 if errors == trials else float(betaincinv(errors + 1, trials - errors, 1 - alpha / 2))
@@ -109,23 +109,24 @@ def _cut_points(truth: HypothesisId, table, m: int, k: int) -> np.ndarray:
     return np.cumsum([law.probs for law in laws], axis=1)[row, : k - 1]
 
 
-def _stream_rule(seed, m: int, n, first, count: int = 1) -> None:
+def _stream_rule(seed, m: int, n, first, count: int = 1) -> int:
     """The sampler's one input rule, for trials first .. first+count-1 of seed's stream.
 
     n is a whole number >= 1; seed entropy is a non-negative integer or a
     non-empty list or tuple of them; trial indices are whole numbers >= 0
     whose blocks end inside the stream's period, so no trial reads
-    another's draws.
+    another's draws.  Returns trial `first`'s offset first·M·n in the
+    stream, as a Python int (numpy integers overflow `PCG64.advance`).
     """
-    require(isinstance(n, numbers.Integral) and n >= 1,
-            "sample sizes must be whole numbers of at least 1")
+    block = int(m) * whole(n, "sample sizes", 1)
     words = seed if isinstance(seed, (tuple, list)) else (seed,)
-    require(bool(words) and all(isinstance(w, numbers.Integral) and w >= 0 for w in words),
-            "seed entropy must be a non-negative integer or a sequence of them")
-    require(isinstance(first, numbers.Integral) and first >= 0,
-            "trial indices must be whole numbers of at least 0")
-    require((first + count) * m * n <= 1 << 128,  # PCG64's period
+    require(bool(words), "seed entropy must be a non-negative integer or a sequence of them")
+    for w in words:
+        whole(w, "seed entropy")
+    first = whole(first, "trial indices")
+    require((first + count) * block <= 1 << 128,  # PCG64's period
             "trials past the stream's period would repeat earlier draws")
+    return first * block
 
 
 def _stream(seed, m: int, n: int, first: int, count: int = 1) -> np.random.Generator:
@@ -136,9 +137,9 @@ def _stream(seed, m: int, n: int, first: int, count: int = 1) -> np.random.Gener
     float64, so `PCG64.advance` reaches a trial and consecutive `random`
     calls read consecutive blocks.
     """
-    _stream_rule(seed, m, n, first, count)
+    offset = _stream_rule(seed, m, n, first, count)
     bits = np.random.PCG64(np.random.SeedSequence(seed))
-    bits.advance(first * m * n)
+    bits.advance(offset)
     return np.random.Generator(bits)
 
 
@@ -221,9 +222,9 @@ class SweepResult:
     """Exponent regression over an n grid, with CI-propagated slope bounds.
 
     slope_lo comes from fitting the CI upper error bounds (conservative),
-    slope_hi from the lower bounds; fit is None when fewer than 4 points
-    saw any errors, in which case slope_lo still provides the
-    "exponent at least this" reading.
+    slope_hi from the lower bounds; fit is None when fewer than 4 points, or
+    fewer than 3 distinct n, saw any errors, in which case slope_lo still
+    provides the "exponent at least this" reading.
     """
 
     ns: tuple[int, ...]
@@ -241,7 +242,7 @@ def exponent_sweep(cfg: SimConfig, truth: HypothesisId) -> SweepResult:
 
     nonzero = [i for i, e in enumerate(ests) if 0 < e.errors < e.trials]
     fit = None
-    if len(nonzero) >= 4:
+    if len(nonzero) >= 4 and len({cfg.n_grid[i] for i in nonzero}) >= 3:
         fit = exponent_fit([cfg.n_grid[i] for i in nonzero],
                            np.log([ests[i].estimate for i in nonzero]))
 

@@ -1,16 +1,15 @@
 """Finite-alphabet probability primitives.
 
-Probability mass functions over an alphabet {0, ..., K-1}, empirical
-counts, entropy, and the three divergences everything else is built on:
-relative entropy (KL), Bhattacharyya distance, and Chernoff information.
+Probability mass functions over an alphabet {0, ..., K-1}, entropy, and the
+three divergences everything else is built on: relative entropy (KL),
+Bhattacharyya distance, and Chernoff information.
 All logarithms are natural; the 0*ln(0) = 0 convention is applied by
 skipping zero-mass terms.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import rel_entr, xlogy
@@ -62,19 +61,6 @@ class Pmf:
     def full_support(self) -> bool:
         return bool(self.probs.min() >= FULL_SUPPORT_MIN)
 
-    def to_json(self) -> str:
-        return json.dumps([float(x) for x in self.probs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        try:
-            vals = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"pmf JSON is malformed: {exc}") from exc
-        if not isinstance(vals, list):
-            raise ValidationError("pmf JSON must be an array of numbers")
-        return cls(np.asarray(vals, dtype=float))
-
     def __eq__(self, other):
         if not isinstance(other, Pmf):
             return NotImplemented
@@ -82,31 +68,6 @@ class Pmf:
 
     def __hash__(self):
         return hash(self.probs.tobytes())
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Integer symbol counts of a sequence; counts/n is its empirical pmf."""
-
-    counts: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.size < 2:
-            raise ValidationError(f"counts must be a vector of length >= 2, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValidationError("counts must be nonnegative")
-        n = int(c.sum())
-        if n < 1:
-            raise ValidationError("total count must be >= 1")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "n", n)
-
-    def to_pmf(self) -> Pmf:
-        return Pmf(self.counts / self.n)
 
 
 def _check_same_length(p: Pmf, q: Pmf) -> None:
@@ -224,12 +185,3 @@ def mixture(pmfs: list[Pmf], weights) -> Pmf:
     stacked = np.stack([p.probs for p in pmfs])
     return Pmf.normalize(w @ stacked)
 
-
-def empirical(seq, k: int) -> TypeVector:
-    """Symbol counts of a sequence over the alphabet {0, ..., k-1}."""
-    a = np.asarray(seq, dtype=np.int64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValidationError("sequence must be a nonempty vector of symbols")
-    if np.any(a < 0) or np.any(a >= k):
-        raise ValidationError(f"symbols must lie in 0..{k - 1}")
-    return TypeVector(np.bincount(a, minlength=k))

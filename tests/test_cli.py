@@ -559,6 +559,13 @@ class TestSimulateCommand:
         code, out, err = run(capsys, *args)
         assert code == 2 and out == "" and "one outlier law per coordinate" in err
 
+    def test_grid_of_two_distinct_n_exits_2(self, capsys):
+        # four grid points ask for a slope fit, which two distinct n cannot give
+        code, out, err = run(capsys, "simulate", "--kind", "ml-single", "--m", "3", "--k", "2",
+                             "--n-grid", "10,10,10,20", "--trials", "200", "--seed", "1",
+                             "--truth", "1", "--mus", "0.3,0.7", "--pi", "0.7,0.3")
+        assert code == 2 and out == "" and "3 distinct" in err
+
 
 class TestSimulateStream:
     """Full stdout of one simulate run per seed, each row's error count cross-checked.

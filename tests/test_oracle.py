@@ -36,7 +36,7 @@ from outlier_testing.oracle import (
     type_log_prob_via_divergence,
 )
 from outlier_testing.sim import SimConfig, generate, sample_counts
-from outlier_testing.simplex import Pmf, TypeVector, bhattacharyya
+from outlier_testing.simplex import Pmf, bhattacharyya
 
 MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
@@ -189,7 +189,7 @@ class TestTypeEnumeration:
             law = Pmf.normalize(rng.dirichlet(np.ones(k)) + 1e-6)
             table = enumerate_types(n, k)
             total = sum(
-                math.exp(type_log_prob(TypeVector(c), law)) for c in table.counts
+                math.exp(type_log_prob(c, law)) for c in table.counts
             )
             assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -203,21 +203,30 @@ class TestTypeLogProb:
             counts = rng.multinomial(n, np.ones(k) / k)
             if counts.sum() == 0:
                 continue
-            t = TypeVector(counts)
             law = Pmf.normalize(rng.dirichlet(np.ones(k)) + 1e-6)
-            assert type_log_prob(t, law) == pytest.approx(
-                type_log_prob_via_divergence(t, law), abs=1e-9
+            assert type_log_prob(counts, law) == pytest.approx(
+                type_log_prob_via_divergence(counts, law), abs=1e-9
             )
 
     def test_hand_value(self):
         # P(type (1,1)) under p = (0.3, 0.7) is 2 * 0.3 * 0.7
-        t = TypeVector(np.array([1, 1]))
-        assert math.exp(type_log_prob(t, MU)) == pytest.approx(0.42, abs=1e-12)
+        assert math.exp(type_log_prob(np.array([1, 1]), MU)) == pytest.approx(0.42, abs=1e-12)
 
     def test_support_violation(self):
-        t = TypeVector(np.array([1, 1]))
         with pytest.raises(ValidationError):
-            type_log_prob(t, Pmf(np.array([1.0, 0.0])))
+            type_log_prob(np.array([1, 1]), Pmf(np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.array([0, 0]), "total"),
+        (np.array([3, -1]), "nonnegative"),
+        (np.array([1.0, 1.0]), "integers"),
+        (np.array([1, 1, 1]), "shape"),
+        (np.array([[1, 1]]), "shape"),
+    ], ids=["empty", "negative", "float", "long", "matrix"])
+    def test_rejects_malformed_counts(self, counts, message):
+        for log_prob in (type_log_prob, type_log_prob_via_divergence):
+            with pytest.raises(ValidationError, match=message):
+                log_prob(counts, MU)
 
 
 class TestExactError:
@@ -1052,6 +1061,19 @@ class TestExponentFit:
             exponent_fit([1, 2, 3, 4], [-0.5, math.nan, -1.0, -1.0])
         with pytest.raises(ValidationError):
             exponent_fit([1, 2, 3], [-0.5, -0.6, -0.7])
+
+    @pytest.mark.parametrize("ns", [[10, 10, 20, 20], [10, 10, 10, 20], [0, 1, 2, 3],
+                                    [math.nan, 1, 2, 3], [-1, 1, 2, 3], [math.inf, 1, 2, 3]])
+    def test_rejects_a_design_it_cannot_fit(self, ns, capfd):
+        # n, ln n and 1 are independent only on 3 distinct finite n > 0; lstsq would
+        # return a minimum-norm fit and no residual, or print LAPACK errors on stderr
+        with pytest.raises(ValidationError, match="3 distinct"):
+            exponent_fit(ns, [-1, -1.1, -2, -2.1])
+        assert capfd.readouterr().err == ""
+
+    def test_three_distinct_n_fit_with_a_residual(self):
+        fit = exponent_fit([10, 10, 20, 30], [-1, -1.1, -2, -3])
+        assert fit.residual == pytest.approx(0.1 / math.sqrt(2), rel=1e-9)
 
     def test_fits_errors_below_the_smallest_float(self):
         # at n = 4300 the exact error is about exp(-754): prob 0.0, log_prob finite

@@ -1,4 +1,5 @@
 """Monte Carlo estimator: determinism, interval validity, oracle agreement."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,12 @@ class TestSimConfig:
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError):
             cfg3(seed=seed)
+
+    @pytest.mark.parametrize("kind", [DetectorKind.NULL_SINGLE, DetectorKind.UNIV_SINGLE])
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    def test_rejects_lambda_when_built(self, kind, lam):
+        with pytest.raises(ValidationError, match="lambda"):
+            cfg3(kind=kind, lam=lam)
 
 
 class TestClopperPearson:
@@ -441,3 +448,11 @@ class TestExponentSweep:
         a = exponent_sweep(cfg, Coordinate(3))
         b = exponent_sweep(cfg, Coordinate(3))
         assert a == b
+
+    def test_no_fit_when_the_points_with_errors_hold_two_distinct_n(self, monkeypatch):
+        # the grid's 3 distinct n give slope bounds; the 4 points that saw errors hold 2
+        errors = {10: 90, 20: 30, 30: 0}
+        monkeypatch.setattr(sim, "estimate_error", lambda cfg, truth, n: sim.ErrorEstimate(
+            errors[n] / 200, *sim.clopper_pearson(errors[n], 200), 200, errors[n]))
+        sweep = exponent_sweep(cfg3(n_grid=(10, 10, 20, 20, 30)), Coordinate(1))
+        assert sweep.fit is None and 0.0 < sweep.slope_lo < math.inf

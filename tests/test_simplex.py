@@ -13,12 +13,10 @@ from outlier_testing.errors import SupportError, ValidationError
 from outlier_testing.simplex import (
     FULL_SUPPORT_MIN,
     Pmf,
-    TypeVector,
     bhattacharyya,
     chernoff,
     chernoff_pair_product,
     chernoff_with_optimizer,
-    empirical,
     entropy,
     geometric_midpoint,
     kl,
@@ -125,14 +123,6 @@ class TestPmf:
         p = Pmf.normalize([2, 3, 5])
         assert np.allclose(p.probs, [0.2, 0.3, 0.5])
 
-    def test_json_round_trip(self):
-        p = Pmf(np.array([0.25, 0.25, 0.5]))
-        assert Pmf.from_json(p.to_json()) == p
-
-    def test_json_malformed(self):
-        with pytest.raises(ValidationError):
-            Pmf.from_json("{not json")
-
     def test_immutable(self):
         p = Pmf(np.array([0.4, 0.6]))
         with pytest.raises(ValueError):
@@ -144,25 +134,6 @@ class TestPmf:
     def test_signed_zeros_hash_alike(self):
         plus, minus = Pmf(np.array([0.0, 1.0])), Pmf(np.array([-0.0, 1.0]))
         assert plus == minus and hash(plus) == hash(minus) and len({plus, minus}) == 1
-
-
-class TestTypeVector:
-    def test_counts_to_pmf(self):
-        t = TypeVector(np.array([3, 1]))
-        assert t.n == 4
-        assert np.allclose(t.to_pmf().probs, [0.75, 0.25])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            TypeVector(np.array([0, 0]))
-
-    def test_empirical(self):
-        t = empirical([0, 1, 1, 2], k=4)
-        assert list(t.counts) == [1, 2, 1, 0]
-
-    def test_empirical_out_of_range(self):
-        with pytest.raises(ValidationError):
-            empirical([0, 5], k=2)
 
 
 class TestKl:
