@@ -414,8 +414,9 @@ def null_threshold(
 
 
 class RowStats(NamedTuple):
-    """Per-row statistics of count rows; every array has the rows' leading shape.
+    """Per-row statistics of count rows, letter-major: the rows' leading shape reversed.
 
+    Rows (b, M, K) give ``pmf`` planes (K, M, b) and (M, b) arrays; types (T, K), (K, T) and (T,).
     Universal kinds fill ``pmf`` and ``ent``, known-law kinds ``key`` and
     ``d_pi`` (None when the kind holds no pi).  ``key`` is a row's own term
     in the scores of the members holding it: D(gamma||mu) - D(gamma||pi)
@@ -423,19 +424,32 @@ class RowStats(NamedTuple):
     D(gamma||mu) for mu-only.
     """
 
-    pmf: Optional[np.ndarray]  # (..., K) empirical distributions gamma
+    pmf: Optional[np.ndarray]  # (K, ...) empirical distributions gamma, one plane per letter
     ent: Optional[np.ndarray]  # H(gamma)
     key: Optional[np.ndarray]  # the row's own term, smaller is better
     d_pi: Optional[np.ndarray]  # D(gamma || pi)
 
     def take(self, idx: np.ndarray) -> "RowStats":
-        """The statistics of rows ``idx``, e.g. type indices of shape (batch, M)."""
-        return RowStats._make(None if a is None else a[idx] for a in self)
+        """From per-type statistics, those of type tuples ``idx`` (b, M), laid out as (b, M) rows'."""
+        return RowStats._make(None if a is None else a.take(idx.T, axis=-1) for a in self)
 
 
-def _entropies(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Entropies of the pmfs p (..., K); ``out=p`` overwrites p instead of allocating."""
-    return -xlogy(p, p, out=out).sum(axis=-1)
+def _add_left(terms):
+    """The sum of ``terms`` (a list, or letter planes (K, ...)), added left to right with broadcasting."""
+    return sum(terms[1:], terms[0])
+
+
+def _entropies(p: np.ndarray, out: Optional[np.ndarray] = None, weight: int = 1) -> np.ndarray:
+    """weight times the entropies of the pmfs in letter planes p (K, ...); ``out=p`` overwrites p.
+
+    The letter sum times -weight rounds as its negation times weight would.
+    """
+    return np.multiply(_add_left(xlogy(p, p, out=out)), -weight)
+
+
+def _row_totals(a: np.ndarray) -> np.ndarray:
+    """a (M, b) summed over M as numpy sums the rows of a (b, M): pairwise from 8 terms."""
+    return a.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(a.T).sum(axis=1)
 
 
 def _check_law(law: Optional[Pmf], k: int, name: str, kind: DetectorKind) -> np.ndarray:
@@ -456,11 +470,12 @@ def _check_law(law: Optional[Pmf], k: int, name: str, kind: DetectorKind) -> np.
 COMBINE_BLOCK = 1 << 21
 
 
-def _member_sums(a: np.ndarray, cols: np.ndarray, axis: int = 1) -> np.ndarray:
+def _member_sums(a: np.ndarray, cols: np.ndarray, axis: int = 0) -> np.ndarray:
     """Each member's sum of a over its coordinates cols (H, k) along ``axis``, in index order."""
     acc = a.take(cols[:, 0], axis=axis)
+    gather = np.empty_like(acc) if cols.shape[1] > 1 else None
     for j in range(1, cols.shape[1]):
-        acc += a.take(cols[:, j], axis=axis)
+        acc += a.take(cols[:, j], axis=axis, out=gather, mode="clip")  # "raise" copies to out
     return acc
 
 
@@ -489,8 +504,12 @@ class Scorer:
     the row's sum_j D(gamma_j||pi) when it holds pi.  A kind that holds
     neither scores dispersions by the entropy identity sum_{j in J}
     D(gamma_j||mix_J) = |J| H(mix_J) - sum_{j in J} H(gamma_j).  Members
-    are summed in index order.  Every batch entry goes through the same
-    floating-point operations whatever the batch size.
+    are summed in index order.  Statistics are letter-major (`RowStats`),
+    (K, M, batch) planes, so sums over letters and members are vector adds
+    over a leading axis, left to right like each letter's M-sum of pmfs;
+    the row totals keep numpy's (batch, M) row rule (`_row_totals`).  So
+    every batch entry goes through the same floating-point operations
+    whatever the batch size.
     """
 
     def __init__(
@@ -503,6 +522,7 @@ class Scorer:
         pi: Optional[Pmf] = None,
     ):
         kind = DetectorKind(kind)
+        whole(k, "alphabet sizes K", 2)
         self.mu = _check_law(mu, k, "mu", kind) if kind in _MU_KINDS else None
         self.pi = _check_law(pi, k, "pi", kind) if kind in _PI_KINDS else None
         if family.include_null and kind not in NULL_AWARE_KINDS:
@@ -529,47 +549,51 @@ class Scorer:
         return self.family.index_of(h) - self.family.include_null  # NULL's index is 0
 
     def row_stats(self, counts: np.ndarray, n: int) -> RowStats:
-        """Statistics of count rows (..., K) of n samples each."""
-        p = counts / n
+        """Letter-major statistics (`RowStats`) of count rows (..., K) of n samples each."""
+        p = np.divide(counts.T, n, order="C")
         if self.mu is None and self.pi is None:
             return RowStats(p, _entropies(p), None, None)
-        d_pi = None if self.pi is None else rel_entr(p, self.pi).sum(axis=-1)
+        planes = (-1,) + (1,) * (p.ndim - 1)
+        d_pi = None if self.pi is None else _add_left(rel_entr(p, self.pi.reshape(planes)))
         if self.mu is None:
             return RowStats(None, None, -d_pi, d_pi)
-        key = rel_entr(p, self.mu).sum(axis=-1)
+        key = _add_left(rel_entr(p, self.mu.reshape(planes)))
         return RowStats(None, None, key if d_pi is None else key - d_pi, d_pi)
 
     def combine(self, stats: RowStats) -> np.ndarray:
-        """Scores (batch, H) from row statistics of leading shape (batch, M)."""
+        """Scores (batch, H) from the statistics of rows (batch, M): (K, M, batch) planes."""
         if stats.key is not None:
             score = _member_sums(stats.key, self.family.members[0])
             if stats.d_pi is not None:
-                score += stats.d_pi.sum(axis=1)[:, None]
-            return score
+                score += _row_totals(stats.d_pi)
+            return np.ascontiguousarray(score.T)
         rows, ent = stats.pmf, stats.ent
-        total_pmf = rows.sum(axis=1)
-        total_ent = ent.sum(axis=1)
+        # each letter's M-sum runs left to right on a coordinate-major copy, even at batch 1
+        total_pmf = np.ascontiguousarray(rows.transpose(1, 0, 2)).sum(axis=0)[:, None, :]
+        total_ent = _row_totals(ent)
         step = max(1, COMBINE_BLOCK // (rows.shape[0] * rows.shape[2]))
-        out = np.empty((rows.shape[0], sum(map(len, self.family.members))))
+        out = np.empty((rows.shape[2], sum(map(len, self.family.members))))
         col = 0
         for members in self.family.members:
             n_in, n_out = members.shape[1], self.m - members.shape[1]
             for lo in range(0, len(members), step):
                 cols = members[lo:lo + step]
-                in_pmf, in_ent = _member_sums(rows, cols), _member_sums(ent, cols)
-                mix = total_pmf[:, None, :] - in_pmf
+                in_pmf, in_ent = _member_sums(rows, cols, axis=1), _member_sums(ent, cols)
+                mix = total_pmf - in_pmf
                 mix /= n_out
-                score = out[:, col:col + len(cols)]
-                np.subtract(n_out * _entropies(mix, out=mix), total_ent[:, None] - in_ent, out=score)
+                score = out[:, col:col + len(cols)].T
+                np.subtract(_entropies(mix, out=mix, weight=n_out), total_ent - in_ent, out=score)
                 if self.identical:
                     in_pmf /= n_in
-                    score += n_in * _entropies(in_pmf, out=in_pmf) - in_ent
+                    score += _entropies(in_pmf, out=in_pmf, weight=n_in) - in_ent
                 col += len(cols)
         return out
 
     def scores(self, counts: np.ndarray, n: int) -> np.ndarray:
-        """Scores (batch, H) of count tensors (batch, M, K) of n samples per row."""
-        return self.combine(self.row_stats(counts, n))
+        """Scores (batch, H) of integer count tensors (batch, M, K) of n samples per row."""
+        counts = np.asarray(counts)
+        require(counts.dtype.kind in "iu", "symbol counts must be integers")
+        return self.combine(self.row_stats(counts, whole(n, "sample sizes", 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,6 @@ def whole(value, name: str, least: int = 0) -> int:
     integer (a `numbers.Integral`) of at least ``least``: a float such as 3.0
     is no whole number here, wherever it enters.
     """
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    if not (isinstance(value, (int, numbers.Integral)) and value >= least):  # int: no ABC lookup
         raise ValidationError(f"{name} must be whole numbers of at least {least}, got {value!r}")
     return int(value)

@@ -54,6 +54,7 @@ from .detectors import (
     HypothesisId,
     ObservationMatrix,
     Scorer,
+    _add_left,
     decide_batch,
     null_threshold,
     outlier_set,
@@ -295,11 +296,6 @@ def _key_decisions(key: np.ndarray, slack: float, lam: Optional[float], exact: b
         near |= np.abs(spread - lam) <= slack
         decision = np.where(spread > lam, decision, -1)
     return decision, near
-
-
-def _add_left(terms: list):
-    """The sum of ``terms``, added left to right with broadcasting."""
-    return sum(terms[1:], terms[0])
 
 
 def _on_block(values: Sequence[np.ndarray], head_idx: np.ndarray) -> list[np.ndarray]:
@@ -736,6 +732,7 @@ def brute_force_error(
     max_sequences: int = 2_000_000,
 ) -> float:
     """Sum over every raw observation matrix, run through the real detectors."""
+    n, k = whole(n, "sample sizes", 1), whole(k, "alphabet sizes K", 2)
     m = family.m
     family.index_of(truth)
     laws = coordinate_laws(truth, m, mus, pi)

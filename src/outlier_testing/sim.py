@@ -147,16 +147,18 @@ def _count_batch(stream: np.random.Generator, cuts: np.ndarray, n: int,
                  count: int) -> np.ndarray:
     """Symbol counts (count, M, K) of the stream's next `count` trials, cut by `cuts` (M, K-1).
 
-    A symbol is at least j+1 exactly when u >= cut_j; only the counts are kept.
+    A symbol is at least j+1 exactly when u >= cut_j; only the counts are
+    kept, in the kernel's (K, M, count) planes, which the result views.
     """
     m, k = cuts.shape[0], cuts.shape[1] + 1
     u = stream.random((count, m, n))
-    # at_least[..., j]: samples of each row with symbol >= j
-    at_least = np.zeros((count, m, k + 1), dtype=np.int64)
-    at_least[..., 0] = n
-    for j in range(k - 1):
-        at_least[..., j + 1] = np.count_nonzero(u >= cuts[None, :, j, None], axis=2)
-    return at_least[..., :-1] - at_least[..., 1:]
+    counts = np.empty((k, m, count), dtype=np.int64)
+    counts[0] = n
+    for j in range(k - 1):  # counts[j] holds the samples >= j until those >= j+1 leave it
+        at_least = np.count_nonzero(u >= cuts[None, :, j, None], axis=2).T
+        counts[j] -= at_least
+        counts[j + 1] = at_least
+    return counts.T
 
 
 def generate(truth: HypothesisId, mus: LawSpec, pi: Pmf, m: int, n: int, k: int, seed,

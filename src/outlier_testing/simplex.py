@@ -108,14 +108,16 @@ def _log_sum_exp(x: np.ndarray) -> np.ndarray:
     Like scipy's ``logsumexp`` it sums the maximal terms apart (Blanchard,
     Higham and Higham, IMA J. Numer. Anal. 41(4), 2021,
     doi:10.1093/imanum/draa038), without scipy's argument handling (about
-    70 us a call, more than the oracle's small rows).  Rows of -inf give -inf.
+    70 us a call, more than the oracle's small rows).  One reduction sums
+    the shifted terms, 0 at the maxima, and the maxima's count.  Rows of -inf give -inf.
     """
     top = x.max(axis=-1, keepdims=True)
-    hit = x == top
-    terms = np.exp(x - np.where(np.isfinite(top), top, 0.0))
-    terms[hit] = 0.0
-    count = hit.sum(axis=-1)
-    return np.log1p(terms.sum(axis=-1) / count) + np.log(count) + top[..., 0]
+    below = x < top
+    parts = np.zeros((2,) + x.shape)
+    np.exp(np.subtract(x, top, out=parts[0], where=below), out=parts[0], where=below)
+    np.equal(x, top, out=parts[1])
+    terms, count = parts.sum(axis=-1)
+    return np.log1p(terms / count) + np.log(count) + top[..., 0]
 
 
 def _chernoff_objective(log_p: np.ndarray, log_q: np.ndarray, s: float) -> float:

@@ -2,6 +2,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -755,3 +756,93 @@ class TestScoreKernel:
         assert np.array_equal(got, want)
         for b in (0, 7):
             assert np.array_equal(got[b], scorer.scores(counts[b:b + 1], 12)[0])
+
+
+def _laws(k):
+    """Full-support mu and pi on K letters, fixed per K."""
+    rng = np.random.default_rng(100 + k)
+    return Pmf(rng.dirichlet(np.ones(k))), Pmf(rng.dirichlet(np.ones(k)))
+
+
+def _family(kind, m):
+    """The family `_kernel_cases` gives a kind at M: T=2 subsets, sizes {1, 2}, or coordinates."""
+    if kind in ("typ-multi", "univ-multi"):
+        return HypothesisFamily.fixed_size(m, 2)
+    if kind in ("identical-univ", "null-identical"):
+        return HypothesisFamily.sized(m, [1, 2], include_null=kind == "null-identical")
+    return HypothesisFamily.single_outlier(m, kind == "null-single")
+
+
+KINDS = [kind.value for kind in DetectorKind]
+
+
+class TestLetterMajorKernel:
+    """The kernel's (K, M, batch) planes: sums over letters and members and the row totals."""
+
+    # M=17 and M=50 put 8 or more rows in every row total; K=10 sums 8 or more letters
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("m", [17, 50])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_entries_match_single_matrices(self, kind, m, k):
+        rng = np.random.default_rng(m * k)
+        counts = np.stack([rng.multinomial(12, rng.dirichlet(np.ones(k)), size=m)
+                           for _ in range(6)])
+        mu, pi = _laws(k)
+        scorer = Scorer(kind, _family(kind, m), k, mu=mu, pi=pi)
+        batched = scorer.scores(counts, 12)
+        for b in range(len(counts)):
+            assert np.array_equal(batched[b], scorer.scores(counts[b:b + 1], 12)[0])
+
+    @pytest.mark.parametrize("m", [5, 9])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference_definition_at_k10(self, kind, m):
+        rng = np.random.default_rng(m)
+        data = np.stack([rng.choice(10, size=30, p=p) for p in rng.dirichlet(np.ones(10), size=m)])
+        mu, pi = _laws(10)
+        table = score_table(kind, ObservationMatrix(data, 10), mu=mu, pi=pi,
+                            family=_family(kind, m))
+        want = reference_scores(kind, data, 10, table.hypotheses, mu=mu, pi=pi)
+        np.testing.assert_allclose(table.scores, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_contiguous_views_score_bit_equal(self, kind):
+        rng = np.random.default_rng(5)
+        counts = rng.multinomial(20, [0.2, 0.5, 0.3], size=(30, 9))
+        mu, pi = _laws(3)
+        scorer = Scorer(kind, _family(kind, 9), 3, mu=mu, pi=pi)
+        want = scorer.scores(counts, 20)
+        strided = np.zeros((30, 9, 6), dtype=np.int64)
+        strided[..., ::2] = counts
+        letter_major = np.ascontiguousarray(counts.T).T
+        every_other_trial = np.repeat(counts, 2, axis=0)[::2]
+        for view in (strided[..., ::2], letter_major, np.asfortranarray(counts), every_other_trial):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(scorer.scores(view, 20), want)
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[[1.5, 0.5], [2.0, 0.0], [0.0, 2.0]]]),
+        np.array([[[1.0, 1.0], [2.0, 0.0], [0.0, 2.0]]]),  # whole values, float dtype
+        np.array([[[True, True], [True, True], [True, True]]]),
+    ])
+    def test_refuses_counts_that_are_not_integers(self, counts):
+        scorer = Scorer(DetectorKind.UNIV_SINGLE, HypothesisFamily.single_outlier(3), 2)
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            scorer.scores(counts, 2)
+
+    def test_member_sums_peak_is_result_plus_one_gather(self):
+        rng = np.random.default_rng(3)
+        rows = rng.random((2, 12, 200))  # (K, M, batch) planes
+        cols = HypothesisFamily.fixed_size(12, 3).members[0]  # 220 members of 3 coordinates
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            got = detectors._member_sums(rows, cols, axis=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (2, 220, 200)
+        assert peak <= 2 * got.nbytes + cols.nbytes
+        want = rows[:, cols[:, 0]] + rows[:, cols[:, 1]]
+        want += rows[:, cols[:, 2]]
+        assert np.array_equal(got, want)

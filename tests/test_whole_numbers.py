@@ -11,6 +11,7 @@ from outlier_testing.detectors import (
     DetectorKind,
     HypothesisFamily,
     ObservationMatrix,
+    Scorer,
     Subset,
     default_lambda,
 )
@@ -23,7 +24,7 @@ from outlier_testing.exponents import (
     thm_multi_lower_bound,
     thm_single_lower_bound,
 )
-from outlier_testing.oracle import coordinate_laws
+from outlier_testing.oracle import brute_force_error, coordinate_laws
 from outlier_testing.sim import SimConfig, generate, sample_counts
 from outlier_testing.simplex import Pmf
 
@@ -31,6 +32,8 @@ MU = Pmf(np.array([0.3, 0.7]))
 PI = Pmf(np.array([0.7, 0.3]))
 ONE_START = SolverOptions(restarts=1)
 DATA = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
+FAM3 = HypothesisFamily.single_outlier(3)
+COUNTS = np.array([[[1, 1], [2, 0], [0, 2]]])  # one (M, K) table of n=2 samples per row
 
 
 def sim_config(k):
@@ -66,6 +69,16 @@ ENTRY_POINTS = {
     "sample_counts-M": (
         "coordinate counts M", lambda v: sample_counts(Coordinate(1), MU, PI, v, 5, 2, 0, range(2))),
     "coordinate_laws-M": ("coordinate counts M", lambda v: coordinate_laws(Coordinate(1), v, MU, PI)),
+    "Scorer-K": (
+        "alphabet sizes K", lambda v: Scorer(DetectorKind.UNIV_SINGLE, FAM3, v).scores(COUNTS, 2)),
+    "Scorer.scores-n": (
+        "sample sizes", lambda v: Scorer(DetectorKind.UNIV_SINGLE, FAM3, 2).scores(COUNTS, v)),
+    "brute_force_error-n": (
+        "sample sizes",
+        lambda v: brute_force_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), v, 2, MU, PI)),
+    "brute_force_error-K": (
+        "alphabet sizes K",
+        lambda v: brute_force_error(DetectorKind.UNIV_SINGLE, FAM3, Coordinate(1), 1, v, MU, PI)),
 }
 
 # a whole value each entry point accepts, as its ints would be given
