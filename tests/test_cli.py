@@ -381,6 +381,19 @@ class TestDetectCommand:
         assert "M=3" in err and ("K=1000000000" in err or "K=1000000001" in err)
         assert peak < 5 << 20
 
+    def test_constant_rows_print_positive_zeros(self, capsys, tmp_path):
+        # size-1 members add a +0.0 inside dispersion to an outside one of -0.0
+        path = tmp_path / "obs.csv"
+        path.write_text("0,0,0,0\n" * 5)
+        code, out, _ = run(capsys, "detect", "--file", str(path), "--kind", "identical-univ",
+                           "--sizes", "1,2")
+        members = [f"subset {{{i}}}" for i in range(1, 6)]
+        members += [f"subset {{{i},{j}}}" for i in range(1, 6) for j in range(i + 1, 6)]
+        scores = ", ".join(f'["{h}", 0.0]' for h in members)
+        assert code == 0 and out == (
+            '{"command": "detect", "decision": "subset {1}", "k": 2, "kind": "identical-univ", '
+            f'"m": 5, "n": 4, "scores": [{scores}], "spread": 0.0}}\n')
+
     # SHA-256 of `detect` stdout on the files of `_pinned_file`, recorded from
     # the scorer that built the score table from (hypothesis, score) tuples
     PINNED = {
@@ -392,8 +405,12 @@ class TestDetectCommand:
         (12, "typ-multi"): "68dd16f4ca4b45ce881ef344f5e45afa5bb2ecf9710fff695a1496d1e9d5577a",
         (12, "univ-multi"): "d03d96756aec12557f518d1642f8cba9a711e43bbecafc9e1a9ffb8590cf13b4",
         (8, "identical-univ"): "221baadca90f987e74b10b898cc1573b348f258c8d0b7c9e5ac514f4a6dadd39",
+        # recorded from the reader that counted with one bincount over int64 cells
+        (1000, "ml-single"): "dbcc256b69b2213e6cde60a036031c2967bf453abb50e58baeae03d648b17a7a",
+        (1000, "typ-single"): "9af9eef8e1023344d2b384baacf4618dce298412f388952d7404b34d0c42498e",
+        (1000, "mu-only"): "81e465ae67e3ea5003787d99616ad216665c7b4678c08794a59eb654defbbfa5",
     }
-    PINNED_OUTLIERS = {200: 1, 12: 3, 8: 2}
+    PINNED_OUTLIERS = {1000: 1, 200: 1, 12: 3, 8: 2}
 
     @staticmethod
     def _pinned_file(tmp_path, m, n_out, fmt):

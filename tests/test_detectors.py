@@ -233,7 +233,7 @@ class TestObservationMatrix:
         assert o.data.dtype == np.int64 and np.array_equal(o.data, data)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64, np.float32,
-                                       np.float64, np.bool_])
+                                       np.float64, np.bool_, ">i4"])
     def test_any_numeric_dtype_of_whole_numbers(self, dtype, tmp_path):
         data = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1]])
         o = ObservationMatrix(data.astype(dtype), 2)
@@ -273,6 +273,64 @@ class TestObservationMatrix:
             o.data[0, 0] = 1
         with pytest.raises(ValueError):
             o.counts[0, 0] = 2
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.float64, np.bool_])
+    @pytest.mark.parametrize("k", [2, 3, 4, 10, 11, 256])
+    @pytest.mark.parametrize("m,n", [(4, 6), (1000, 100)])
+    def test_counts_are_row_bincounts_on_every_route(self, m, n, k, dtype):
+        # 1000x100 counts by letter at K <= 4 and by one bincount from K=10;
+        # 4x6 by one bincount at every K
+        rng = np.random.default_rng([m, k])
+        data = rng.integers(0, 2 if dtype is np.bool_ else k, size=(m, n))
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
+            o = ObservationMatrix(data.astype(dtype), k)
+        assert spy.called == (m == 4 or k >= 10)
+        assert o.counts.dtype == np.int64 and not o.counts.flags.writeable
+        assert np.array_equal(o.counts, [np.bincount(row, minlength=k) for row in data])
+        assert o.data.dtype == np.int64 and np.array_equal(o.data, data)
+
+    @pytest.mark.parametrize("dtype,value", [
+        (np.int8, -1), (np.int8, -128), (np.int16, -1), (np.int32, -1), (np.int64, -1),
+        (np.int64, np.iinfo(np.int64).min), (">i4", -1), (np.float64, -1.0), (np.float32, -2.0),
+    ])
+    def test_rejects_negative_symbols_in_every_signed_dtype(self, dtype, value):
+        data = np.array([[0, 1], [1, 0], [0, 1]], dtype=dtype)
+        data[2, 0] = value
+        with pytest.raises(ValidationError, match="0..1"):
+            ObservationMatrix(data, 2)
+
+    def test_readers_keep_the_arrays_they_read(self, tmp_path):
+        # a reader's fresh symbols become the matrix's without a private copy
+        kept = {}
+
+        def keeping(name, read):
+            def call(*args, **kwargs):
+                kept[name] = read(*args, **kwargs)
+                return kept[name]
+            return call
+
+        (tmp_path / "layout.csv").write_text("0,1\n1,0\n0,1\n")
+        (tmp_path / "wide.csv").write_text("0,10\n1,0\n0,1\n")  # two digits: np.loadtxt
+        with mock.patch.object(detectors, "_one_digit_rows",
+                               keeping("layout", detectors._one_digit_rows)), \
+                mock.patch.object(np, "loadtxt", keeping("wide", np.loadtxt)):
+            wide = ObservationMatrix.from_csv(tmp_path / "wide.csv")  # not in the layout
+            layout = ObservationMatrix.from_csv(tmp_path / "layout.csv")
+        assert layout._symbols is kept["layout"] and wide._symbols is kept["wide"]
+        assert wide._symbols.dtype == np.int64 and wide.k == 11
+        layout.to_binary(tmp_path / "obs.bin")
+        back = ObservationMatrix.from_binary(tmp_path / "obs.bin")
+        assert not back._symbols.flags.writeable  # a view of the file's bytes
+        assert np.array_equal(back.data, layout.data)
+
+    # uint8 input: test_data_is_a_read_only_copy
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_constructor_copies_every_dtype(self, dtype):
+        data = np.array([[0, 1], [1, 0], [0, 1]], dtype=dtype)
+        o = ObservationMatrix(data, 2)
+        data[:] = 1
+        assert o.data.tolist() == [[0, 1], [1, 0], [0, 1]]
+        assert o.counts.tolist() == [[1, 1], [1, 1], [1, 1]]
 
     def test_rejects_count_tables_beyond_the_cap(self, monkeypatch):
         k = detectors.MAX_COUNT_CELLS // 3 + 1
@@ -371,6 +429,22 @@ class TestCsvReader:
         assert spy.called != in_layout
 
 
+class TestOneDigitLayout:
+    """`_one_digit_rows` takes a pair only when both of its bytes are the layout's."""
+
+    @pytest.mark.parametrize("digit", [b"0", b"5", b"9"])
+    def test_digits_read_as_symbols(self, digit):
+        rows = detectors._one_digit_rows(b"0,%s\n%s,9\n" % (digit, digit))
+        assert rows.dtype == np.uint8 and rows.tolist() == [[0, int(digit)], [int(digit), 9]]
+
+    # the bytes next to each of '0', '9', ',' and '\n', in a digit's or a separator's place
+    @pytest.mark.parametrize("text", [b"0,/\n1,0\n", b"0,:\n1,0\n", b"0+1\n1,0\n",
+                                      b"0-1\n1,0\n", b"0,1\x0b1,0\n", b"0,1\t1,0\n",
+                                      b"0,1\n1,0\x0b"])
+    def test_neighbouring_bytes_leave_the_layout(self, text):
+        assert detectors._one_digit_rows(text) is None
+
+
 class TestSingleOutlierScores:
     def test_ml_hand_example(self):
         # row 1 is the only row whose type differs from (1, 0); with mu
@@ -458,6 +532,17 @@ class TestIdenticalOutlierScores:
         fam = HypothesisFamily.sized(5, [1, 2])
         o = ObservationMatrix(rows, 2)
         assert run_detector(DetectorKind.IDENTICAL_UNIV, o, family=fam) == Subset((5,))
+
+    def test_size_one_members_add_a_positive_zero(self):
+        # a size-1 member's inside dispersion is +0.0, and adding it turns
+        # the outside dispersion's -0.0 on constant rows into +0.0
+        o = ObservationMatrix(np.zeros((5, 4), dtype=int), 2)
+        outside = score_table(DetectorKind.UNIV_SINGLE, o).scores
+        for kind in ("identical-univ", "null-identical"):
+            fam = HypothesisFamily.sized(5, [1, 2], include_null=kind == "null-identical")
+            scores = score_table(kind, o, family=fam).scores
+            assert np.signbit(outside).all() and not np.signbit(scores).any()
+            assert np.array_equal(scores, np.zeros(15))
 
     def test_rejects_null_in_family(self):
         fam = HypothesisFamily.sized(5, [1], include_null=True)
