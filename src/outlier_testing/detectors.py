@@ -276,9 +276,12 @@ class ObservationMatrix:
                                   f"more than {MAX_COUNT_CELLS}")
         if a.dtype.kind == "f" and not (a == np.trunc(a)).all():
             raise ValidationError("symbols must be whole numbers")
-        # read as unsigned, a negative whole number lies above every K
-        top = a.view(a.dtype.str.replace("i", "u")).max() if a.dtype.kind == "i" else a.max()
-        if top >= k or (a.dtype.kind == "f" and a.min() < 0):
+        if a.dtype.kind == "i" and k <= 1 << 8 * a.itemsize - 1:
+            # read as unsigned, a negative lies at or above 2^(bits - 1), so at or above K
+            top, low = a.view(a.dtype.str.replace("i", "u")).max(), 0
+        else:  # floats, and signed dtypes whose every value >= 0 lies below K, read the sign
+            top, low = a.max(), (a.min() if a.dtype.kind in "if" else 0)
+        if top >= k or low < 0:
             raise ValidationError(f"symbols must lie in 0..{k - 1}")
         self._symbols, self.k = a, k  # in the input dtype: `data` widens it when read
         self.counts = _symbol_counts(a, k)

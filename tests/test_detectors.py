@@ -299,6 +299,22 @@ class TestObservationMatrix:
         with pytest.raises(ValidationError, match="0..1"):
             ObservationMatrix(data, 2)
 
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("dtype,value,k", [
+        (np.int8, -100, 200), (np.int8, -1, 128), (np.int8, -128, 128), (np.int8, -1, 129),
+        (np.int8, -128, 256), (np.int16, -30000, 40000), (np.int16, -1, 32768),
+    ])
+    def test_rejects_negative_symbols_when_k_passes_the_signed_maximum(self, dtype, value, k,
+                                                                       row):
+        # read as unsigned, -100 in int8 is 156 < 200: it must not count as a symbol
+        data = np.array([[0, 1], [1, 0], [0, 1]], dtype=dtype)
+        data[row, 0] = value
+        with pytest.raises(ValidationError, match=f"0..{k - 1}"):
+            ObservationMatrix(data, k)
+        data[row, 0] = np.iinfo(dtype).max  # the largest symbol the dtype holds is below K
+        counts = ObservationMatrix(data, k).counts
+        assert counts[row, np.iinfo(dtype).max] == 1 and counts.sum() == 6
+
     def test_readers_keep_the_arrays_they_read(self, tmp_path):
         # a reader's fresh symbols become the matrix's without a private copy
         kept = {}
